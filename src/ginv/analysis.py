@@ -132,17 +132,13 @@ def _registered_moments(model, sampler, template):
     return mean, var
 
 
-def empirical_moments(model, sampler, input_template, samples, max_workers=1):
+def empirical_moments(model, sampler, input_template, samples):
     """Monte-Carlo mean/variance of the model over group-scrambled inputs.
 
     For H1/H3 models each draw conjugates ``input_template`` by a sampled
     element; for H2 models the sampled element itself is the input.
     Analytic fields are filled when a closed form is registered for the
     (model, sampler) combination.
-
-    Group elements are always drawn sequentially from the sampler, so the
-    result is identical for any ``max_workers``; workers only share the
-    pure evaluation step.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
@@ -156,19 +152,8 @@ def empirical_moments(model, sampler, input_template, samples, max_workers=1):
             return expectation_copies(x, model.copies, obs.matrix)
         return evaluate(model, x)
 
-    values = np.empty(samples)
-    chunk = 512
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for start in range(0, samples, chunk):
-                stop = min(start + chunk, samples)
-                elements = [sampler.sample() for _ in range(stop - start)]
-                values[start:stop] = list(pool.map(value_of, elements))
-    else:
-        for i in range(samples):
-            values[i] = value_of(sampler.sample())
+    draws = (value_of(sampler.sample()) for _ in range(samples))
+    values = np.fromiter(draws, float, samples)
     mean, var = _registered_moments(model, sampler, input_template)
     std = float(values.std(ddof=1))
     return MomentReport(
@@ -209,31 +194,38 @@ def classify(dataset, model, rule, shots=0, rng=None):
     """Run the model over a labeled dataset and score a decision rule.
 
     With shots = 0 the exact expectation is used; otherwise each value is
-    a finite-shot estimate drawn from ``rng``.
+    a finite-shot estimate drawn from ``rng``. A class absent from the
+    dataset has mean None; the mean-based rules need both classes.
     """
+    if not isinstance(rule, (ThresholdRule, MidpointRule, NearestClassMeanRule)):
+        raise ValueError(f"unknown rule {rule!r}")
+    if shots > 0 and rng is None:
+        raise ValueError("shots > 0 needs a random generator rng")
+    labels = np.array([item.label for item in dataset])
+    absent = [c for c in (0, 1) if not (labels == c).any()]
+    if absent and not isinstance(rule, ThresholdRule):
+        raise ValueError(
+            f"{type(rule).__name__} needs both classes; label {absent[0]} is absent"
+        )
     values = []
-    labels = []
     for item in dataset:
         x = item.unitary if isinstance(item, LabeledUnitary) else item.state
         if shots > 0:
             values.append(estimate_with_shots(model, x, shots, rng).estimate)
         else:
             values.append(evaluate(model, x))
-        labels.append(item.label)
     values = np.array(values)
-    labels = np.array(labels)
-    m0 = float(values[labels == 0].mean()) if (labels == 0).any() else 0.0
-    m1 = float(values[labels == 1].mean()) if (labels == 1).any() else 0.0
+    m0, m1 = (
+        None if c in absent else float(values[labels == c].mean()) for c in (0, 1)
+    )
 
     if isinstance(rule, ThresholdRule):
         pred = (np.abs(values - rule.c) <= rule.eps).astype(int)
     elif isinstance(rule, MidpointRule):
         thr = (m0 + m1) / 2
         pred = (values > thr).astype(int) if m1 >= m0 else (values <= thr).astype(int)
-    elif isinstance(rule, NearestClassMeanRule):
-        pred = (np.abs(values - m1) <= np.abs(values - m0)).astype(int)
     else:
-        raise ValueError(f"unknown rule {rule!r}")
+        pred = (np.abs(values - m1) <= np.abs(values - m0)).astype(int)
 
     tp = int(((pred == 1) & (labels == 1)).sum())
     tn = int(((pred == 0) & (labels == 0)).sum())
@@ -242,7 +234,7 @@ def classify(dataset, model, rule, shots=0, rng=None):
     accuracy = (tp + tn) / len(labels)
 
     p_c0 = bound = cant = None
-    if (labels == 0).any():
+    if 0 not in absent:
         p_c0 = float((pred[labels == 0] == 1).mean())
         bound = misclassification_probability(p_c0)
         if isinstance(rule, ThresholdRule):
@@ -316,9 +308,7 @@ CONCENTRATION_FAMILIES = {
 }
 
 
-def concentration_experiment(
-    family, n_range, samples, seed=0, label_class=0, max_workers=1
-):
+def concentration_experiment(family, n_range, samples, seed=0, label_class=0):
     """Per-n model variance over group-scrambled inputs, with log2 slope.
 
     ``family`` is a name from CONCENTRATION_FAMILIES or a callable
@@ -330,9 +320,7 @@ def concentration_experiment(
     rows = []
     for n in n_range:
         model, sampler, template, analytic = builder(n, seed + n, label_class)
-        report = empirical_moments(
-            model, sampler, template, samples, max_workers=max_workers
-        )
+        report = empirical_moments(model, sampler, template, samples)
         rows.append(ConcentrationRow(n, report.empirical_var, analytic))
     ns = np.array([r.n for r in rows], dtype=float)
     evs = np.array([max(r.empirical_var, 1e-300) for r in rows])
@@ -345,33 +333,11 @@ def concentration_experiment(
 # Report serialization
 
 
-def moment_report_to_dict(report):
-    return asdict(report)
-
-
-def classification_report_to_dict(report):
-    return asdict(report)
-
-
-def concentration_result_to_dict(result):
-    return {
-        "family": result.family,
-        "samples": result.samples,
-        "slope": result.slope,
-        "rows": [asdict(r) for r in result.rows],
-    }
-
-
 def report_to_json(report, path=None):
-    if isinstance(report, MomentReport):
-        payload = moment_report_to_dict(report)
-    elif isinstance(report, ClassificationReport):
-        payload = classification_report_to_dict(report)
-    elif isinstance(report, ConcentrationResult):
-        payload = concentration_result_to_dict(report)
-    else:
+    reports = (MomentReport, ClassificationReport, ConcentrationResult)
+    if not isinstance(report, reports):
         raise ValueError(f"unserializable report {type(report).__name__}")
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = json.dumps(asdict(report), sort_keys=True, indent=2)
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)

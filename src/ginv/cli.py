@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -21,12 +22,9 @@ from . import __version__, analysis, datasets, models, observables
 from .analysis import (
     MidpointRule,
     ThresholdRule,
-    classification_report_to_dict,
     classify,
     concentration_experiment,
-    concentration_result_to_dict,
     empirical_moments,
-    moment_report_to_dict,
 )
 from .groups import (
     LocalUnitarySampler,
@@ -42,15 +40,6 @@ from .train import TrainConfig, graph_invariant_model, optimize
 
 class ConfigError(ValueError):
     """Invalid or unknown experiment configuration."""
-
-
-def worker_count():
-    """Worker cap from GINV_THREADS (default 1, i.e. sequential)."""
-    raw = os.environ.get("GINV_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 GRAPH_PRESETS = {
@@ -107,6 +96,11 @@ SCHEMAS = {
 }
 
 COMMON_FIELDS = {"experiment", "seed", "shots", "output"}
+
+# Every field `ginv run` takes as a flag, with its type.
+RUN_FIELDS = {"seed": int, "shots": int} | {
+    name: typ for schema in SCHEMAS.values() for name, (typ, _) in schema.items()
+}
 
 
 def validate_config(raw):
@@ -185,7 +179,7 @@ def run_purity(config, rng):
     data = datasets.purity_dataset(n, config["samples"], config["b"], rng)
     model = ModelSpec("H1", 2, IdentityAnsatz(4**n), observables.swap_operator(n))
     report = classify(data, model, MidpointRule(), shots=config["shots"], rng=rng)
-    return {"classification": classification_report_to_dict(report)}
+    return {"classification": asdict(report)}
 
 
 def run_time_reversal_states(config, rng):
@@ -213,11 +207,10 @@ def run_time_reversal_states(config, rng):
         UnitarySampler(d, config["seed"] + 1),
         dm(zero_state(n)),
         config["mc_samples"],
-        max_workers=worker_count(),
     )
     return {
-        "classification": classification_report_to_dict(report),
-        "moments": moment_report_to_dict(moments),
+        "classification": asdict(report),
+        "moments": asdict(moments),
         "threshold": {"c": c, "eps": eps},
     }
 
@@ -241,11 +234,10 @@ def run_time_reversal_dynamics(config, rng):
         UnitarySampler(d, config["seed"] + 1),
         None,
         config["mc_samples"],
-        max_workers=worker_count(),
     )
     return {
-        "classification": classification_report_to_dict(report),
-        "moments": moment_report_to_dict(moments),
+        "classification": asdict(report),
+        "moments": asdict(moments),
     }
 
 
@@ -261,7 +253,7 @@ def run_entanglement(config, rng):
         abs(evaluate(model, item.state) - oracle(item.state)) for item in data
     )
     return {
-        "classification": classification_report_to_dict(report),
+        "classification": asdict(report),
         "max_oracle_deviation": max_oracle_dev,
     }
 
@@ -324,9 +316,8 @@ def run_concentration(config, rng):
         range(config["n_min"], config["n_max"] + 1),
         config["samples"],
         seed=config["seed"],
-        max_workers=worker_count(),
     )
-    return {"concentration": concentration_result_to_dict(result)}
+    return {"concentration": asdict(result)}
 
 
 def run_ancilla(config, rng):
@@ -468,27 +459,8 @@ def build_parser():
     runp = sub.add_parser("run", help="run one experiment")
     runp.add_argument("--config", help="JSON config file (flags override it)")
     runp.add_argument("--experiment", choices=sorted(SCHEMAS))
-    runp.add_argument("--n", type=int)
-    runp.add_argument("--d", type=int)
-    runp.add_argument("--k", type=int)
-    runp.add_argument("--b", type=float)
-    runp.add_argument("--t", type=float)
-    runp.add_argument("--eps", type=float)
-    runp.add_argument("--samples", type=int)
-    runp.add_argument("--mc-samples", dest="mc_samples", type=int)
-    runp.add_argument("--shots", type=int)
-    runp.add_argument("--seed", type=int)
-    runp.add_argument("--measure")
-    runp.add_argument("--observable")
-    runp.add_argument("--group")
-    runp.add_argument("--family")
-    runp.add_argument("--n-min", dest="n_min", type=int)
-    runp.add_argument("--n-max", dest="n_max", type=int)
-    runp.add_argument("--g0")
-    runp.add_argument("--g1")
-    runp.add_argument("--trials", type=int)
-    runp.add_argument("--iterations", type=int)
-    runp.add_argument("--learning-rate", dest="learning_rate", type=float)
+    for name, typ in RUN_FIELDS.items():
+        runp.add_argument("--" + name.replace("_", "-"), dest=name, type=typ)
     runp.add_argument("--output", "-o", help="result path (default result.json)")
 
     repp = sub.add_parser("report", help="format a result file")
@@ -509,11 +481,8 @@ def _cmd_run(args):
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         raw.update(loaded)
-    for key in (
-        "experiment n d k b t eps samples mc_samples shots seed measure observable "
-        "group family n_min n_max g0 g1 trials iterations learning_rate"
-    ).split():
-        value = getattr(args, key, None)
+    for key in ("experiment", *RUN_FIELDS):
+        value = getattr(args, key)
         if value is not None:
             raw[key] = value
     output = args.output or raw.pop("output", None) or "result.json"

@@ -179,20 +179,22 @@ def entanglement_dataset(n, count, b, measure, rng):
     return items
 
 
+def graph_terms(g):
+    """(sum_{(j,k) in E} Z_j Z_k, sum_j X_j) on the graph's n qubits."""
+
+    def pauli_sum(pauli, site_sets):
+        total = np.zeros((2**g.n, 2**g.n), dtype=complex)
+        for sites in site_sets:
+            total += kron_all([PAULI[pauli if j in sites else "I"] for j in range(g.n)])
+        return total
+
+    return pauli_sum("Z", sorted(g.edges)), pauli_sum("X", [(j,) for j in range(g.n)])
+
+
 def graph_hamiltonian(g):
     """H = sum_{(j,k) in E} Z_j Z_k + sum_j X_j on the graph's n qubits."""
-    n = g.n
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for j, k in sorted(g.edges):
-        ops = [PAULI["I"]] * n
-        ops[j] = PAULI["Z"]
-        ops[k] = PAULI["Z"]
-        h += kron_all(ops)
-    for j in range(n):
-        ops = [PAULI["I"]] * n
-        ops[j] = PAULI["X"]
-        h += kron_all(ops)
-    return Observable(h, copies=1, qubits_per_copy=n, tag="graph_hamiltonian")
+    zz, xs = graph_terms(g)
+    return Observable(zz + xs, copies=1, qubits_per_copy=g.n, tag="graph_hamiltonian")
 
 
 def is_isomorphic(g0, g1):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
-from .datasets import Graph
+from .datasets import Graph, _matrix_from_dict, _matrix_to_dict, graph_terms
 from .groups import permutation_operator
 from .observables import PAULI, Observable
 from .tensor import (
@@ -131,19 +131,8 @@ class QGCNNAnsatz(Ansatz):
         eta = theta[: p * q].reshape(p, q)
         w = theta[p * q : p * q + q]
         b = theta[p * q + q :]
-        n = self.graph.n
-        zz = np.zeros((2**n, 2**n), dtype=complex)
-        for j, k in sorted(self.graph.edges):
-            ops = [PAULI["I"]] * n
-            ops[j] = PAULI["Z"]
-            ops[k] = PAULI["Z"]
-            zz += tensor.kron_all(ops)
-        xs = np.zeros((2**n, 2**n), dtype=complex)
-        for j in range(n):
-            ops = [PAULI["I"]] * n
-            ops[j] = PAULI["X"]
-            xs += tensor.kron_all(ops)
-        u = np.eye(2**n, dtype=complex)
+        zz, xs = graph_terms(self.graph)
+        u = np.eye(self.dim, dtype=complex)
         for pi in range(p):
             for qi in range(q):
                 u = u @ expm_hermitian(w[qi] * zz + b[qi] * xs, eta[pi, qi])
@@ -291,26 +280,22 @@ def _as_projector_vector(m, tol=1e-10):
     return v if np.abs(m - np.outer(v, v.conj())).max() < tol else None
 
 
-def _evolved_state(model, x, theta):
-    """U sigma U^dag, the state actually measured, as a dense matrix."""
+def _input_state(model, x):
+    """The undressed state sigma with model value Tr[sigma U^dag O U]."""
     if model.hclass == "H1":
-        sigma = tensor.tensor_power(x, model.copies)
-    elif model.hclass == "H2":
+        return tensor.tensor_power(x, model.copies)
+    if model.hclass == "H2":
         d = x.shape[0]
-        m = model.psi_in.reshape(d, d)
-        sigma = dm((x @ m @ x.T).ravel())
-    else:
-        sigma = tensor.kron_all([dm(basis_state(2, 0)), x, x])
-    u = model.ansatz.realize(theta)
-    return u @ sigma @ u.conj().T
+        return dm((x @ model.psi_in.reshape(d, d) @ x.T).ravel())
+    return tensor.kron_all([dm(basis_state(2, 0)), x, x])
 
 
 def estimate_with_shots(model, x, shots, rng, theta=None):
     """Unbiased finite-shot estimate of the model value.
 
-    Samples eigenvalue outcomes of the dressed observable with Born
-    probabilities; a rank-1 projector observable reduces to a Bernoulli
-    draw on the exact value.
+    Samples eigenvalue outcomes of the dressed observable U^dag O U with
+    Born probabilities on the undressed input state; a rank-1 projector
+    observable reduces to a Bernoulli draw on the exact value.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -320,8 +305,8 @@ def estimate_with_shots(model, x, shots, rng, theta=None):
         p = min(max(evaluate(model, x, theta), 0.0), 1.0)
         outcomes = (rng.random(shots) < p).astype(float)
     else:
-        w, vecs = np.linalg.eigh(model.observable.matrix)
-        sigma = _evolved_state(model, x, theta)
+        w, vecs = np.linalg.eigh(obs)
+        sigma = _input_state(model, x)
         probs = np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, sigma, vecs))
         probs = np.clip(probs, 0.0, None)
         probs /= probs.sum()
@@ -335,27 +320,14 @@ def estimate_with_shots(model, x, shots, rng, theta=None):
 # JSON serialization
 
 
-def _matrix_dict(m):
-    m = np.asarray(m)
-    return {
-        "dim": m.shape[0],
-        "re": [float(v) for v in m.real.ravel()],
-        "im": [float(v) for v in m.imag.ravel()],
-    }
-
-
-def _matrix_undict(d):
-    m = np.array(d["re"]) + 1j * np.array(d["im"])
-    return m.reshape(d["dim"], d["dim"])
-
-
 def _ansatz_dict(a):
     if isinstance(a, IdentityAnsatz):
         return {"kind": "identity", "dim": a.dim}
     if isinstance(a, FixedUnitaryAnsatz):
-        return {"kind": "fixed", "matrix": _matrix_dict(a.matrix)}
+        return {"kind": "fixed", "matrix": _matrix_to_dict(a.matrix)}
     if isinstance(a, LayeredAnsatz):
-        return {"kind": "layered", "generators": [_matrix_dict(g) for g in a.generators]}
+        generators = [_matrix_to_dict(g) for g in a.generators]
+        return {"kind": "layered", "generators": generators}
     if isinstance(a, QGCNNAnsatz):
         return {
             "kind": "qgcnn",
@@ -371,9 +343,9 @@ def _ansatz_undict(d):
     if kind == "identity":
         return IdentityAnsatz(d["dim"])
     if kind == "fixed":
-        return FixedUnitaryAnsatz(_matrix_undict(d["matrix"]))
+        return FixedUnitaryAnsatz(_matrix_from_dict(d["matrix"]))
     if kind == "layered":
-        return LayeredAnsatz([_matrix_undict(g) for g in d["generators"]])
+        return LayeredAnsatz([_matrix_from_dict(g) for g in d["generators"]])
     if kind == "qgcnn":
         g = Graph(d["graph"]["n"], {tuple(e) for e in d["graph"]["edges"]})
         return QGCNNAnsatz(g, d["p_layers"], d["q_generators"])
@@ -389,7 +361,7 @@ def model_to_dict(model):
             "tag": model.observable.tag,
             "copies": model.observable.copies,
             "qubits_per_copy": model.observable.qubits_per_copy,
-            "matrix": _matrix_dict(model.observable.matrix),
+            "matrix": _matrix_to_dict(model.observable.matrix),
         },
     }
     if model.psi_in is not None:
@@ -403,7 +375,7 @@ def model_to_dict(model):
 
 def model_from_dict(d):
     obs = Observable(
-        _matrix_undict(d["observable"]["matrix"]),
+        _matrix_from_dict(d["observable"]["matrix"]),
         copies=d["observable"]["copies"],
         qubits_per_copy=d["observable"]["qubits_per_copy"],
         tag=d["observable"]["tag"],

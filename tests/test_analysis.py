@@ -137,15 +137,6 @@ def test_empirical_moments_deterministic():
     assert a == b
 
 
-def test_empirical_moments_worker_invariance():
-    model = odd_y_model(1)
-    a = empirical_moments(model, UnitarySampler(2, 6), dm(zero_state(1)), 600)
-    b = empirical_moments(
-        model, UnitarySampler(2, 6), dm(zero_state(1)), 600, max_workers=4
-    )
-    assert a == b
-
-
 def test_empirical_moments_orthogonal_inputs_constant():
     # label-1 generator: orthogonal scrambling keeps the value pinned
     model = odd_y_model(2)
@@ -248,6 +239,27 @@ def test_classify_with_shots_threshold():
         data, dynamics_model(2), ThresholdRule(1.0, 0.1), shots=50, rng=rng
     )
     assert report.accuracy >= 0.95
+
+
+def test_classify_shots_need_rng():
+    data = time_reversal_dynamics_dataset(1, 4, np.random.default_rng(13))
+    with pytest.raises(ValueError, match="rng"):
+        classify(data, dynamics_model(1), ThresholdRule(1.0, 0.1), shots=10)
+
+
+def test_classify_absent_class():
+    # a one-item dataset holds label 1 only
+    data = purity_dataset(1, 1, 0.5, np.random.default_rng(14))
+    assert [item.label for item in data] == [1]
+    model = ModelSpec("H1", 2, IdentityAnsatz(4), swap_operator(1))
+    report = classify(data, model, ThresholdRule(1.0, 1e-8))
+    assert report.class_means["0"] is None
+    assert abs(report.class_means["1"] - 1.0) < 1e-10
+    assert report.accuracy == 1.0
+    assert report.p_c_given_0 is None
+    for rule in (MidpointRule(), NearestClassMeanRule()):
+        with pytest.raises(ValueError, match="label 0 is absent"):
+            classify(data, model, rule)
 
 
 def test_concentration_conventional_slope():

@@ -236,13 +236,27 @@ def test_all_experiments_complete_at_defaults(tmp_path):
         assert result["config"]["experiment"] == experiment
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("GINV_THREADS", raising=False)
-    assert cli.worker_count() == 1
-    monkeypatch.setenv("GINV_THREADS", "4")
-    assert cli.worker_count() == 4
-    monkeypatch.setenv("GINV_THREADS", "frog")
-    assert cli.worker_count() == 1
+def test_run_flags_cover_every_schema_field():
+    fields = {"seed": int, "shots": int}
+    for schema in cli.SCHEMAS.values():
+        for name, (typ, _) in schema.items():
+            assert fields.setdefault(name, typ) is typ, name
+    assert {"mc_samples", "n_min", "learning_rate"} <= set(fields)
+    samples = {int: ("3", 3), float: ("0.25", 0.25), str: ("x", "x")}
+    parser = cli.build_parser()
+    for name, typ in fields.items():
+        text, value = samples[typ]
+        args = parser.parse_args(["run", "--" + name.replace("_", "-"), text])
+        parsed = getattr(args, name)
+        assert type(parsed) is typ and parsed == value, name
+
+
+def test_absent_class_with_midpoint_rule_is_an_error(tmp_path, capsys):
+    out = tmp_path / "one.json"
+    code = run_cli(["run", "--experiment", "purity", "--samples", "1", "-o", str(out)])
+    assert code == 3
+    assert "label 0 is absent" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_time_reversal_states_bell_observable(tmp_path):

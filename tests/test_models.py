@@ -276,6 +276,47 @@ def test_shots_variance_scaling():
     assert 1.4 < ratio < 2.9
 
 
+class RecordingRng:
+    """A generator that keeps every batch of eigenvalue outcomes it draws."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.outcomes = []
+
+    def choice(self, *args, **kwargs):
+        out = self._rng.choice(*args, **kwargs)
+        self.outcomes.extend(out)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("case", ["layered_swap", "swap_test"])
+def test_shots_dressed_spectral_branch(case):
+    rng = np.random.default_rng(16)
+    if case == "layered_swap":
+        gens = [random_hermitian(4, rng) for _ in range(2)]
+        model = ModelSpec("H1", 2, LayeredAnsatz(gens), swap_operator(1))
+        theta = rng.standard_normal(2)
+    else:
+        model = swap_test_model(1)
+        theta = None
+    rho = random_density_matrix(2, rng)
+    # a dressed observable that is no rank-1 projector: eigenvalue sampling
+    dressed = conjugated_observable(model, theta).matrix
+    assert models._as_projector_vector(dressed) is None
+    shots = 20000
+    draws = RecordingRng(17)
+    est = estimate_with_shots(model, rho, shots, draws, theta=theta)
+    assert len(draws.outcomes) == shots
+    assert np.mean(draws.outcomes) == est.estimate
+    eigenvalues = np.linalg.eigvalsh(model.observable.matrix)
+    gaps = np.abs(np.subtract.outer(draws.outcomes, eigenvalues)).min(axis=1)
+    assert gaps.max() < 1e-9
+    assert abs(est.estimate - evaluate(model, rho, theta)) < 4 * est.stderr
+
+
 def test_shots_requires_positive():
     model = ModelSpec("H1", 2, IdentityAnsatz(4), swap_operator(1))
     with pytest.raises(ValueError):
