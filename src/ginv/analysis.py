@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .datasets import LabeledUnitary
-from .groups import UnitarySampler, permutation_operator
+from .groups import OrthogonalSampler, UnitarySampler
 from .models import (
     IdentityAnsatz,
     ModelSpec,
@@ -27,7 +27,7 @@ from .models import (
     estimate_with_shots,
     evaluate,
 )
-from .observables import bell_projector
+from .observables import bell_projector, pauli_string, swap_operator
 from .tensor import dm, expectation_copies, purity, zero_state
 
 
@@ -116,9 +116,7 @@ def _registered_moments(model, sampler, template):
         # swap-symmetric psi_in for H2, or any pure template for H1 (psi x
         # psi is automatically symmetric)
         if model.hclass == "H2":
-            swap = permutation_operator(
-                (1, 0), target="copies", qubits_per_copy=model.n
-            ).matrix
+            swap = swap_operator(model.n).matrix
             sym = np.real(model.psi_in.conj() @ swap @ model.psi_in)
             if abs(sym - 1.0) < 1e-9:
                 mean = haar_mean_enhanced_bell(d)
@@ -275,8 +273,6 @@ class ConcentrationResult:
 
 
 def _conventional_family(n, seed, label_class):
-    from .observables import pauli_string
-
     obs, _ = pauli_string("Y" + "I" * (n - 1))
     model = ModelSpec("H1", 1, IdentityAnsatz(2**n), obs)
     sampler = _class_sampler(n, seed, label_class)
@@ -295,8 +291,6 @@ def _enhanced_family(n, seed, label_class):
 
 
 def _class_sampler(n, seed, label_class):
-    from .groups import OrthogonalSampler
-
     if label_class == 0:
         return UnitarySampler(2**n, seed)
     return OrthogonalSampler(2**n, seed)
@@ -311,11 +305,10 @@ CONCENTRATION_FAMILIES = {
 def concentration_experiment(family, n_range, samples, seed=0, label_class=0):
     """Per-n model variance over group-scrambled inputs, with log2 slope.
 
-    ``family`` is a name from CONCENTRATION_FAMILIES or a callable
-    (n, seed, label_class) -> (model, sampler, template, analytic_var).
+    ``family`` is a name from CONCENTRATION_FAMILIES.
     """
-    builder = CONCENTRATION_FAMILIES.get(family, family)
-    if isinstance(builder, str):
+    builder = CONCENTRATION_FAMILIES.get(family)
+    if builder is None:
         raise ValueError(f"unknown concentration family {family!r}")
     rows = []
     for n in n_range:
@@ -325,8 +318,7 @@ def concentration_experiment(family, n_range, samples, seed=0, label_class=0):
     ns = np.array([r.n for r in rows], dtype=float)
     evs = np.array([max(r.empirical_var, 1e-300) for r in rows])
     slope = float(np.polyfit(ns, np.log2(evs), 1)[0]) if len(rows) > 1 else 0.0
-    name = family if isinstance(family, str) else getattr(family, "__name__", "custom")
-    return ConcentrationResult(family=name, rows=rows, slope=slope, samples=samples)
+    return ConcentrationResult(family=family, rows=rows, slope=slope, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +337,13 @@ def report_to_json(report, path=None):
 
 
 def concentration_to_csv(result):
+    """One row per n from a ConcentrationResult in its asdict form."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "empirical_var", "analytic_var"])
-    for row in result.rows:
-        writer.writerow(
-            [row.n, repr(row.empirical_var), "" if row.analytic_var is None else repr(row.analytic_var)]
-        )
+    for row in result["rows"]:
+        av = row["analytic_var"]
+        writer.writerow([row["n"], repr(row["empirical_var"]), "" if av is None else repr(av)])
     return buf.getvalue()
 
 

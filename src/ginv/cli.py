@@ -118,44 +118,57 @@ def validate_config(raw):
         raise ConfigError(f"unknown config fields for {experiment}: {sorted(unknown)}")
     config = {
         "experiment": experiment,
-        "seed": int(raw.get("seed", 0)),
-        "shots": int(raw.get("shots", 0)),
+        "seed": _coerce("seed", int, raw.get("seed", 0)),
+        "shots": _coerce("shots", int, raw.get("shots", 0)),
     }
     if config["shots"] < 0:
         raise ConfigError("shots must be >= 0")
     for name, (typ, default) in schema.items():
         value = raw.get(name, default)
-        if value is not None:
-            try:
-                value = typ(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"field {name}: {exc}") from exc
-        config[name] = value
+        config[name] = None if value is None else _coerce(name, typ, value)
+    if experiment == "concentration" and not 1 <= config["n_min"] <= config["n_max"]:
+        raise ConfigError(
+            f"need 1 <= n_min <= n_max, got n_min={config['n_min']}, n_max={config['n_max']}"
+        )
     return config
 
 
+def _coerce(name, typ, value):
+    """typ(value); an int field refuses booleans and non-integral floats."""
+    fractional = isinstance(value, float) and not value.is_integer()
+    if typ is int and (isinstance(value, bool) or fractional):
+        raise ConfigError(f"field {name}: expected an integer, got {value!r}")
+    try:
+        return typ(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field {name}: {exc}") from exc
+
+
+# Group name -> (sampler, size field). U(d) and O(d) act on d dimensions,
+# 2**n when d is null; local unitaries and permutations act on n qubits.
+SAMPLERS = {
+    "unitary": (UnitarySampler, "d"),
+    "orthogonal": (OrthogonalSampler, "d"),
+    "local_unitary": (LocalUnitarySampler, "n"),
+    "symmetric": (SymmetricSampler, "n"),
+}
+
+
 def _sampler_for(group, n, d, seed):
-    if group == "unitary":
-        if d is None:
-            d = 2**n if n else None
-        if d is None:
-            raise ConfigError("unitary group needs --d or --n")
-        return UnitarySampler(d, seed)
-    if group == "orthogonal":
-        if d is None:
-            d = 2**n if n else None
-        if d is None:
-            raise ConfigError("orthogonal group needs --d or --n")
-        return OrthogonalSampler(d, seed)
-    if group == "local_unitary":
+    if group not in SAMPLERS:
+        raise ConfigError(f"unknown group {group!r}")
+    sampler, size = SAMPLERS[group]
+    if size == "n":
         if n is None:
-            raise ConfigError("local_unitary group needs --n")
-        return LocalUnitarySampler(n, seed)
-    if group == "symmetric":
-        if n is None:
-            raise ConfigError("symmetric group needs --n")
-        return SymmetricSampler(n, seed)
-    raise ConfigError(f"unknown group {group!r}")
+            raise ConfigError(f"{group} group needs --n")
+        return sampler(n, seed)
+    if n is not None and d is not None and d != 2**n:
+        raise ConfigError(
+            f"{group} group: --n {n} means d = {2**n}, but d = {d}; pass --d {2**n}"
+        )
+    if d is None and not n:
+        raise ConfigError(f"{group} group needs --d or --n")
+    return sampler(2**n if d is None else d, seed)
 
 
 def _resolve_graph(name):
@@ -186,21 +199,19 @@ def run_time_reversal_states(config, rng):
     n = config["n"]
     d = 2**n
     data = datasets.time_reversal_state_dataset(n, config["samples"], rng)
-    # default window: tight for exact evaluation, half the class value
-    # when shot noise smears the estimates
     if config["observable"] == "bell":
         model = ModelSpec("H1", 2, IdentityAnsatz(d * d), observables.bell_projector(n))
         c = 1.0 / d
-        eps = 1.0 / (2 * d) if config["shots"] > 0 else 1e-8
     elif config["observable"] == "odd_y":
         obs, _ = observables.pauli_string("Y" + "I" * (n - 1))
         model = ModelSpec("H1", 1, IdentityAnsatz(d), obs)
         c = 0.0
-        eps = 1.0 / (2 * d) if config["shots"] > 0 else 1e-8
     else:
         raise ConfigError(f"observable must be odd_y or bell, got {config['observable']!r}")
-    if config["eps"] is not None:
-        eps = config["eps"]
+    eps = config["eps"]
+    if eps is None:
+        # tight for exact values, half the class value under shot noise
+        eps = 1.0 / (2 * d) if config["shots"] > 0 else 1e-8
     report = classify(data, model, ThresholdRule(c, eps), shots=config["shots"], rng=rng)
     moments = empirical_moments(
         model,
@@ -272,12 +283,7 @@ def run_graph(config, rng):
         datasets.LabeledState(datasets.graph_state(g1, t), 1),
     ]
     trainable = graph_invariant_model(n)
-    train_config = TrainConfig(
-        learning_rate=config["learning_rate"],
-        iterations=config["iterations"],
-        seed=config["seed"],
-        loss="mse_labels",
-    )
+    train_config = TrainConfig(config["learning_rate"], config["iterations"])
     result = optimize(trainable, reps, train_config)
     h0 = trainable.value_fn(result.theta, reps[0].state)
     h1 = trainable.value_fn(result.theta, reps[1].state)
@@ -393,18 +399,12 @@ def _md_table(headers, rows):
 
 def format_report(result, fmt):
     if "concentration" in result:
-        rows = [
-            (r["n"], r["empirical_var"], r["analytic_var"])
-            for r in result["concentration"]["rows"]
-        ]
+        conc = result["concentration"]
         if fmt == "csv":
-            lines = ["n,empirical_var,analytic_var"]
-            lines += [
-                f"{n},{ev!r},{'' if av is None else repr(av)}" for n, ev, av in rows
-            ]
-            return "\n".join(lines) + "\n"
+            return analysis.concentration_to_csv(conc)
+        rows = [(r["n"], r["empirical_var"], r["analytic_var"]) for r in conc["rows"]]
         body = _md_table(["n", "empirical_var", "analytic_var"], rows)
-        return body + f"\nlog2 slope: {result['concentration']['slope']!r}\n"
+        return body + f"\nlog2 slope: {conc['slope']!r}\n"
     if "classification" in result:
         rep = result["classification"]
         con = rep["confusion"]
@@ -514,10 +514,7 @@ def main(argv=None):
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_report(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001

@@ -41,7 +41,7 @@ class GroupSampler:
 
     kind = "abstract"
 
-    def __init__(self, dim, seed):
+    def __init__(self, dim, seed=0):
         self.dim = int(dim)
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
@@ -59,18 +59,12 @@ class GroupSampler:
 class UnitarySampler(GroupSampler):
     kind = "unitary"
 
-    def __init__(self, d, seed=0):
-        super().__init__(d, seed)
-
     def sample(self):
         return haar_unitary(self.dim, self._rng)
 
 
 class OrthogonalSampler(GroupSampler):
     kind = "orthogonal"
-
-    def __init__(self, d, seed=0):
-        super().__init__(d, seed)
 
     def sample(self):
         return haar_orthogonal(self.dim, self._rng)

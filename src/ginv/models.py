@@ -16,9 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
-from .datasets import Graph, _matrix_from_dict, _matrix_to_dict, graph_terms
-from .groups import permutation_operator
-from .observables import PAULI, Observable
+from .datasets import (
+    Graph,
+    _matrix_from_dict,
+    _matrix_to_dict,
+    graph_from_dict,
+    graph_terms,
+    graph_to_dict,
+)
+from .observables import PAULI, Observable, swap_operator
 from .tensor import (
     basis_state,
     dm,
@@ -149,11 +155,6 @@ def _check_params(ansatz, theta):
     return np.asarray(theta, dtype=float)
 
 
-def realize(ansatz, theta=None):
-    """Unitary matrix of an ansatz at the given parameter vector."""
-    return ansatz.realize(theta)
-
-
 @dataclass
 class ModelSpec:
     """A hypothesis-class model: ansatz, measurement, and copy count."""
@@ -236,10 +237,9 @@ def swap_test_unitary(n):
     H3 model measuring the ancilla returns Tr[rho^2].
     """
     d2 = 4**n
-    swap = permutation_operator((1, 0), target="copies", qubits_per_copy=n).matrix
     cswap = np.zeros((2 * d2, 2 * d2), dtype=complex)
     cswap[:d2, :d2] = np.eye(d2)
-    cswap[d2:, d2:] = swap
+    cswap[d2:, d2:] = swap_operator(n).matrix
     h_anc = kron(HADAMARD, np.eye(d2))
     return h_anc @ cswap @ h_anc
 
@@ -331,7 +331,7 @@ def _ansatz_dict(a):
     if isinstance(a, QGCNNAnsatz):
         return {
             "kind": "qgcnn",
-            "graph": {"n": a.graph.n, "edges": sorted(map(list, a.graph.edges))},
+            "graph": graph_to_dict(a.graph),
             "p_layers": a.p_layers,
             "q_generators": a.q_generators,
         }
@@ -347,8 +347,7 @@ def _ansatz_undict(d):
     if kind == "layered":
         return LayeredAnsatz([_matrix_from_dict(g) for g in d["generators"]])
     if kind == "qgcnn":
-        g = Graph(d["graph"]["n"], {tuple(e) for e in d["graph"]["edges"]})
-        return QGCNNAnsatz(g, d["p_layers"], d["q_generators"])
+        return QGCNNAnsatz(graph_from_dict(d["graph"]), d["p_layers"], d["q_generators"])
     raise ValueError(f"unknown ansatz kind {kind!r}")
 
 

@@ -1,7 +1,7 @@
 """Parameter optimization for class separation.
 
 Plain finite-difference gradient descent with backtracking; no adaptive
-optimizers, so runs are reproducible bit-for-bit given a seed. The main
+optimizers and no random draws, so runs are reproducible bit-for-bit. The main
 client is the graph classifier, whose observable A(theta)^(x n) stays
 permutation-invariant for every theta by construction.
 """
@@ -15,19 +15,17 @@ from .observables import PAULI
 from .tensor import expectation_copies, expm_hermitian, kron_all
 
 
+FD_STEP = 1e-4  # central-difference step of the gradient
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.2
     iterations: int = 100
-    fd_step: float = 1e-4
-    seed: int = 0
-    loss: str = "mse_labels"
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.fd_step <= 0 or self.iterations < 1:
-            raise ValueError("learning_rate, fd_step must be > 0; iterations >= 1")
-        if self.loss not in ("mse_labels", "margin_separation"):
-            raise ValueError(f"unknown loss {self.loss!r}")
+        if self.learning_rate <= 0 or self.iterations < 1:
+            raise ValueError("learning_rate must be > 0; iterations >= 1")
 
 
 @dataclass
@@ -36,7 +34,6 @@ class TrainableModel:
 
     value_fn: object
     theta0: np.ndarray
-    name: str = "trainable"
 
 
 @dataclass
@@ -52,28 +49,10 @@ def mse_labels(values, labels):
     return float(np.mean((values - labels) ** 2))
 
 
-def margin_separation(values, labels):
-    """Negated squared class-mean gap over the pooled within-class variance.
-
-    With a single representative per class the variance term vanishes and
-    the 1e-12 regulariser dominates; prefer mse_labels there.
-    """
-    values = np.asarray(values, dtype=float)
-    labels = np.asarray(labels)
-    v0 = values[labels == 0]
-    v1 = values[labels == 1]
-    gap = v1.mean() - v0.mean()
-    spread = (v0.var() if len(v0) > 1 else 0.0) + (v1.var() if len(v1) > 1 else 0.0)
-    return float(-(gap**2) / (spread + 1e-12))
-
-
-LOSSES = {"mse_labels": mse_labels, "margin_separation": margin_separation}
-
-
-def dataset_loss(trainable, theta, dataset, kind="mse_labels"):
+def dataset_loss(trainable, theta, dataset):
     values = [trainable.value_fn(theta, item.state) for item in dataset]
     labels = [item.label for item in dataset]
-    return LOSSES[kind](values, labels)
+    return mse_labels(values, labels)
 
 
 def finite_diff_gradient(f, theta, step):
@@ -97,7 +76,7 @@ def optimize(trainable, dataset, config):
     """
 
     def loss_at(th):
-        value = dataset_loss(trainable, th, dataset, config.loss)
+        value = dataset_loss(trainable, th, dataset)
         if not np.isfinite(value):
             raise RuntimeError(f"non-finite loss {value} at theta={th}")
         return value
@@ -107,7 +86,7 @@ def optimize(trainable, dataset, config):
     trace = [current]
     thetas = [theta.copy()]
     for _ in range(config.iterations):
-        grad = finite_diff_gradient(loss_at, theta, config.fd_step)
+        grad = finite_diff_gradient(loss_at, theta, FD_STEP)
         lr = config.learning_rate
         for _ in range(20):
             cand = theta - lr * grad
@@ -136,7 +115,7 @@ def graph_invariant_model(n, theta0=(0.3, 0.2, 0.1)):
         a = r @ PAULI["Z"] @ r.conj().T
         return expectation_copies(rho, 1, kron_all([a] * n))
 
-    return TrainableModel(value_fn=value_fn, theta0=np.asarray(theta0, float), name=f"graph_invariant_{n}")
+    return TrainableModel(value_fn=value_fn, theta0=np.asarray(theta0, float))
 
 
 def save_trace_csv(path, result):

@@ -480,7 +480,7 @@ def test_criterion_9_graph():
         LabeledState(graph_state(TRIANGLE, 1.0), 0),
         LabeledState(graph_state(PATH3, 1.0), 1),
     ]
-    result = optimize(model, reps, TrainConfig(learning_rate=0.5, iterations=60, seed=901))
+    result = optimize(model, reps, TrainConfig(learning_rate=0.5, iterations=60))
     h0 = model.value_fn(result.theta, reps[0].state)
     h1 = model.value_fn(result.theta, reps[1].state)
     test_set = graph_dataset(TRIANGLE, PATH3, 100, 1.0, np.random.default_rng(902))

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -301,7 +303,7 @@ def test_report_serialization(tmp_path):
     text = analysis.report_to_json(report, tmp_path / "m.json")
     assert (tmp_path / "m.json").read_text() == text
     result = concentration_experiment("conventional_odd_y", range(1, 3), 200, seed=2)
-    csv_text = analysis.concentration_to_csv(result)
+    csv_text = analysis.concentration_to_csv(asdict(result))
     lines = csv_text.strip().splitlines()
     assert lines[0] == "n,empirical_var,analytic_var"
     assert len(lines) == 3

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from ginv import cli
+from ginv import analysis, cli
 
 
 def run_cli(argv):
@@ -315,3 +315,63 @@ def test_entanglement_experiment(tmp_path):
     result = read_result(out)
     assert result["classification"]["accuracy"] == 1.0
     assert result["max_oracle_deviation"] < 1e-9
+
+
+def test_commutant_n_must_agree_with_d(tmp_path, capsys):
+    for group in ("unitary", "orthogonal"):
+        out = tmp_path / f"{group}.json"
+        args = ["run", "--experiment", "commutant", "--group", group, "--k", "1"]
+        assert run_cli(args + ["--n", "3", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--n 3" in err and "d = 4" in err and "--d 8" in err
+        assert not out.exists()
+        # the default d = 4 agrees with n = 2, and --d 8 with n = 3
+        assert run_cli(args + ["--n", "2", "-o", str(out)]) == 0
+        assert read_result(out)["dimension"] == 1
+        assert run_cli(args + ["--n", "3", "--d", "8", "-o", str(out)]) == 0
+        assert read_result(out)["config"]["d"] == 8
+
+
+@pytest.mark.parametrize("n_min,n_max", [(3, 2), (0, 2), (-1, -1)])
+def test_empty_concentration_sweep_is_config_error(tmp_path, capsys, n_min, n_max):
+    out = tmp_path / "conc.json"
+    code = run_cli(
+        [
+            "run",
+            "--experiment", "concentration",
+            "--n-min", str(n_min),
+            "--n-max", str(n_max),
+            "--samples", "10",
+            "-o", str(out),
+        ]
+    )
+    assert code == 2
+    assert "n_min" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("n", 2.7), ("n", True), ("seed", 1.5), ("seed", True), ("shots", 2.5), ("shots", False)],
+)
+def test_int_fields_refuse_truncation(tmp_path, capsys, field, value):
+    with pytest.raises(cli.ConfigError, match=f"field {field}"):
+        cli.validate_config({"experiment": "purity", field: value})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "purity", field: value}))
+    assert run_cli(["run", "--config", str(config), "-o", str(tmp_path / "r.json")]) == 2
+    assert f"field {field}" in capsys.readouterr().err
+    assert cli.validate_config({"experiment": "purity", field: 2.0})[field] == 2
+
+
+@pytest.mark.parametrize("family", ["conventional_odd_y", "enhanced_bell"])
+def test_report_concentration_csv_has_one_writer(tmp_path, capsys, family):
+    out = tmp_path / "conc.json"
+    args = ["run", "--experiment", "concentration", "--family", family]
+    args += ["--n-max", "2", "--samples", "300", "-o", str(out)]
+    assert run_cli(args) == 0
+    capsys.readouterr()
+    assert run_cli(["report", str(out), "--format", "csv"]) == 0
+    text = capsys.readouterr().out
+    assert text == analysis.concentration_to_csv(read_result(out)["concentration"])
+    assert "\r" not in text and text.count("\n") == 3

@@ -13,7 +13,6 @@ from ginv.models import (
     conjugated_observable,
     estimate_with_shots,
     evaluate,
-    realize,
     swap_test_model,
     swap_test_unitary,
 )
@@ -41,14 +40,14 @@ def random_hermitian(d, rng):
 
 
 def test_realize_identity():
-    np.testing.assert_array_equal(realize(IdentityAnsatz(4)), np.eye(4))
+    np.testing.assert_array_equal(IdentityAnsatz(4).realize(None), np.eye(4))
 
 
 def test_realize_qgcnn_zero_angles():
     ansatz = QGCNNAnsatz(K3, p_layers=2, q_generators=2)
     theta = np.zeros(ansatz.n_params)
     theta[-4:] = [1.0, 2.0, 0.5, 1.5]  # nonzero W's and B's, eta = 0
-    np.testing.assert_allclose(realize(ansatz, theta), np.eye(8), atol=1e-12)
+    np.testing.assert_allclose(ansatz.realize(theta), np.eye(8), atol=1e-12)
 
 
 def test_realize_qgcnn_edgeless_single_layer():
@@ -58,7 +57,7 @@ def test_realize_qgcnn_edgeless_single_layer():
     theta = np.array([np.pi / 4, 0.7, 1.0])  # eta, W (irrelevant), B
     single = expm_hermitian(PAULI["X"], np.pi / 4)
     np.testing.assert_allclose(
-        realize(ansatz, theta), kron(single, single), atol=1e-12
+        ansatz.realize(theta), kron(single, single), atol=1e-12
     )
 
 
@@ -81,7 +80,7 @@ def test_qgcnn_unitarity():
 
 def test_ansatz_param_count_mismatch():
     with pytest.raises(ValueError):
-        realize(IdentityAnsatz(2), [0.1])
+        IdentityAnsatz(2).realize([0.1])
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError):
         LayeredAnsatz([random_hermitian(2, rng)]).realize([0.1, 0.2])
