@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .datasets import LabeledUnitary
-from .groups import OrthogonalSampler, UnitarySampler
+from .groups import OrthogonalSampler, UnitarySampler, block_count
 from .models import (
     IdentityAnsatz,
     ModelSpec,
@@ -28,7 +28,7 @@ from .models import (
     evaluate,
 )
 from .observables import bell_projector, pauli_string, swap_operator
-from .tensor import dm, expectation_copies, purity, zero_state
+from .tensor import dm, expectation_copies, pair_layout, purity, zero_state
 
 
 @dataclass
@@ -89,9 +89,23 @@ def cantelli_bound(variance, delta):
 
 
 def _is_bell_projector(model):
+    """Whether the dressed observable is |Phi+><Phi+| to 1e-9 in max-abs.
+
+    The projector is 1/d at rows and columns (i, i) and 0 elsewhere; the
+    test runs over one register index of the rows at a time, so nothing
+    the size of the observable is allocated.
+    """
     obs = conjugated_observable(model).matrix
-    ref = bell_projector(model.n).matrix
-    return obs.shape == ref.shape and np.abs(obs - ref).max() < 1e-9
+    d = 2**model.n
+    if obs.shape != (d * d, d * d):
+        return False
+    diag = np.arange(d) * (d + 1)
+    for i in range(d):
+        dev = np.abs(obs[i * d : (i + 1) * d])
+        dev[i, diag] = np.abs(obs[i * (d + 1), diag] - 1.0 / d)
+        if not dev.max() < 1e-9:
+            return False
+    return True
 
 
 def _registered_moments(model, sampler, template):
@@ -130,6 +144,23 @@ def _registered_moments(model, sampler, template):
     return mean, var
 
 
+def _h1_values(copies, obs, sampler, template, samples):
+    """H1 model values of ``samples`` draws, scored a chunk at a time.
+
+    A chunk holds as many draws as one sampler block, so it is conjugated
+    by one batched product and scored by one expectation_copies call.
+    """
+    if copies == 2:
+        obs = pair_layout(obs)
+    chunk = block_count(sampler.dim)
+    values = np.empty(samples)
+    for start in range(0, samples, chunk):
+        v = np.array([sampler.sample() for _ in range(min(chunk, samples - start))])
+        x = v @ template @ v.conj().swapaxes(-1, -2)
+        values[start : start + len(v)] = expectation_copies(x, copies, obs)
+    return values
+
+
 def empirical_moments(model, sampler, input_template, samples):
     """Monte-Carlo mean/variance of the model over group-scrambled inputs.
 
@@ -140,18 +171,17 @@ def empirical_moments(model, sampler, input_template, samples):
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    obs = conjugated_observable(model)
+    if model.hclass == "H1":
+        obs = conjugated_observable(model).matrix
+        values = _h1_values(model.copies, obs, sampler, input_template, samples)
+    else:
+        def value_of(v):
+            if model.hclass == "H2":
+                return evaluate(model, v)
+            return evaluate(model, v @ input_template @ v.conj().T)
 
-    def value_of(v):
-        if model.hclass == "H2":
-            return evaluate(model, v)
-        x = v @ input_template @ v.conj().T
-        if model.hclass == "H1":
-            return expectation_copies(x, model.copies, obs.matrix)
-        return evaluate(model, x)
-
-    draws = (value_of(sampler.sample()) for _ in range(samples))
-    values = np.fromiter(draws, float, samples)
+        draws = (value_of(sampler.sample()) for _ in range(samples))
+        values = np.fromiter(draws, float, samples)
     mean, var = _registered_moments(model, sampler, input_template)
     std = float(values.std(ddof=1))
     return MomentReport(
@@ -268,7 +298,7 @@ class ConcentrationRow:
 class ConcentrationResult:
     family: str
     rows: list
-    slope: float
+    slope: float | None  # None when one n leaves nothing to fit
     samples: int
 
 
@@ -317,7 +347,7 @@ def concentration_experiment(family, n_range, samples, seed=0, label_class=0):
         rows.append(ConcentrationRow(n, report.empirical_var, analytic))
     ns = np.array([r.n for r in rows], dtype=float)
     evs = np.array([max(r.empirical_var, 1e-300) for r in rows])
-    slope = float(np.polyfit(ns, np.log2(evs), 1)[0]) if len(rows) > 1 else 0.0
+    slope = float(np.polyfit(ns, np.log2(evs), 1)[0]) if len(rows) > 1 else None
     return ConcentrationResult(family=family, rows=rows, slope=slope, samples=samples)
 
 

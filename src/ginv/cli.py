@@ -97,6 +97,10 @@ SCHEMAS = {
 
 COMMON_FIELDS = {"experiment", "seed", "shots", "output"}
 
+# Fields that take an explicit null besides those whose default is null:
+# a null commutant d means d = 2**n.
+NULLABLE = {("commutant", "d")}
+
 # Every field `ginv run` takes as a flag, with its type.
 RUN_FIELDS = {"seed": int, "shots": int} | {
     name: typ for schema in SCHEMAS.values() for name, (typ, _) in schema.items()
@@ -125,6 +129,8 @@ def validate_config(raw):
         raise ConfigError("shots must be >= 0")
     for name, (typ, default) in schema.items():
         value = raw.get(name, default)
+        if value is None and default is not None and (experiment, name) not in NULLABLE:
+            raise ConfigError(f"field {name}: expected a value, got null")
         config[name] = None if value is None else _coerce(name, typ, value)
     if experiment == "concentration" and not 1 <= config["n_min"] <= config["n_max"]:
         raise ConfigError(
@@ -134,10 +140,13 @@ def validate_config(raw):
 
 
 def _coerce(name, typ, value):
-    """typ(value); an int field refuses booleans and non-integral floats."""
+    """typ(value); a numeric field refuses booleans, an int field also
+    non-integral floats."""
     fractional = isinstance(value, float) and not value.is_integer()
     if typ is int and (isinstance(value, bool) or fractional):
         raise ConfigError(f"field {name}: expected an integer, got {value!r}")
+    if typ is float and isinstance(value, bool):
+        raise ConfigError(f"field {name}: expected a number, got {value!r}")
     try:
         return typ(value)
     except (TypeError, ValueError) as exc:
@@ -404,7 +413,8 @@ def format_report(result, fmt):
             return analysis.concentration_to_csv(conc)
         rows = [(r["n"], r["empirical_var"], r["analytic_var"]) for r in conc["rows"]]
         body = _md_table(["n", "empirical_var", "analytic_var"], rows)
-        return body + f"\nlog2 slope: {conc['slope']!r}\n"
+        slope = "none (one n, nothing to fit)" if conc["slope"] is None else repr(conc["slope"])
+        return body + f"\nlog2 slope: {slope}\n"
     if "classification" in result:
         rep = result["classification"]
         con = rep["confusion"]

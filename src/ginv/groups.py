@@ -14,26 +14,43 @@ import numpy as np
 from .tensor import bell_state, dm, kron_all, tensor_power
 
 
-def haar_unitary(d, rng):
-    """Haar-random element of U(d).
+# One stacked draw fills 64 KiB, at most 256 elements: enough to amortise the
+# per-call cost of small QR factorisations while peak memory stays flat.
+BLOCK_BYTES = 64 * 1024
+MAX_BLOCK = 256
+
+
+def block_count(d):
+    """How many d x d complex matrices fill one block: 1 to MAX_BLOCK."""
+    return max(1, min(MAX_BLOCK, BLOCK_BYTES // (16 * d * d)))
+
+
+def haar_unitary(d, rng, count=None):
+    """Haar-random element of U(d), or a (count, d, d) stack of them.
 
     Complex Ginibre matrix orthonormalised by QR, with the R diagonal
-    phases folded back in so the distribution is exactly invariant.
+    phases folded back in so the distribution is exactly invariant
+    (Mezzadri, math-ph/0609050). A stack takes the same normals, in the
+    same order, as ``count`` single draws and equals them bit for bit.
     """
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+    shape = () if count is None else (count,)
+    g = rng.standard_normal(shape + (2, d, d))
+    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2)
     q, r = np.linalg.qr(z)
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (ph / np.abs(ph))[..., None, :]
 
 
-def haar_orthogonal(d, rng):
-    """Haar-random element of O(d) (real Ginibre QR with sign correction)."""
-    z = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    s = np.sign(np.diag(r))
+def haar_orthogonal(d, rng, count=None):
+    """Haar-random element of O(d) (real Ginibre QR with sign correction).
+
+    With ``count``, a (count, d, d) stack equal to ``count`` single draws.
+    """
+    shape = () if count is None else (count,)
+    q, r = np.linalg.qr(rng.standard_normal(shape + (d, d)))
+    s = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     s[s == 0] = 1.0
-    return (q * s).astype(complex)
+    return (q * s[..., None, :]).astype(complex)
 
 
 class GroupSampler:
@@ -45,9 +62,23 @@ class GroupSampler:
         self.dim = int(dim)
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
+        self._block = ()
+        self._next = 0
 
     def sample(self):
         raise NotImplementedError
+
+    def _from_block(self, draw):
+        """Next element of a stacked ``draw``, refilled a block at a time.
+
+        The stream is the one single draws would give, since a stack
+        consumes the normals of its elements in order.
+        """
+        if self._next == len(self._block):
+            self._block = draw(self.dim, self._rng, count=block_count(self.dim))
+            self._next = 0
+        self._next += 1
+        return self._block[self._next - 1]
 
     def take(self, count):
         return [self.sample() for _ in range(count)]
@@ -60,14 +91,14 @@ class UnitarySampler(GroupSampler):
     kind = "unitary"
 
     def sample(self):
-        return haar_unitary(self.dim, self._rng)
+        return self._from_block(haar_unitary)
 
 
 class OrthogonalSampler(GroupSampler):
     kind = "orthogonal"
 
     def sample(self):
-        return haar_orthogonal(self.dim, self._rng)
+        return self._from_block(haar_orthogonal)
 
 
 class LocalUnitarySampler(GroupSampler):

@@ -12,6 +12,7 @@ observable U^dag O U is what actually determines the model's symmetry.
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -131,13 +132,18 @@ class QGCNNAnsatz(Ansatz):
     def n_params(self):
         return self.p_layers * self.q_generators + 2 * self.q_generators
 
+    @cached_property
+    def _terms(self):
+        """The graph's ZZ and X sums, built on the first realize."""
+        return graph_terms(self.graph)
+
     def realize(self, theta):
         theta = _check_params(self, theta)
         p, q = self.p_layers, self.q_generators
         eta = theta[: p * q].reshape(p, q)
         w = theta[p * q : p * q + q]
         b = theta[p * q + q :]
-        zz, xs = graph_terms(self.graph)
+        zz, xs = self._terms
         u = np.eye(self.dim, dtype=complex)
         for pi in range(p):
             for qi in range(q):

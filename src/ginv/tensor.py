@@ -6,6 +6,8 @@ so ``kron(a, b)`` applies ``a`` to qubit 0. Everything here is a pure
 function of its inputs; arrays are never mutated.
 """
 
+import math
+
 import numpy as np
 
 # Global Hermiticity / PSD / trace tolerance. Single knob by design.
@@ -128,18 +130,48 @@ def expectation(rho, obs):
 
 
 def expectation_copies(rho, k, obs):
-    """Tr[rho^(x k) obs] without materialising the tensor power for k <= 2."""
+    """Tr[rho^(x k) obs] for one state, or per state of a (B, d, d) stack.
+
+    A single state is never expanded to its tensor power for k <= 2. A
+    stack at k = 2 is one matrix product against obs in its pair layout;
+    ``obs`` may be given as ``pair_layout(obs)``, which that product reads
+    without copying the d^4 entries again.
+    """
     rho = np.asarray(rho)
     obs = np.asarray(obs)
-    d = rho.shape[0]
-    if obs.shape[0] != d**k:
-        raise ValueError(f"observable dim {obs.shape[0]} != {d}^{k}")
+    d = rho.shape[-1]
+    if obs.shape not in ((d**k, d**k), (d,) * 2 * k):
+        raise ValueError(f"observable shape {obs.shape} does not act on {d}^{k}")
+    if rho.ndim == 3:
+        if k == 1:
+            return np.real(np.einsum("bij,ji->b", rho, obs))
+        if k == 2:
+            # sum rho_b[i,r] rho_b[j,s] obs[(r,s),(i,j)] = a_b^T m a_b with
+            # a_b = rho_b as a vector over (i,r), m[(i,r),(j,s)] = obs[(r,s),(i,j)]
+            a = rho.reshape(len(rho), d * d)
+            m = obs.reshape((d,) * 4).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+            return np.real(np.einsum("bx,bx->b", a @ m, a))
+        return np.array([expectation_copies(r, k, obs) for r in rho])
+    obs = obs.reshape(d**k, d**k)
     if k == 1:
         return expectation(rho, obs)
     if k == 2:
         o4 = obs.reshape(d, d, d, d)
         return float(np.real(np.einsum("ik,jl,klij->", rho, rho, o4)))
     return expectation(tensor_power(rho, k), obs)
+
+
+def pair_layout(obs):
+    """A (d^2, d^2) two-copy observable as a (d, d, d, d) view.
+
+    The view holds obs[(r,s),(i,j)] at [r, s, i, j], but its memory runs in
+    (i, r, j, s) order, the matrix a stacked k = 2 expectation_copies
+    multiplies by. Building it copies obs once.
+    """
+    obs = np.asarray(obs)
+    d = math.isqrt(obs.shape[0])
+    o4 = obs.reshape(d, d, d, d)
+    return np.ascontiguousarray(o4.transpose(2, 0, 3, 1)).transpose(1, 3, 0, 2)
 
 
 def expectation_factors(factors, obs):

@@ -22,10 +22,16 @@ from ginv.datasets import (
     time_reversal_dynamics_dataset,
     time_reversal_state_dataset,
 )
-from ginv.groups import OrthogonalSampler, UnitarySampler, haar_unitary
-from ginv.models import IdentityAnsatz, ModelSpec
+from ginv.groups import OrthogonalSampler, UnitarySampler, block_count, haar_unitary
+from ginv.models import (
+    FixedUnitaryAnsatz,
+    IdentityAnsatz,
+    ModelSpec,
+    evaluate,
+    swap_test_model,
+)
 from ginv.observables import Observable, bell_projector, pauli_string, swap_operator
-from ginv.tensor import bell_state, dm, zero_state
+from ginv.tensor import bell_state, dm, random_density_matrix, zero_state
 
 
 def odd_y_model(n):
@@ -137,6 +143,74 @@ def test_empirical_moments_deterministic():
     a = empirical_moments(model, UnitarySampler(2, 5), dm(zero_state(1)), 500)
     b = empirical_moments(model, UnitarySampler(2, 5), dm(zero_state(1)), 500)
     assert a == b
+
+
+def _chunked_case(case):
+    """(model, dimension, template) of a chunked-moments case."""
+    rng = np.random.default_rng(41)
+    if case == "h1_k1":
+        return odd_y_model(2), 4, dm(zero_state(2))
+    if case == "h1_k2_mixed":
+        # a dressed random two-copy observable, not swap-symmetric
+        m = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        obs = Observable(m + m.conj().T, copies=2, qubits_per_copy=3, tag="random")
+        ansatz = FixedUnitaryAnsatz(haar_unitary(64, rng))
+        return ModelSpec("H1", 2, ansatz, obs), 8, random_density_matrix(8, rng)
+    return dynamics_model(1), 2, None
+
+
+@pytest.mark.parametrize("case", ["h1_k1", "h1_k2_mixed", "h2"])
+@pytest.mark.parametrize("size", ["two", "chunk_plus_one", "non_multiple"])
+def test_empirical_moments_match_per_draw_reference(case, size):
+    model, d, template = _chunked_case(case)
+    chunk = block_count(d)
+    samples = {"two": 2, "chunk_plus_one": chunk + 1, "non_multiple": 2 * chunk + chunk // 2 + 1}[size]
+    sampler = UnitarySampler(d, 43)
+    values = []
+    for _ in range(samples):
+        v = sampler.sample()
+        values.append(evaluate(model, v if template is None else v @ template @ v.conj().T))
+    values = np.array(values)
+    report = empirical_moments(model, UnitarySampler(d, 43), template, samples)
+    assert report.samples == samples
+    assert report.empirical_mean == pytest.approx(values.mean(), rel=1e-12, abs=0)
+    assert report.empirical_var == pytest.approx(values.var(ddof=1), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "change,expected",
+    [
+        (None, True),
+        ("off_block", False),  # a zero entry of the projector moves by 2e-9
+        ("in_block", False),  # a 1/d entry moves by 2e-9
+        ("small", True),  # every entry within 5e-10 of the projector
+    ],
+)
+def test_is_bell_projector_answers(change, expected):
+    n = 2
+    d = 2**n
+    ref = dm(bell_state(n))
+    m = ref.copy()
+    if change == "off_block":
+        m[1, 2] += 2e-9
+        m[2, 1] += 2e-9
+    elif change == "in_block":
+        m[0, d + 1] += 2e-9
+        m[d + 1, 0] += 2e-9
+    elif change == "small":
+        m = m + 5e-10
+    model = ModelSpec("H1", 2, IdentityAnsatz(d * d), Observable(m, 2, n, "b"))
+    assert analysis._is_bell_projector(model) is expected
+    # the dense reference the check replaces
+    assert bool(np.abs(m - ref).max() < 1e-9) is expected
+
+
+def test_is_bell_projector_wrong_shape():
+    # the Bell projector on 2 qubits read as one copy of 2 qubits, and an
+    # ancilla-plus-two-copies register of the same n
+    one_copy = Observable(dm(bell_state(1)), copies=1, qubits_per_copy=2, tag="b")
+    assert not analysis._is_bell_projector(ModelSpec("H1", 1, IdentityAnsatz(4), one_copy))
+    assert not analysis._is_bell_projector(swap_test_model(1))
 
 
 def test_empirical_moments_orthogonal_inputs_constant():

@@ -352,7 +352,16 @@ def test_empty_concentration_sweep_is_config_error(tmp_path, capsys, n_min, n_ma
 
 @pytest.mark.parametrize(
     "field,value",
-    [("n", 2.7), ("n", True), ("seed", 1.5), ("seed", True), ("shots", 2.5), ("shots", False)],
+    [
+        ("n", 2.7),
+        ("n", True),
+        ("seed", 1.5),
+        ("seed", True),
+        ("shots", 2.5),
+        ("shots", False),
+        ("b", True),
+        ("b", False),
+    ],
 )
 def test_int_fields_refuse_truncation(tmp_path, capsys, field, value):
     with pytest.raises(cli.ConfigError, match=f"field {field}"):
@@ -375,3 +384,32 @@ def test_report_concentration_csv_has_one_writer(tmp_path, capsys, family):
     text = capsys.readouterr().out
     assert text == analysis.concentration_to_csv(read_result(out)["concentration"])
     assert "\r" not in text and text.count("\n") == 3
+
+
+@pytest.mark.parametrize(
+    "experiment,field",
+    [("purity", "n"), ("purity", "b"), ("concentration", "samples"), ("commutant", "k")],
+)
+def test_null_field_is_config_error(tmp_path, capsys, experiment, field):
+    with pytest.raises(cli.ConfigError, match=f"field {field}: expected a value, got null"):
+        cli.validate_config({"experiment": experiment, field: None})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": experiment, field: None}))
+    assert run_cli(["run", "--config", str(config), "-o", str(tmp_path / "r.json")]) == 2
+    assert f"field {field}" in capsys.readouterr().err
+
+
+def test_null_is_kept_where_it_means_something():
+    assert cli.validate_config({"experiment": "time_reversal_states", "eps": None})["eps"] is None
+    config = cli.validate_config({"experiment": "commutant", "n": 2, "d": None})
+    assert (config["n"], config["d"]) == (2, None)
+
+
+def test_single_n_concentration_reports_no_slope(tmp_path, capsys):
+    out = tmp_path / "conc.json"
+    args = ["run", "--experiment", "concentration", "--n-min", "2", "--n-max", "2"]
+    assert run_cli(args + ["--samples", "50", "-o", str(out)]) == 0
+    assert read_result(out)["concentration"]["slope"] is None
+    capsys.readouterr()
+    assert run_cli(["report", str(out), "--format", "md"]) == 0
+    assert "log2 slope: none" in capsys.readouterr().out

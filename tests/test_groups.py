@@ -105,6 +105,41 @@ def test_sampler_seed_determinism():
             assert np.array_equal(x, y)
 
 
+def test_block_count_fills_64_kib():
+    assert [groups.block_count(d) for d in (1, 2, 8, 32, 64, 128)] == [256, 256, 64, 4, 1, 1]
+
+
+@pytest.mark.parametrize("d", [2, 8, 32])
+@pytest.mark.parametrize(
+    "sampler,draw",
+    [(UnitarySampler, haar_unitary), (OrthogonalSampler, haar_orthogonal)],
+)
+def test_block_sampler_equals_single_draws(sampler, draw, d):
+    # two full blocks and part of a third
+    m = 2 * groups.block_count(d) + 3
+    rng = np.random.default_rng(21)
+    singles = [draw(d, rng) for _ in range(m)]
+    taken = sampler(d, 21).take(m)
+    rng = np.random.default_rng(21)
+    per_draw = [_per_draw_reference(draw, d, rng) for _ in range(m)]
+    assert len(taken) == m
+    for x, y, z in zip(taken, singles, per_draw):
+        assert np.array_equal(x, y)
+        assert np.array_equal(y, z)
+
+
+def _per_draw_reference(draw, d, rng):
+    """One Haar draw from separate (d, d) normal calls, the unstacked form."""
+    if draw is haar_unitary:
+        z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    s = np.sign(np.diag(r))
+    s[s == 0] = 1.0
+    return (q * s).astype(complex)
+
+
 def test_local_unitary_sampler_structure():
     s = LocalUnitarySampler(3, seed=0)
     v = s.sample()

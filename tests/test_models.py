@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ginv import models
-from ginv.datasets import Graph
+from ginv.datasets import Graph, graph_terms
 from ginv.groups import haar_orthogonal, haar_unitary, permutation_operator
 from ginv.models import (
     FixedUnitaryAnsatz,
@@ -48,6 +48,25 @@ def test_realize_qgcnn_zero_angles():
     theta = np.zeros(ansatz.n_params)
     theta[-4:] = [1.0, 2.0, 0.5, 1.5]  # nonzero W's and B's, eta = 0
     np.testing.assert_allclose(ansatz.realize(theta), np.eye(8), atol=1e-12)
+
+
+def test_realize_qgcnn_builds_graph_terms_once(monkeypatch):
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return graph_terms(graph)
+
+    monkeypatch.setattr(models, "graph_terms", counted)
+    ansatz = QGCNNAnsatz(K3, p_layers=2, q_generators=2)
+    rng = np.random.default_rng(17)
+    thetas = [rng.standard_normal(ansatz.n_params) for _ in range(3)]
+    first = [ansatz.realize(theta) for theta in thetas]
+    assert calls == [K3]
+    # a fresh ansatz per call gives the same bytes as the cached terms
+    fresh = [QGCNNAnsatz(K3, 2, 2).realize(theta) for theta in thetas]
+    for a, b in zip(first, fresh):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_realize_qgcnn_edgeless_single_layer():

@@ -206,6 +206,23 @@ def test_expectation_copies_matches_tensor_power():
     assert abs(tensor.expectation_copies(rho, 2, obs) - direct) < 1e-12
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_expectation_copies_stack_matches_per_state(k):
+    rng = np.random.default_rng(37)
+    d = 2 if k == 3 else 4
+    rhos = np.array([tensor.random_density_matrix(d, rng) for _ in range(5)])
+    obs = rng.standard_normal((d**k, d**k)) + 1j * rng.standard_normal((d**k, d**k))
+    obs = obs + obs.conj().T
+    per_state = np.array([tensor.expectation_copies(r, k, obs) for r in rhos])
+    assert np.abs(tensor.expectation_copies(rhos, k, obs) - per_state).max() < 1e-12
+    if k == 2:
+        laid_out = tensor.pair_layout(obs)
+        np.testing.assert_array_equal(laid_out, obs.reshape(d, d, d, d))
+        assert laid_out.transpose(2, 0, 3, 1).flags.c_contiguous
+        stacked = tensor.expectation_copies(rhos, 2, laid_out)
+        assert np.abs(stacked - per_state).max() < 1e-12
+
+
 def test_expectation_factors_matches_kron():
     rng = np.random.default_rng(29)
     a = tensor.random_density_matrix(2, rng)
