@@ -6,6 +6,7 @@ Closed forms implemented here:
   variance for a traceless O on Haar-scrambled input:
       Tr[O^2] (Tr[rho_in^2] / (d^2-1) - 1 / (d (d^2-1)))
   mean of the Bell-projector model over Haar inputs:    2 / (d (d+1))
+  its variance over Haar pure inputs:  4 (d-1) / (d^2 (d+1)^2 (d+3))
 
 Every formula has a Monte-Carlo companion (empirical_moments); the
 statistical acceptance window is four standard errors throughout.
@@ -13,7 +14,6 @@ statistical acceptance window is four standard errors throughout.
 
 import csv
 import io
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -27,8 +27,10 @@ from .models import (
     estimate_with_shots,
     evaluate,
 )
-from .observables import bell_projector, pauli_string, swap_operator
-from .tensor import dm, expectation_copies, pair_layout, purity, zero_state
+from .observables import bell_projector, pauli_string
+
+# expectation_copies stays bound here for bench/tracer.py, which wraps it by name
+from .tensor import dm, expectation_copies, purity, zero_state  # noqa: F401
 
 
 @dataclass
@@ -74,6 +76,11 @@ def haar_mean_enhanced_bell(d):
     return 2.0 / (d * (d + 1))
 
 
+def haar_var_enhanced_bell(d):
+    """Variance of the Bell-projector model |psi^T psi|^2 / d over Haar pure inputs."""
+    return 4.0 * (d - 1) / (d**2 * (d + 1) ** 2 * (d + 3))
+
+
 def misclassification_probability(p_c_given_0):
     """P(0|c) = P(c|0) / (1 + P(c|0)) for balanced classes."""
     if not 0.0 <= p_c_given_0 <= 1.0:
@@ -88,76 +95,62 @@ def cantelli_bound(variance, delta):
     return variance / (variance + delta**2)
 
 
-def _is_bell_projector(model):
-    """Whether the dressed observable is |Phi+><Phi+| to 1e-9 in max-abs.
-
-    The projector is 1/d at rows and columns (i, i) and 0 elsewhere; the
-    test runs over one register index of the rows at a time, so nothing
-    the size of the observable is allocated.
-    """
-    obs = conjugated_observable(model).matrix
-    d = 2**model.n
-    if obs.shape != (d * d, d * d):
-        return False
-    diag = np.arange(d) * (d + 1)
-    for i in range(d):
-        dev = np.abs(obs[i * d : (i + 1) * d])
-        dev[i, diag] = np.abs(obs[i * (d + 1), diag] - 1.0 / d)
-        if not dev.max() < 1e-9:
-            return False
-    return True
-
-
 def _registered_moments(model, sampler, template):
-    """Closed-form moments for recognised (model, sampler) pairs, else Nones."""
+    """Closed-form moments for recognised (model, sampler) pairs, else Nones.
+
+    Conjugation keeps Tr[O] and Tr[O^2], so the k = 1 forms read the
+    undressed observable; the Bell forms need an identity ansatz.
+    """
     mean = var = None
     d = sampler.dim
+    obs = model.observable
     if model.hclass == "H1" and model.copies == 1 and sampler.kind in (
         "unitary",
         "local_unitary",
     ):
-        mean = haar_mean_conventional(model.observable, d)
-        obs = conjugated_observable(model)
+        mean = haar_mean_conventional(obs, d)
         if (
             sampler.kind == "unitary"
             and template is not None
             and abs(np.real(np.trace(obs.matrix))) < 1e-10
         ):
             var = haar_var_time_reversal(obs, template, d)
-    elif sampler.kind == "unitary" and _is_bell_projector(model):
+    elif (
+        sampler.kind == "unitary"
+        and obs.kind == "bell"
+        and isinstance(model.ansatz, IdentityAnsatz)
+    ):
         # twirling the Bell projector over W x W gives (1 + SWAP)/(d(d+1)),
         # so the closed-form mean needs a symmetric-subspace input: a
         # swap-symmetric psi_in for H2, or any pure template for H1 (psi x
         # psi is automatically symmetric)
         if model.hclass == "H2":
-            swap = swap_operator(model.n).matrix
-            sym = np.real(model.psi_in.conj() @ swap @ model.psi_in)
+            psi = model.psi_in
+            sym = np.real(np.vdot(psi, psi.reshape(d, d).T.ravel()))
             if abs(sym - 1.0) < 1e-9:
                 mean = haar_mean_enhanced_bell(d)
         elif (
             model.hclass == "H1"
-            and model.copies == 2
             and template is not None
             and abs(purity(template) - 1.0) < 1e-9
         ):
             mean = haar_mean_enhanced_bell(d)
+            var = haar_var_enhanced_bell(d)
     return mean, var
 
 
-def _h1_values(copies, obs, sampler, template, samples):
-    """H1 model values of ``samples`` draws, scored a chunk at a time.
+def _h1_values(obs, sampler, template, samples):
+    """Values of the H1 observable over ``samples`` draws, a chunk at a time.
 
     A chunk holds as many draws as one sampler block, so it is conjugated
-    by one batched product and scored by one expectation_copies call.
+    by one batched product and scored by one expectation call.
     """
-    if copies == 2:
-        obs = pair_layout(obs)
     chunk = block_count(sampler.dim)
     values = np.empty(samples)
     for start in range(0, samples, chunk):
         v = np.array([sampler.sample() for _ in range(min(chunk, samples - start))])
         x = v @ template @ v.conj().swapaxes(-1, -2)
-        values[start : start + len(v)] = expectation_copies(x, copies, obs)
+        values[start : start + len(v)] = obs.expectation(x)
     return values
 
 
@@ -172,8 +165,8 @@ def empirical_moments(model, sampler, input_template, samples):
     if samples < 2:
         raise ValueError("need at least 2 samples")
     if model.hclass == "H1":
-        obs = conjugated_observable(model).matrix
-        values = _h1_values(model.copies, obs, sampler, input_template, samples)
+        obs = conjugated_observable(model)
+        values = _h1_values(obs, sampler, input_template, samples)
     else:
         def value_of(v):
             if model.hclass == "H2":
@@ -317,7 +310,8 @@ def _enhanced_family(n, seed, label_class):
     model = ModelSpec("H1", 2, IdentityAnsatz(4**n), bell_projector(n))
     sampler = _class_sampler(n, seed, label_class)
     template = dm(zero_state(n))
-    return model, sampler, template, None if label_class == 0 else 0.0
+    analytic = haar_var_enhanced_bell(2**n) if label_class == 0 else 0.0
+    return model, sampler, template, analytic
 
 
 def _class_sampler(n, seed, label_class):
@@ -355,17 +349,6 @@ def concentration_experiment(family, n_range, samples, seed=0, label_class=0):
 # Report serialization
 
 
-def report_to_json(report, path=None):
-    reports = (MomentReport, ClassificationReport, ConcentrationResult)
-    if not isinstance(report, reports):
-        raise ValueError(f"unserializable report {type(report).__name__}")
-    text = json.dumps(asdict(report), sort_keys=True, indent=2)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
-
-
 def concentration_to_csv(result):
     """One row per n from a ConcentrationResult in its asdict form."""
     buf = io.StringIO()
@@ -374,14 +357,4 @@ def concentration_to_csv(result):
     for row in result["rows"]:
         av = row["analytic_var"]
         writer.writerow([row["n"], repr(row["empirical_var"]), "" if av is None else repr(av)])
-    return buf.getvalue()
-
-
-def classification_to_csv(report):
-    """One row per classified item: index, model value, true label."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["index", "value", "label"])
-    for i, (value, label) in enumerate(zip(report.values, report.labels)):
-        writer.writerow([i, repr(value), label])
     return buf.getvalue()

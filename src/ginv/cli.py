@@ -101,6 +101,19 @@ COMMON_FIELDS = {"experiment", "seed", "shots", "output"}
 # a null commutant d means d = 2**n.
 NULLABLE = {("commutant", "d")}
 
+# Smallest value of each count field; below it a run fails or reports nothing.
+# Purity and entanglement samples have none: one item names the absent class.
+MINIMUMS = {
+    "purity": {"n": 1},
+    "time_reversal_states": {"n": 1, "samples": 1, "mc_samples": 2},
+    "time_reversal_dynamics": {"n": 1, "samples": 1, "mc_samples": 2},
+    "entanglement": {"n": 1},
+    "graph": {"samples": 1, "iterations": 1},
+    "commutant": {"n": 1, "d": 1, "k": 1, "trials": 1},
+    "concentration": {"n_min": 1, "samples": 2},
+    "ancilla": {"n": 1, "samples": 1},
+}
+
 # Every field `ginv run` takes as a flag, with its type.
 RUN_FIELDS = {"seed": int, "shots": int} | {
     name: typ for schema in SCHEMAS.values() for name, (typ, _) in schema.items()
@@ -132,9 +145,12 @@ def validate_config(raw):
         if value is None and default is not None and (experiment, name) not in NULLABLE:
             raise ConfigError(f"field {name}: expected a value, got null")
         config[name] = None if value is None else _coerce(name, typ, value)
-    if experiment == "concentration" and not 1 <= config["n_min"] <= config["n_max"]:
+        low = MINIMUMS[experiment].get(name)
+        if low is not None and config[name] is not None and config[name] < low:
+            raise ConfigError(f"field {name}: must be >= {low}, got {config[name]}")
+    if experiment == "concentration" and config["n_min"] > config["n_max"]:
         raise ConfigError(
-            f"need 1 <= n_min <= n_max, got n_min={config['n_min']}, n_max={config['n_max']}"
+            f"need n_min <= n_max, got n_min={config['n_min']}, n_max={config['n_max']}"
         )
     return config
 

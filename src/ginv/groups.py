@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import bell_state, dm, kron_all, tensor_power
+from .observables import bell_projector, swap_operator
+from .tensor import kron_all, tensor_power
 
 
 # One stacked draw fills 64 KiB, at most 256 elements: enough to amortise the
@@ -187,9 +188,7 @@ def brauer_basis_k2(n):
     Returns [identity, register SWAP, Bell projector] on 2n qubits; each
     commutes with V x V for every orthogonal V.
     """
-    d = 2**n
-    swap = permutation_operator((1, 0), target="copies", qubits_per_copy=n).matrix
-    return [np.eye(d * d, dtype=complex), swap, dm(bell_state(n))]
+    return [np.eye(4**n, dtype=complex), swap_operator(n).matrix, bell_projector(n).matrix]
 
 
 @dataclass
@@ -307,8 +306,3 @@ def commutant_analysis(group, k, n_samples=20):
             RuntimeWarning,
         )
     return CommutantReport(dim, s, gap_ratio, cutoff, ambiguous)
-
-
-def commutant_dimension(group, k, n_samples=20):
-    """Dimension of the k-th order commutant (see commutant_analysis)."""
-    return commutant_analysis(group, k, n_samples=n_samples).dimension

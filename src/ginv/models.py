@@ -26,7 +26,8 @@ from .datasets import (
     graph_to_dict,
 )
 from .observables import PAULI, Observable, swap_operator
-from .tensor import (
+# expectation_copies stays bound here for bench/tracer.py, which wraps it by name
+from .tensor import (  # noqa: F401
     basis_state,
     dm,
     expectation_copies,
@@ -187,13 +188,6 @@ class ModelSpec:
         if self.hclass == "H3" and self.copies != 2:
             raise ValueError("H3 models act on an ancilla plus two copies")
 
-    @property
-    def n(self):
-        """Qubits per data register."""
-        if self.hclass == "H3":
-            return (tensor.num_qubits(self.observable.dim) - 1) // 2
-        return tensor.num_qubits(self.observable.dim) // self.copies
-
 
 def conjugated_observable(model, theta=None):
     """The dressed measurement U^dag(theta) O U(theta) as an Observable."""
@@ -212,28 +206,23 @@ def conjugated_observable(model, theta=None):
 def evaluate(model, x, theta=None):
     """Exact model value on a density matrix (H1, H3) or unitary (H2)."""
     x = np.asarray(x)
-    obs = conjugated_observable(model, theta).matrix
+    obs = conjugated_observable(model, theta)
     if model.hclass == "H1":
-        if x.shape[0] ** model.copies != obs.shape[0]:
-            raise ValueError(
-                f"input dim {x.shape[0]} incompatible with observable "
-                f"dim {obs.shape[0]} at k={model.copies}"
-            )
-        return expectation_copies(x, model.copies, obs)
+        return obs.expectation(x)
     if model.hclass == "H2":
         d = x.shape[0]
-        if d * d != obs.shape[0]:
-            raise ValueError(f"H2 expects a {int(np.sqrt(obs.shape[0]))}-dim unitary")
+        if d * d != obs.dim:
+            raise ValueError(f"H2 expects a {int(np.sqrt(obs.dim))}-dim unitary")
         if not is_unitary(x):
             raise ValueError("H2 input must be unitary")
         m = model.psi_in.reshape(d, d)
         phi = (x @ m @ x.T).ravel()  # (W x W)|psi> via row-major vec
-        return float(np.real(phi.conj() @ obs @ phi))
+        return float(np.real(phi.conj() @ obs.matrix @ phi))
     # H3: ancilla |0><0| in front of two copies of the input state.
     d = x.shape[0]
-    if 2 * d * d != obs.shape[0]:
+    if 2 * d * d != obs.dim:
         raise ValueError(f"input dim {d} incompatible with H3 observable")
-    return expectation_factors([dm(basis_state(2, 0)), x, x], obs)
+    return expectation_factors([dm(basis_state(2, 0)), x, x], obs.matrix)
 
 
 def swap_test_unitary(n):
@@ -273,19 +262,6 @@ class ShotEstimate:
     stderr: float
 
 
-def _as_projector_vector(m, tol=1e-10):
-    """Eigenvector v when m == |v><v|, else None."""
-    if abs(np.trace(m) - 1.0) > 1e-8 or abs(np.linalg.norm(m) - 1.0) > 1e-8:
-        return None
-    idx = int(np.argmax(np.abs(np.diag(m))))
-    col = m[:, idx]
-    norm = np.linalg.norm(col)
-    if norm < tol:
-        return None
-    v = col / norm
-    return v if np.abs(m - np.outer(v, v.conj())).max() < tol else None
-
-
 def _input_state(model, x):
     """The undressed state sigma with model value Tr[sigma U^dag O U]."""
     if model.hclass == "H1":
@@ -296,27 +272,29 @@ def _input_state(model, x):
     return tensor.kron_all([dm(basis_state(2, 0)), x, x])
 
 
-def estimate_with_shots(model, x, shots, rng, theta=None):
-    """Unbiased finite-shot estimate of the model value.
+def _shot_distribution(model, x, theta):
+    """Levels of the dressed observable and their probabilities: 1 and 0
+    for the Bell projector, the parallel swap test for a swap polynomial on
+    two copies, else the eigenbasis of U^dag O U on the undressed input."""
+    obs = conjugated_observable(model, theta)
+    if obs.kind == "bell":
+        p = min(max(evaluate(model, x, theta), 0.0), 1.0)
+        return np.array([1.0, 0.0]), np.array([p, 1.0 - p])
+    if obs.kind == "swap" and model.hclass == "H1":
+        return obs.shot_distribution(x)
+    w, vecs = np.linalg.eigh(obs.matrix)
+    probs = np.real(np.sum(vecs.conj() * (_input_state(model, x) @ vecs), axis=0))
+    probs = np.clip(probs, 0.0, None)
+    return w, probs / probs.sum()
 
-    Samples eigenvalue outcomes of the dressed observable U^dag O U with
-    Born probabilities on the undressed input state; a rank-1 projector
-    observable reduces to a Bernoulli draw on the exact value.
-    """
+
+def estimate_with_shots(model, x, shots, rng, theta=None):
+    """Unbiased finite-shot estimate: ``shots`` levels of the dressed
+    observable drawn by one ``rng.choice`` call."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    obs = conjugated_observable(model, theta).matrix
-    v = _as_projector_vector(obs)
-    if v is not None:
-        p = min(max(evaluate(model, x, theta), 0.0), 1.0)
-        outcomes = (rng.random(shots) < p).astype(float)
-    else:
-        w, vecs = np.linalg.eigh(obs)
-        sigma = _input_state(model, x)
-        probs = np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, sigma, vecs))
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        outcomes = rng.choice(w, size=shots, p=probs)
+    levels, probs = _shot_distribution(model, np.asarray(x), theta)
+    outcomes = rng.choice(levels, size=shots, p=probs)
     estimate = float(outcomes.mean())
     stderr = float(outcomes.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
     return ShotEstimate(estimate, stderr)

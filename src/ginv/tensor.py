@@ -64,25 +64,26 @@ def tensor_power(rho, k):
 
 
 def partial_trace(rho, keep):
-    """Trace out all qubits not in ``keep``.
+    """Trace out all qubits not in ``keep``, of one operator or a stack.
 
     ``keep`` is an iterable of qubit indices into the m-qubit operator
-    ``rho``; the result acts on the kept qubits in ascending index order.
-    An empty ``keep`` returns the (1, 1) matrix [[trace]].
+    ``rho`` (or each operator of a (B, d, d) stack); the result acts on the
+    kept qubits in ascending index order. An empty ``keep`` returns the
+    (1, 1) matrix [[trace]].
     """
     rho = np.asarray(rho)
-    m = num_qubits(rho.shape[0])
+    m = num_qubits(rho.shape[-1])
     keep = sorted(set(int(q) for q in keep))
     if keep and (keep[0] < 0 or keep[-1] >= m):
         raise ValueError(f"keep indices {keep} out of range for {m} qubits")
-    t = rho.reshape([2] * (2 * m))
+    t = rho.reshape(rho.shape[:-2] + (2,) * (2 * m))
     row = list(range(m))
     # Traced qubits share the row index so einsum sums them out.
     col = [m + q if q in keep else q for q in range(m)]
     out_idx = [q for q in keep] + [m + q for q in keep]
-    reduced = np.einsum(t, row + col, out_idx)
+    reduced = np.einsum(t, [...] + row + col, [...] + out_idx)
     dk = 2 ** len(keep)
-    return reduced.reshape(dk, dk)
+    return reduced.reshape(rho.shape[:-2] + (dk, dk))
 
 
 def is_hermitian(a, tol=None):
@@ -132,33 +133,28 @@ def expectation(rho, obs):
 def expectation_copies(rho, k, obs):
     """Tr[rho^(x k) obs] for one state, or per state of a (B, d, d) stack.
 
-    A single state is never expanded to its tensor power for k <= 2. A
-    stack at k = 2 is one matrix product against obs in its pair layout;
-    ``obs`` may be given as ``pair_layout(obs)``, which that product reads
-    without copying the d^4 entries again.
+    A single state is scored as a stack of one. At k = 2 a stack is one
+    matrix product against obs in its pair layout; ``obs`` may be given as
+    ``pair_layout(obs)``, which that product reads without copying the d^4
+    entries again.
     """
     rho = np.asarray(rho)
     obs = np.asarray(obs)
+    if rho.ndim == 2:
+        return float(expectation_copies(rho[None], k, obs)[0])
     d = rho.shape[-1]
     if obs.shape not in ((d**k, d**k), (d,) * 2 * k):
         raise ValueError(f"observable shape {obs.shape} does not act on {d}^{k}")
-    if rho.ndim == 3:
-        if k == 1:
-            return np.real(np.einsum("bij,ji->b", rho, obs))
-        if k == 2:
-            # sum rho_b[i,r] rho_b[j,s] obs[(r,s),(i,j)] = a_b^T m a_b with
-            # a_b = rho_b as a vector over (i,r), m[(i,r),(j,s)] = obs[(r,s),(i,j)]
-            a = rho.reshape(len(rho), d * d)
-            m = obs.reshape((d,) * 4).transpose(2, 0, 3, 1).reshape(d * d, d * d)
-            return np.real(np.einsum("bx,bx->b", a @ m, a))
-        return np.array([expectation_copies(r, k, obs) for r in rho])
-    obs = obs.reshape(d**k, d**k)
     if k == 1:
-        return expectation(rho, obs)
+        return np.real(np.einsum("bij,ji->b", rho, obs))
     if k == 2:
-        o4 = obs.reshape(d, d, d, d)
-        return float(np.real(np.einsum("ik,jl,klij->", rho, rho, o4)))
-    return expectation(tensor_power(rho, k), obs)
+        # sum rho_b[i,r] rho_b[j,s] obs[(r,s),(i,j)] = a_b^T m a_b with
+        # a_b = rho_b as a vector over (i,r), m[(i,r),(j,s)] = obs[(r,s),(i,j)]
+        a = rho.reshape(len(rho), d * d)
+        m = obs.reshape((d,) * 4).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+        return np.real(np.einsum("bx,bx->b", a @ m, a))
+    obs = obs.reshape(d**k, d**k)
+    return np.array([expectation(tensor_power(r, k), obs) for r in rho])
 
 
 def pair_layout(obs):

@@ -6,7 +6,6 @@ client is the graph classifier, whose observable A(theta)^(x n) stays
 permutation-invariant for every theta by construction.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,12 +115,3 @@ def graph_invariant_model(n, theta0=(0.3, 0.2, 0.1)):
         return expectation_copies(rho, 1, kron_all([a] * n))
 
     return TrainableModel(value_fn=value_fn, theta0=np.asarray(theta0, float))
-
-
-def save_trace_csv(path, result):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        n_params = len(result.theta)
-        writer.writerow(["iteration", "loss"] + [f"theta_{i}" for i in range(n_params)])
-        for i, (loss, theta) in enumerate(zip(result.loss_trace, result.thetas)):
-            writer.writerow([i, repr(loss)] + [repr(float(t)) for t in theta])

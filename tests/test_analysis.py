@@ -28,7 +28,6 @@ from ginv.models import (
     IdentityAnsatz,
     ModelSpec,
     evaluate,
-    swap_test_model,
 )
 from ginv.observables import Observable, bell_projector, pauli_string, swap_operator
 from ginv.tensor import bell_state, dm, random_density_matrix, zero_state
@@ -177,42 +176,6 @@ def test_empirical_moments_match_per_draw_reference(case, size):
     assert report.empirical_var == pytest.approx(values.var(ddof=1), rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize(
-    "change,expected",
-    [
-        (None, True),
-        ("off_block", False),  # a zero entry of the projector moves by 2e-9
-        ("in_block", False),  # a 1/d entry moves by 2e-9
-        ("small", True),  # every entry within 5e-10 of the projector
-    ],
-)
-def test_is_bell_projector_answers(change, expected):
-    n = 2
-    d = 2**n
-    ref = dm(bell_state(n))
-    m = ref.copy()
-    if change == "off_block":
-        m[1, 2] += 2e-9
-        m[2, 1] += 2e-9
-    elif change == "in_block":
-        m[0, d + 1] += 2e-9
-        m[d + 1, 0] += 2e-9
-    elif change == "small":
-        m = m + 5e-10
-    model = ModelSpec("H1", 2, IdentityAnsatz(d * d), Observable(m, 2, n, "b"))
-    assert analysis._is_bell_projector(model) is expected
-    # the dense reference the check replaces
-    assert bool(np.abs(m - ref).max() < 1e-9) is expected
-
-
-def test_is_bell_projector_wrong_shape():
-    # the Bell projector on 2 qubits read as one copy of 2 qubits, and an
-    # ancilla-plus-two-copies register of the same n
-    one_copy = Observable(dm(bell_state(1)), copies=1, qubits_per_copy=2, tag="b")
-    assert not analysis._is_bell_projector(ModelSpec("H1", 1, IdentityAnsatz(4), one_copy))
-    assert not analysis._is_bell_projector(swap_test_model(1))
-
-
 def test_empirical_moments_orthogonal_inputs_constant():
     # label-1 generator: orthogonal scrambling keeps the value pinned
     model = odd_y_model(2)
@@ -353,8 +316,12 @@ def test_concentration_enhanced_slope_matches_mc_oracle():
     # O(1/d^2) upper bound)
     result = concentration_experiment("enhanced_bell", range(1, 5), 4000, seed=0)
     assert -3.6 < result.slope < -2.5
+    # oracle: E|psi^T psi|^2 = 2/(d+1), E|psi^T psi|^4 = 8/((d+1)(d+3))
     for row in result.rows:
-        assert row.analytic_var is None
+        d = 2**row.n
+        second = 8 / (d**2 * (d + 1) * (d + 3))
+        first = 2 / (d * (d + 1))
+        assert row.analytic_var == pytest.approx(second - first**2, rel=1e-12)
 
 
 def test_concentration_label1_variance_vanishes():
@@ -371,23 +338,9 @@ def test_concentration_unknown_family():
         concentration_experiment("nope", range(1, 3), 100)
 
 
-def test_report_serialization(tmp_path):
-    model = odd_y_model(1)
-    report = empirical_moments(model, UnitarySampler(2, 14), dm(zero_state(1)), 100)
-    text = analysis.report_to_json(report, tmp_path / "m.json")
-    assert (tmp_path / "m.json").read_text() == text
+def test_report_serialization():
     result = concentration_experiment("conventional_odd_y", range(1, 3), 200, seed=2)
     csv_text = analysis.concentration_to_csv(asdict(result))
     lines = csv_text.strip().splitlines()
     assert lines[0] == "n,empirical_var,analytic_var"
     assert len(lines) == 3
-
-
-def test_classification_per_sample_csv():
-    rng = np.random.default_rng(17)
-    data = purity_dataset(1, 10, 0.5, rng)
-    model = ModelSpec("H1", 2, IdentityAnsatz(4), swap_operator(1))
-    report = classify(data, model, MidpointRule())
-    lines = analysis.classification_to_csv(report).strip().splitlines()
-    assert lines[0] == "index,value,label"
-    assert len(lines) == 11

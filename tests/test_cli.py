@@ -413,3 +413,64 @@ def test_single_n_concentration_reports_no_slope(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["report", str(out), "--format", "md"]) == 0
     assert "log2 slope: none" in capsys.readouterr().out
+
+
+# Small companions of each field at its minimum, so every case runs fast;
+# one qubit has no entangled state of measure 0.5, but measure 0 exists.
+SMALL = {
+    "purity": {"samples": 4},
+    "time_reversal_states": {"samples": 4, "mc_samples": 10},
+    "time_reversal_dynamics": {"samples": 4, "mc_samples": 10},
+    "entanglement": {"samples": 4, "b": 0.0},
+    "graph": {"samples": 4, "iterations": 2},
+    "commutant": {"trials": 2},
+    "concentration": {"n_max": 2, "samples": 50},
+    "ancilla": {"samples": 2},
+}
+
+# The smallest count each field runs with; one less divided by zero, failed
+# inside the library or (ancilla samples) reported a vacuous deviation.
+MINIMUM_CASES = [
+    ("purity", "n", 1),
+    ("time_reversal_states", "n", 1),
+    ("time_reversal_states", "samples", 1),
+    ("time_reversal_states", "mc_samples", 2),
+    ("time_reversal_dynamics", "n", 1),
+    ("time_reversal_dynamics", "samples", 1),
+    ("time_reversal_dynamics", "mc_samples", 2),
+    ("entanglement", "n", 1),
+    ("graph", "samples", 1),
+    ("graph", "iterations", 1),
+    ("commutant", "n", 1),
+    ("commutant", "d", 1),
+    ("commutant", "k", 1),
+    ("commutant", "trials", 1),
+    ("concentration", "n_min", 1),
+    ("concentration", "samples", 2),
+    ("ancilla", "n", 1),
+    ("ancilla", "samples", 1),
+]
+
+
+def test_minimum_cases_cover_the_table():
+    table = {(e, f): low for e, fields in cli.MINIMUMS.items() for f, low in fields.items()}
+    assert table == {(e, f): low for e, f, low in MINIMUM_CASES}
+
+
+@pytest.mark.parametrize("experiment,field,low", MINIMUM_CASES)
+def test_counts_below_minimum_are_config_errors(tmp_path, capsys, experiment, field, low):
+    config = {"experiment": experiment, **SMALL[experiment], field: low}
+    if (experiment, field) == ("commutant", "n"):
+        config["d"] = None
+    path, out = tmp_path / "config.json", tmp_path / "r.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["run", "--config", str(path), "-o", str(out)]) == 0
+    assert read_result(out)["config"][field] == low
+    out.unlink()
+    config[field] = low - 1
+    with pytest.raises(cli.ConfigError, match=f"field {field}: must be >= {low}"):
+        cli.validate_config(config)
+    path.write_text(json.dumps(config))
+    assert run_cli(["run", "--config", str(path), "-o", str(out)]) == 2
+    assert f"field {field}" in capsys.readouterr().err
+    assert not out.exists()

@@ -12,7 +12,6 @@ from ginv.groups import (
     check_equivariance,
     check_invariance,
     commutant_analysis,
-    commutant_dimension,
     haar_orthogonal,
     haar_unitary,
     permutation_operator,
@@ -311,9 +310,9 @@ def test_check_equivariance_generic_failure():
 
 
 def test_commutant_dimensions_lie_groups():
-    assert commutant_dimension(UnitarySampler(4, 6), 2) == 2
-    assert commutant_dimension(OrthogonalSampler(4, 7), 2) == 3
-    assert commutant_dimension(LocalUnitarySampler(2, 8), 2) == 4
+    assert commutant_analysis(UnitarySampler(4, 6), 2).dimension == 2
+    assert commutant_analysis(OrthogonalSampler(4, 7), 2).dimension == 3
+    assert commutant_analysis(LocalUnitarySampler(2, 8), 2).dimension == 4
 
 
 def test_commutant_dimension_symmetric_tetrahedral():
@@ -321,25 +320,25 @@ def test_commutant_dimension_symmetric_tetrahedral():
     from math import comb
 
     for n in (1, 2, 3):
-        dim = commutant_dimension(SymmetricSampler(n, 9), 1)
+        dim = commutant_analysis(SymmetricSampler(n, 9), 1).dimension
         assert dim == comb(n + 3, 3)
 
 
 def test_commutant_dimension_u2_k3():
     # Schur-Weyl with local dimension 2 < k = 3: the six permutation
     # operators are linearly dependent, leaving 1^2 + 2^2 = 5 dimensions.
-    assert commutant_dimension(UnitarySampler(2, 10), 3) == 5
+    assert commutant_analysis(UnitarySampler(2, 10), 3).dimension == 5
 
 
 def test_commutant_schur_lemma():
     for d, seed in ((2, 11), (4, 12), (8, 13)):
-        assert commutant_dimension(UnitarySampler(d, seed), 1) == 1
+        assert commutant_analysis(UnitarySampler(d, seed), 1).dimension == 1
 
 
 def test_commutant_monotone_in_elements():
     rng = np.random.default_rng(16)
     elements = [haar_unitary(4, rng) for _ in range(20)]
-    dims = [commutant_dimension(elements[:m], 2) for m in (1, 3, 20)]
+    dims = [commutant_analysis(elements[:m], 2).dimension for m in (1, 3, 20)]
     assert dims[0] >= dims[1] >= dims[2]
     assert dims[2] == 2
 
@@ -352,7 +351,7 @@ def test_commutant_gap_ratio():
 
 def test_commutant_too_large():
     with pytest.raises(ValueError):
-        commutant_dimension(UnitarySampler(16, 0), 2)
+        commutant_analysis(UnitarySampler(16, 0), 2)
 
 
 def test_adjacent_transpositions_generate():

@@ -321,9 +321,8 @@ def test_shots_dressed_spectral_branch(case):
         model = swap_test_model(1)
         theta = None
     rho = random_density_matrix(2, rng)
-    # a dressed observable that is no rank-1 projector: eigenvalue sampling
-    dressed = conjugated_observable(model, theta).matrix
-    assert models._as_projector_vector(dressed) is None
+    # a dressed observable is dense: eigenvalue sampling
+    assert conjugated_observable(model, theta).kind == "dense"
     shots = 20000
     draws = RecordingRng(17)
     est = estimate_with_shots(model, rho, shots, draws, theta=theta)
@@ -333,6 +332,29 @@ def test_shots_dressed_spectral_branch(case):
     gaps = np.abs(np.subtract.outer(draws.outcomes, eigenvalues)).min(axis=1)
     assert gaps.max() < 1e-9
     assert abs(est.estimate - evaluate(model, rho, theta)) < 4 * est.stderr
+
+
+@pytest.mark.parametrize("hclass", ["H1", "H2"])
+def test_bell_shots_draw_the_bernoulli_stream(hclass):
+    # oracle: outcome 1 exactly when a uniform draw falls below the value
+    rng = np.random.default_rng(18)
+    n, d = 2, 4
+    if hclass == "H1":
+        model = ModelSpec("H1", 2, IdentityAnsatz(d * d), bell_projector(n))
+        inputs = [dm(random_statevector(d, rng)) for _ in range(20)]
+        inputs += [dm(haar_orthogonal(d, rng)[:, 0])]  # value exactly 1/d
+    else:
+        model = ModelSpec(
+            "H2", 2, IdentityAnsatz(d * d), bell_projector(n), psi_in=bell_state(n)
+        )
+        inputs = [haar_unitary(d, rng) for _ in range(20)] + [haar_orthogonal(d, rng)]
+    for seed, x in enumerate(inputs):
+        p = min(max(evaluate(model, x), 0.0), 1.0)
+        old = (np.random.default_rng(seed).random(300) < p).astype(float)
+        draws = RecordingRng(seed)
+        est = estimate_with_shots(model, x, 300, draws)
+        np.testing.assert_array_equal(draws.outcomes, old)
+        assert est.estimate == old.mean()
 
 
 def test_shots_requires_positive():

@@ -12,10 +12,12 @@ from ginv.groups import (
 )
 from ginv.tensor import (
     dm,
+    expectation_copies,
     kron,
     kron_all,
     partial_trace,
     purity,
+    random_density_matrix,
     random_statevector,
     zero_state,
 )
@@ -301,3 +303,67 @@ def test_reference_states():
     w = obs.w_state(3)
     assert abs(np.linalg.norm(w) - 1) < 1e-12
     assert abs(w[1] - w[2]) < 1e-12 and abs(w[2] - w[4]) < 1e-12
+
+
+def structured_observables(n):
+    """Every structured observable the module makes at n qubits per copy."""
+    built = [obs.swap_operator(n), obs.bell_projector(n), obs.meyer_wallach_observable(n)]
+    built += [obs.ntangle_observable(n), obs.concentratable_observable(range(n), n)]
+    built += [obs.concentratable_observable([n - 1], n)]
+    for j in range(n):
+        built += [obs.swap_j(j, n), obs.impurity_observable(j, n)]
+    for name in obs.ENTANGLEMENT_MEASURES:
+        built.append(obs.entanglement_observable(name, n))
+    return built
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_structured_values_match_dense_matrix(n):
+    rng = np.random.default_rng(20 + n)
+    d = 2**n
+    rho = random_density_matrix(d, rng, rank=2)
+    stack = np.array([random_density_matrix(d, rng, rank=2) for _ in range(5)])
+    for observable in structured_observables(n):
+        assert observable.kind in ("swap", "bell"), observable.tag
+        got = observable.expectation(rho)
+        assert isinstance(got, float)
+        assert abs(got - expectation_copies(rho, 2, observable.matrix)) < 1e-12, observable.tag
+        dense = expectation_copies(stack, 2, observable.matrix)
+        np.testing.assert_allclose(observable.expectation(stack), dense, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_parallel_swap_test_levels_match_eigh(n):
+    # oracle: Born probabilities of each eigenvalue of the dense operator
+    rng = np.random.default_rng(30 + n)
+    rho = random_density_matrix(2**n, rng, rank=2)
+    sigma = kron(rho, rho)
+    for observable in structured_observables(n):
+        if observable.kind != "swap":
+            continue
+        levels, probs = observable.shot_distribution(rho)
+        assert len(levels) == len(probs) == 2**n
+        w, vecs = np.linalg.eigh(observable.matrix)
+        born = np.real(np.sum(vecs.conj() * (sigma @ vecs), axis=0))
+        for level in np.unique(np.round(w, 9)):
+            mine = probs[np.abs(levels - level) < 1e-9].sum()
+            theirs = born[np.abs(w - level) < 1e-9].sum()
+            assert abs(mine - theirs) < 1e-12, (observable.tag, level)
+        assert abs(levels @ probs - observable.expectation(rho)) < 1e-12
+
+
+def test_structured_values_build_no_dense_matrix():
+    # n = 6: the dense two-copy operator alone would take 256 MiB
+    n = 6
+    rng = np.random.default_rng(40)
+    psi = random_statevector(2**n, rng)
+    rho = dm(psi)
+    for observable in structured_observables(n):
+        observable.expectation(rho)
+        if observable.kind == "swap":
+            observable.shot_distribution(rho)
+        assert "matrix" not in vars(observable), observable.tag
+    assert abs(obs.swap_operator(n).expectation(rho) - 1.0) < 1e-12
+    # oracle: <Phi|psi x psi> = psi^T psi / sqrt(d)
+    bell = abs(psi @ psi) ** 2 / 2**n
+    assert abs(obs.bell_projector(n).expectation(rho) - bell) < 1e-15

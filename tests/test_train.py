@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ginv import train
 from ginv.datasets import Graph, LabeledState, graph_dataset, graph_state
 from ginv.groups import permutation_operator
 from ginv.models import IdentityAnsatz, ModelSpec, QGCNNAnsatz, evaluate
@@ -170,13 +169,3 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(iterations=0)
-
-
-def test_save_trace_csv(tmp_path):
-    reps = representatives()
-    result = optimize(graph_invariant_model(3), reps, TrainConfig(iterations=3))
-    path = tmp_path / "trace.csv"
-    train.save_trace_csv(path, result)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,loss,theta_0,theta_1,theta_2"
-    assert len(lines) == 5  # header + initial point + 3 iterations
