@@ -10,6 +10,7 @@ field. Exit codes: 0 success, 2 config validation error, 3 runtime error.
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -27,6 +28,7 @@ from .analysis import (
     empirical_moments,
 )
 from .groups import (
+    MAX_COMMUTANT_DIM,
     LocalUnitarySampler,
     OrthogonalSampler,
     SymmetricSampler,
@@ -152,6 +154,13 @@ def validate_config(raw):
         raise ConfigError(
             f"need n_min <= n_max, got n_min={config['n_min']}, n_max={config['n_max']}"
         )
+    if experiment == "commutant":
+        d, k = _group_degree(config["group"], config["n"], config["d"]), config["k"]
+        # in logarithms, so that a huge k is refused without computing d^k
+        if k * math.log2(d) > math.log2(MAX_COMMUTANT_DIM):
+            raise ConfigError(
+                f"commutant too large: d^k = {d}^{k} exceeds {MAX_COMMUTANT_DIM}"
+            )
     return config
 
 
@@ -179,21 +188,21 @@ SAMPLERS = {
 }
 
 
-def _sampler_for(group, n, d, seed):
+def _group_degree(group, n, d):
+    """Dimension the group's elements act on, from --n and --d."""
     if group not in SAMPLERS:
         raise ConfigError(f"unknown group {group!r}")
-    sampler, size = SAMPLERS[group]
-    if size == "n":
+    if SAMPLERS[group][1] == "n":
         if n is None:
             raise ConfigError(f"{group} group needs --n")
-        return sampler(n, seed)
+        return 2**n
     if n is not None and d is not None and d != 2**n:
         raise ConfigError(
             f"{group} group: --n {n} means d = {2**n}, but d = {d}; pass --d {2**n}"
         )
     if d is None and not n:
         raise ConfigError(f"{group} group needs --d or --n")
-    return sampler(2**n if d is None else d, seed)
+    return 2**n if d is None else d
 
 
 def _resolve_graph(name):
@@ -330,14 +339,18 @@ def run_graph(config, rng):
 
 
 def run_commutant(config, rng):
-    sampler = _sampler_for(config["group"], config["n"], config["d"], config["seed"])
-    report = commutant_analysis(sampler, config["k"], n_samples=config["trials"])
+    group, n = config["group"], config["n"]
+    sampler, size = SAMPLERS[group]
+    degree = n if size == "n" else _group_degree(group, n, config["d"])
+    report = commutant_analysis(
+        sampler(degree, config["seed"]), config["k"], n_samples=config["trials"]
+    )
     return {
         "dimension": report.dimension,
         "gap_ratio": None if np.isinf(report.gap_ratio) else report.gap_ratio,
         "cutoff": report.cutoff,
         "ambiguous": report.ambiguous,
-        "singular_values_head": [float(s) for s in report.singular_values[:8]],
+        "start_dimension": report.start_dimension,
     }
 
 

@@ -232,48 +232,82 @@ def check_equivariance(u, sampler, k, trials=50, tol=1e-9):
 @dataclass
 class CommutantReport:
     dimension: int
-    singular_values: np.ndarray = field(repr=False)
+    start_dimension: int  # size of the block-diagonal space the solve starts from
     gap_ratio: float
     cutoff: float
     ambiguous: bool
 
 
-MAX_COMMUTANT_DIM = 64  # largest d^k the dense constraint solver accepts
+MAX_COMMUTANT_DIM = 64  # largest d^k the commutant solver accepts
 
-_RANK_RTOL = 1e-8
+# Absolute cutoff on the singular values of W -> A W - W A over an
+# orthonormal basis: for a unitary A the commutator of a unit-norm W has
+# norm at most 2, so the cutoff needs no scaling with the spectrum.
+_CUTOFF = 1e-8
+# Largest norm of V V^H - V^H V for a normal V, and of the off-diagonal
+# part of q^H V q for q to count as V's eigenframe.
+_FRAME_TOL = 1e-9
+# Weight of the anti-Hermitian part in _eigenframe. Unit eigenvalues e^(ia),
+# e^(ib) collide only if a + b = 2 arctan(sqrt 2) mod 2 pi, no rational
+# multiple of pi (its cosine is -1/3), so roots of unity never collide.
+_ALPHA = np.sqrt(2)
 
 
-def _commutation_constraints(element, k):
-    """Rows of W -> vec(A W - W A) for A = element^(x k), row-major vec."""
-    a = tensor_power(element, k)
-    dd = a.shape[0]
-    eye = np.eye(dd)
-    return np.kron(a, eye) - np.kron(eye, a.T)
+def _eigenframe(v):
+    """Unitary q with q^H v q diagonal to _FRAME_TOL, or None.
 
-
-def _stacked_singular_spectrum(blocks):
-    """Singular values of the vertical stack of constraint blocks.
-
-    Blocks are folded in one at a time, keeping only the scaled row basis
-    (S V^h) between steps so memory stays bounded; this preserves the
-    stack's singular spectrum up to far-below-cutoff truncation error.
+    For a normal v the Hermitian parts X = (v + v^H)/2 and
+    Y = (v - v^H)/2i commute, so the eigenvectors of X + alpha Y
+    diagonalise v unless alpha maps two eigenvalues of v onto one.
     """
-    basis = None
-    s = None
-    for block in blocks:
-        stack = block if basis is None else np.vstack([basis, block])
-        _, s, vh = np.linalg.svd(stack, full_matrices=False)
-        keep = s > s[0] * 1e-12
-        basis = s[keep, None] * vh[keep]
-    return s
+    x = (v + v.conj().T) / 2
+    y = (v - v.conj().T) / 2j
+    _, q = np.linalg.eigh(x + _ALPHA * y)
+    t = q.conj().T @ v @ q
+    if np.linalg.norm(t - np.diag(np.diagonal(t))) > _FRAME_TOL:
+        return None
+    return q
+
+
+def _block_labels(products):
+    """Label of each tensor index: the first index of its block.
+
+    Indices whose eigenvalue products lie within _CUTOFF of each other share
+    a block, and so do chains of them, so a block is merged, never split.
+    """
+    linked = np.abs(products[:, None] - products[None, :]) <= _CUTOFF
+    while True:
+        closure = (linked.astype(np.int64) @ linked) > 0
+        if (closure == linked).all():
+            return np.argmax(linked, axis=1)
+        linked = closure
+
+
+def _start_basis(labels):
+    """Orthonormal basis of the block-diagonal matrices: one elementary
+    matrix E_ab per index pair (a, b) in the same block."""
+    rows, cols = np.nonzero(labels[:, None] == labels[None, :])
+    basis = np.zeros((len(rows), len(labels), len(labels)), dtype=complex)
+    basis[np.arange(len(rows)), rows, cols] = 1.0
+    return basis
 
 
 def commutant_analysis(group, k, n_samples=20):
     """Dimension of {W : [W, V^(x k)] = 0 for all V} with rank diagnostics.
 
-    ``group`` is a GroupSampler or an explicit list of group-element
+    ``group`` is a GroupSampler or an explicit list of unitary group-element
     matrices. SymmetricSampler instances contribute their exact
     adjacent-transposition generators instead of random draws.
+
+    The solve works in an eigenframe q of one element V_0, the first that
+    has one, where the commutant of V_0^(x k) lies in the block-diagonal
+    matrices whose blocks group the tensor indices by equal eigenvalue
+    products; ``start_dimension`` counts them. Each element, V_0 included,
+    then restricts that space to the nullspace of W -> A W - W A, A the
+    element's tensor power in the frame q^(x k). ``gap_ratio`` is the
+    smallest ratio, over these steps, of the smallest singular value above
+    the cutoff to the largest one at or below it. Raises ValueError for an
+    element that is not normal.
     """
     if isinstance(group, SymmetricSampler):
         elements = group.generators()
@@ -288,21 +322,49 @@ def commutant_analysis(group, k, n_samples=20):
         raise ValueError(
             f"system too large: d^k = {d**k} exceeds {MAX_COMMUTANT_DIM}"
         )
-    s = _stacked_singular_spectrum(
-        _commutation_constraints(el, k) for el in elements
-    )
-    cutoff = float(_RANK_RTOL * s[0])
-    rank = int((s > cutoff).sum())
-    dim = len(s) - rank
-    if dim == 0 or s[rank] == 0.0:
-        gap_ratio = float("inf")
+    stack = np.array(elements)
+    drift = np.linalg.norm(stack @ stack.conj().swapaxes(1, 2)
+                           - stack.conj().swapaxes(1, 2) @ stack, axis=(1, 2))
+    if drift.max() > _FRAME_TOL:
+        raise ValueError(f"group element {int(drift.argmax())} is not normal")
+    for start, v in enumerate(stack):
+        q = _eigenframe(v)
+        if q is not None:
+            break
     else:
-        gap_ratio = float(s[rank - 1] / s[rank])
-    ambiguous = bool(0 < rank < len(s) and (s[rank - 1] - s[rank]) < 10 * cutoff)
+        raise ValueError("no group element could be diagonalised to "
+                         f"{_FRAME_TOL:g}; pass a better conditioned element")
+    frame = q.conj().T @ stack @ q
+    basis = _start_basis(_block_labels(np.diagonal(tensor_power(frame[start], k))))
+    start_dimension = len(basis)
+    gap_ratio = float("inf")
+    straddles = []
+    # The start element goes last: by then the others have shrunk the space,
+    # and its own step only removes products merged across the cutoff.
+    for t in np.roll(frame, -(start + 1), axis=0):
+        if not len(basis):
+            break
+        a = tensor_power(t, k)
+        commutators = a @ basis
+        commutators -= basis @ a
+        commutators = commutators.reshape(len(basis), -1)
+        # R of a QR has the singular values and right vectors of the
+        # commutator map and is r x r, which the SVD then handles cheaply.
+        _, s, vh = np.linalg.svd(np.linalg.qr(commutators.T, mode="r"))
+        null = s <= _CUTOFF
+        if null.any() and not null.all():
+            above, below = s[~null].min(), s[null].max()
+            if below > 0:
+                gap_ratio = min(gap_ratio, float(above / below))
+            if above - below < 10 * _CUTOFF:
+                straddles.append((above, below))
+        basis = np.tensordot(vh[null].conj(), basis, axes=1)
+    ambiguous = bool(straddles)
     if ambiguous:
+        above, below = straddles[0]
         warnings.warn(
             f"commutant rank ambiguous: singular values straddle the cutoff "
-            f"({s[rank - 1]:.3e} vs {s[rank]:.3e})",
+            f"({above:.3e} vs {below:.3e})",
             RuntimeWarning,
         )
-    return CommutantReport(dim, s, gap_ratio, cutoff, ambiguous)
+    return CommutantReport(len(basis), start_dimension, gap_ratio, _CUTOFF, ambiguous)

@@ -216,6 +216,9 @@ def evaluate(model, x, theta=None):
         if not is_unitary(x):
             raise ValueError("H2 input must be unitary")
         m = model.psi_in.reshape(d, d)
+        if obs.kind == "bell":
+            # <Phi|(W x W)|psi> = tr(W M W^T) / sqrt(d) for the Bell state Phi
+            return float(abs(np.trace(x @ m @ x.T)) ** 2 / d)
         phi = (x @ m @ x.T).ravel()  # (W x W)|psi> via row-major vec
         return float(np.real(phi.conj() @ obs.matrix @ phi))
     # H3: ancilla |0><0| in front of two copies of the input state.

@@ -332,6 +332,33 @@ def test_commutant_n_must_agree_with_d(tmp_path, capsys):
         assert read_result(out)["config"]["d"] == 8
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"d": 16, "k": 2},
+        {"k": 4},
+        {"group": "orthogonal", "n": 3, "d": None, "k": 3},
+        {"group": "local_unitary", "n": 4, "k": 2},
+        {"group": "symmetric", "n": 7, "k": 1},
+        {"group": "symmetric", "n": 13, "k": 1},
+        {"k": 10**12},
+    ],
+)
+def test_commutant_over_the_cap_is_config_error(tmp_path, capsys, fields):
+    config = {"experiment": "commutant", **fields}
+    # refused while validating, before any sampler builds an element
+    with pytest.raises(cli.ConfigError, match="exceeds 64"):
+        cli.validate_config(config)
+    path, out = tmp_path / "config.json", tmp_path / "r.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["run", "--config", str(path), "-o", str(out)]) == 2
+    assert "exceeds 64" in capsys.readouterr().err
+    assert not out.exists()
+    # one step down is at or under the cap
+    smaller = dict(config, k=1) if config["k"] > 1 else dict(config, n=6)
+    cli.validate_config(smaller)
+
+
 @pytest.mark.parametrize("n_min,n_max", [(3, 2), (0, 2), (-1, -1)])
 def test_empty_concentration_sweep_is_config_error(tmp_path, capsys, n_min, n_max):
     out = tmp_path / "conc.json"

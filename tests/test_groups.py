@@ -1,3 +1,6 @@
+from itertools import permutations
+from math import prod
+
 import numpy as np
 import pytest
 
@@ -352,6 +355,134 @@ def test_commutant_gap_ratio():
 def test_commutant_too_large():
     with pytest.raises(ValueError):
         commutant_analysis(UnitarySampler(16, 0), 2)
+
+
+def _longest_decreasing(perm):
+    best = []
+    for i, p in enumerate(perm):
+        best.append(1 + max((best[j] for j in range(i) if perm[j] > p), default=0))
+    return max(best)
+
+
+def _schur_weyl_count(d, k):
+    # by RSK, the permutations of k letters whose longest decreasing run has
+    # at most d letters number sum (f^lambda)^2 over lambda |- k, <= d rows
+    return sum(_longest_decreasing(p) <= d for p in permutations(range(k)))
+
+
+def _brauer_count(d, k):
+    # (2k - 1)!! Brauer diagrams, linearly independent for d >= k
+    assert d >= k
+    return prod(range(1, 2 * k, 2))
+
+
+@pytest.mark.parametrize(
+    "sampler,k,oracle",
+    [
+        (UnitarySampler(2, 31), 5, lambda: _schur_weyl_count(2, 5)),
+        (UnitarySampler(4, 32), 3, lambda: _schur_weyl_count(4, 3)),
+        (OrthogonalSampler(4, 33), 3, lambda: _brauer_count(4, 3)),
+        (LocalUnitarySampler(2, 34), 3, lambda: _schur_weyl_count(2, 3) ** 2),
+        (LocalUnitarySampler(3, 35), 2, lambda: _schur_weyl_count(2, 2) ** 3),
+    ],
+    ids=["U(2) k=5", "U(4) k=3", "O(4) k=3", "LU(2) k=3", "LU(3) k=2"],
+)
+def test_commutant_dimension_up_to_the_cap(sampler, k, oracle):
+    if sampler.kind == "orthogonal":
+        # SO(4)^(x 3) has more invariants (the Levi-Civita tensor): the
+        # draws must leave SO(4) for the Brauer count to hold
+        dets = np.linalg.det(OrthogonalSampler(4, sampler.seed).take(3))
+        assert (dets < 0).any()
+    report = commutant_analysis(sampler, k, n_samples=3)
+    assert report.dimension == oracle()
+    assert report.gap_ratio > 1e3 and not report.ambiguous
+    assert report.dimension <= report.start_dimension < (sampler.dim**k) ** 2
+
+
+def _dense_nullity(elements, k):
+    """dim of the nullspace of the stacked rows vec(W) -> vec(A W - W A)."""
+    eye = np.eye(elements[0].shape[0] ** k)
+    rows = []
+    for v in elements:
+        a = v
+        for _ in range(k - 1):
+            a = np.kron(a, v)
+        rows.append(np.kron(a, eye) - np.kron(eye, a.T))
+    s = np.linalg.svd(np.vstack(rows), compute_uv=False)
+    # relative to the spectrum, but never below rounding of a zero constraint
+    return int((s <= 1e-8 * max(s[0], 1.0)).sum())
+
+
+def _first_elements(d, rng):
+    """First elements that stress the start frame, by name."""
+    q = haar_unitary(d, rng)
+    # x + sqrt(2) y is 0 on both eigenvalues, so eigh of it finds no frame
+    blind = q @ np.diag([0, np.sqrt(2) - 1j] * (d // 2)) @ q.conj().T
+    return {
+        "identity": np.eye(d, dtype=complex),
+        "permutation": np.roll(np.eye(d, dtype=complex), 1, axis=0),
+        # equal eigenvalue products that are no equal multisets: 1j * -1j = 1 * 1
+        "degenerate diagonal": np.diag([1, -1j, 1j, 1][:d]).astype(complex),
+        "no frame": blind,
+    }
+
+
+@pytest.mark.parametrize(
+    "first", ["identity", "permutation", "degenerate diagonal", "no frame"]
+)
+def test_commutant_matches_dense_nullity(first):
+    rng = np.random.default_rng(36)
+    for d, k in ((2, 1), (2, 2), (2, 3), (2, 4), (4, 1), (4, 2)):
+        head = _first_elements(d, rng)[first]
+        torus = [np.diag(np.exp(2j * np.pi * rng.random(d))) for _ in range(2)]
+        # two copies of one representation in a random frame: a commutant
+        # that is not closed under complex conjugation
+        q = haar_unitary(d, rng)
+        doubled = [q @ np.kron(np.eye(2), haar_unitary(d // 2, rng)) @ q.conj().T
+                   for _ in range(2)]
+        for rest in ([], [haar_unitary(d, rng)], torus, doubled):
+            elements = [head] + rest
+            if first == "no frame" and not rest:
+                with pytest.raises(ValueError, match="diagonalised"):
+                    commutant_analysis(elements, k)
+                continue
+            report = commutant_analysis(elements, k)
+            assert report.dimension == _dense_nullity(elements, k), (d, k, len(rest))
+            assert not report.ambiguous
+
+
+def test_block_labels_merge_chains_of_close_products():
+    # 0.6e-8 apart pairwise, so 1 and 1 + 1.2e-8 share a block through the middle
+    products = np.array([1.0, 1.0 + 0.6e-8, 1.0 + 1.2e-8, 2.0, 2.0])
+    assert groups._block_labels(products).tolist() == [0, 0, 0, 3, 3]
+
+
+def test_start_element_restricts_its_own_merged_block():
+    # eigenvalues 0.6e-8 apart share one block of 3, but the outer pair is
+    # 1.2e-8 apart, over the cutoff: the start element's own step drops it
+    v = np.diag(np.exp(1j * np.array([0.0, 0.6e-8, 1.2e-8])))
+    with pytest.warns(RuntimeWarning, match="straddle"):
+        report = commutant_analysis([v], 1)
+    assert (report.start_dimension, report.dimension) == (9, 7)
+
+
+def test_commutant_flags_a_step_that_straddles_the_cutoff():
+    # the second element couples the two eigenvectors of the first by 3e-8,
+    # so its step has a singular value within 10 cutoffs of the null ones
+    eps = 3e-8
+    tilt = np.array([[np.cos(eps), -np.sin(eps)], [np.sin(eps), np.cos(eps)]])
+    elements = [np.diag([1.0, -1.0]).astype(complex), tilt.astype(complex)]
+    with pytest.warns(RuntimeWarning, match="straddle"):
+        report = commutant_analysis(elements, 1)
+    assert report.ambiguous and report.dimension == 1
+    assert not commutant_analysis(elements[:1], 1).ambiguous
+
+
+def test_commutant_refuses_non_normal_element():
+    shear = np.array([[1.0, 1.0], [0.0, 1.0]])
+    for elements in ([shear], [np.eye(2), shear]):
+        with pytest.raises(ValueError, match="not normal"):
+            commutant_analysis(elements, 2)
 
 
 def test_adjacent_transpositions_generate():

@@ -150,6 +150,21 @@ def test_evaluate_h2_matches_dense_oracle():
         assert abs(evaluate(model, w) - oracle) < 1e-12
 
 
+def test_evaluate_h2_bell_reads_no_dense_matrix():
+    # oracle: phi^H O phi for phi = (W x W)|psi_in>, O the dense Bell projector
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3):
+        d = 2**n
+        psi_in = random_statevector(d * d, rng)
+        model = ModelSpec("H2", 2, IdentityAnsatz(d * d), bell_projector(n), psi_in=psi_in)
+        dense = dm(bell_state(n))
+        for w in (haar_unitary(d, rng), haar_orthogonal(d, rng)):
+            phi = kron(w, w) @ psi_in
+            oracle = float(np.real(phi.conj() @ dense @ phi))
+            assert abs(evaluate(model, w) - oracle) < 1e-12
+        assert "matrix" not in vars(model.observable)
+
+
 def test_evaluate_h3_swap_test_pure():
     rng = np.random.default_rng(6)
     model = swap_test_model(1)
