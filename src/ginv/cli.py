@@ -36,7 +36,7 @@ from .groups import (
     commutant_analysis,
 )
 from .models import IdentityAnsatz, ModelSpec, evaluate, swap_test_model
-from .tensor import bell_state, dm, random_statevector, zero_state
+from .tensor import bell_state, dm, kron, random_statevector, zero_state
 from .train import TrainConfig, graph_invariant_model, optimize
 
 
@@ -368,9 +368,7 @@ def run_ancilla(config, rng):
     n = config["n"]
     u = models.swap_test_unitary(n)
     z_anc = models.ancilla_observable(observables.PAULI["Z"], n).matrix
-    z_swap = np.kron(
-        observables.PAULI["Z"], observables.swap_operator(n).matrix
-    )
+    z_swap = kron(observables.PAULI["Z"], observables.swap_operator(n).matrix)
     conj_dev = float(np.abs(u.conj().T @ z_anc @ u - z_swap).max())
     model = swap_test_model(n)
     purity_dev = 0.0

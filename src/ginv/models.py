@@ -285,7 +285,7 @@ def _shot_distribution(model, x, theta):
         return np.array([1.0, 0.0]), np.array([p, 1.0 - p])
     if obs.kind == "swap" and model.hclass == "H1":
         return obs.shot_distribution(x)
-    w, vecs = np.linalg.eigh(obs.matrix)
+    w, vecs = obs.eigh
     probs = np.real(np.sum(vecs.conj() * (_input_state(model, x) @ vecs), axis=0))
     probs = np.clip(probs, 0.0, None)
     return w, probs / probs.sum()

@@ -66,6 +66,14 @@ class Observable:
         """The matrix as expectation_copies reads it, in pair layout at k = 2."""
         return pair_layout(self.matrix) if self.copies == 2 else self.matrix
 
+    @cached_property
+    def eigh(self):
+        """Read-only eigenvalues and eigenvector columns of the matrix."""
+        pair = np.linalg.eigh(self.matrix)
+        for a in pair:
+            a.flags.writeable = False
+        return pair
+
 
 class SwapPolynomial(Observable):
     """sum_a c_a SWAP_a over qubit subsets a, SWAP_a = prod_{j in a} SWAP_j,
@@ -109,10 +117,16 @@ class SwapPolynomial(Observable):
         z, projectors prod_j (1 + (-1)^{z_j} SWAP_j) / 2 (Beckey, Gigena,
         Coles, Cerezo, arXiv:2104.06923): two Walsh-Hadamard transforms."""
         n = self.qubits_per_copy
-        walsh = kron_all([np.array([[1.0, 1.0], [1.0, -1.0]])] * n)
         purities = self._purities(np.asarray(rho)[None], np.arange(2**n))[:, 0]
-        probs = np.clip(walsh @ purities / 2**n, 0.0, None)
-        return walsh @ self.coeffs, probs / probs.sum()
+        probs = np.clip(self._walsh @ purities / 2**n, 0.0, None)
+        return self._walsh @ self.coeffs, probs / probs.sum()
+
+    @cached_property
+    def _walsh(self):
+        """The read-only (2^n, 2^n) Walsh-Hadamard matrix, entries +-1."""
+        walsh = kron_all([np.array([[1.0, 1.0], [1.0, -1.0]])] * self.qubits_per_copy)
+        walsh.flags.writeable = False
+        return walsh
 
 
 class BellProjector(Observable):

@@ -7,6 +7,7 @@ function of its inputs; arrays are never mutated.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,15 +23,26 @@ class MemoryCapError(ValueError):
 
 
 def kron(a, b):
-    """Tensor product of two operators (dimensions multiply)."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    """Tensor product of two operators, or of two state vectors.
+
+    The outer product of the entries, reshaped: each entry is the same
+    single multiply numpy's kron makes, so the result equals it bit for bit,
+    without that function's per-call axis bookkeeping.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim == b.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"kron takes two vectors or two matrices, got {a.shape} and {b.shape}")
+    out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def kron_all(mats):
-    """Left-to-right tensor product of a sequence of operators."""
+    """Left-to-right tensor product of a sequence of operators or vectors."""
     out = np.asarray(mats[0])
     for m in mats[1:]:
-        out = np.kron(out, np.asarray(m))
+        out = kron(out, m)
     return out
 
 
@@ -57,10 +69,7 @@ def tensor_power(rho, k):
             f"tensor power of dimension {d}^{k} needs {nbytes} bytes, "
             f"cap is {MEMORY_CAP_BYTES}"
         )
-    out = np.asarray(rho)
-    for _ in range(k - 1):
-        out = np.kron(out, rho)
-    return out
+    return kron_all([rho] * k)
 
 
 def partial_trace(rho, keep):
@@ -73,17 +82,23 @@ def partial_trace(rho, keep):
     """
     rho = np.asarray(rho)
     m = num_qubits(rho.shape[-1])
-    keep = sorted(set(int(q) for q in keep))
+    keep = tuple(sorted(set(int(q) for q in keep)))
     if keep and (keep[0] < 0 or keep[-1] >= m):
-        raise ValueError(f"keep indices {keep} out of range for {m} qubits")
+        raise ValueError(f"keep indices {list(keep)} out of range for {m} qubits")
     t = rho.reshape(rho.shape[:-2] + (2,) * (2 * m))
-    row = list(range(m))
-    # Traced qubits share the row index so einsum sums them out.
-    col = [m + q if q in keep else q for q in range(m)]
-    out_idx = [q for q in keep] + [m + q for q in keep]
-    reduced = np.einsum(t, [...] + row + col, [...] + out_idx)
+    in_idx, out_idx = _trace_indices(m, keep)
+    reduced = np.einsum(t, [..., *in_idx], [..., *out_idx])
     dk = 2 ** len(keep)
     return reduced.reshape(rho.shape[:-2] + (dk, dk))
+
+
+@lru_cache(maxsize=None)
+def _trace_indices(m, keep):
+    """partial_trace's einsum indices (row + col, out) for m qubits."""
+    row = tuple(range(m))
+    # Traced qubits share the row index so einsum sums them out.
+    col = tuple(m + q if q in keep else q for q in range(m))
+    return row + col, keep + tuple(m + q for q in keep)
 
 
 def is_hermitian(a, tol=None):

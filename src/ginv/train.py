@@ -7,6 +7,7 @@ permutation-invariant for every theta by construction.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,13 +106,20 @@ def graph_invariant_model(n, theta0=(0.3, 0.2, 0.1)):
 
     A(theta) = R Z R^dag with R = exp(-i (t1 X + t2 Y + t3 Z)), so the
     observable is a tensor power of one single-qubit operator for every
-    theta and commutes with all qubit permutations.
+    theta and commutes with all qubit permutations. It is built once per
+    theta: a loss evaluation scores every item at the same point.
     """
 
-    def value_fn(theta, rho):
+    @lru_cache(maxsize=1)
+    def observable(theta):
         gen = theta[0] * PAULI["X"] + theta[1] * PAULI["Y"] + theta[2] * PAULI["Z"]
         r = expm_hermitian(gen, 1.0)
         a = r @ PAULI["Z"] @ r.conj().T
-        return expectation_copies(rho, 1, kron_all([a] * n))
+        obs = kron_all([a] * n)
+        obs.flags.writeable = False
+        return obs
+
+    def value_fn(theta, rho):
+        return expectation_copies(rho, 1, observable(tuple(float(t) for t in theta)))
 
     return TrainableModel(value_fn=value_fn, theta0=np.asarray(theta0, float))

@@ -349,6 +349,25 @@ def test_shots_dressed_spectral_branch(case):
     assert abs(est.estimate - evaluate(model, rho, theta)) < 4 * est.stderr
 
 
+def test_dense_shots_diagonalise_the_observable_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+    observable = Observable(random_hermitian(8, np.random.default_rng(21)), 1, 3, "dense")
+    model = ModelSpec("H1", 1, IdentityAnsatz(8), observable)
+    rng = np.random.default_rng(22)
+    for _ in range(5):
+        rho = random_density_matrix(8, rng)
+        est = estimate_with_shots(model, rho, 4000, rng)
+        assert abs(est.estimate - evaluate(model, rho)) < 5 * est.stderr
+    assert len(calls) == 1
+    w, vecs = observable.eigh
+    np.testing.assert_allclose((vecs * w) @ vecs.conj().T, observable.matrix, atol=1e-12)
+    for a in (w, vecs):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
 @pytest.mark.parametrize("hclass", ["H1", "H2"])
 def test_bell_shots_draw_the_bernoulli_stream(hclass):
     # oracle: outcome 1 exactly when a uniform draw falls below the value

@@ -352,6 +352,21 @@ def test_parallel_swap_test_levels_match_eigh(n):
         assert abs(levels @ probs - observable.expectation(rho)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_walsh_matrix_is_built_once_and_read_only(n):
+    # oracle: the Walsh-Hadamard entry (-1)^{popcount(z & a)}
+    observable = obs.meyer_wallach_observable(n)
+    z, a = np.divmod(np.arange(4**n), 2**n)
+    signs = (-1.0) ** np.array([bin(v).count("1") for v in z & a]).reshape(2**n, 2**n)
+    walsh = observable._walsh
+    assert np.array_equal(walsh, signs)
+    rho = random_density_matrix(2**n, np.random.default_rng(n))
+    observable.shot_distribution(rho)
+    assert observable._walsh is walsh
+    with pytest.raises(ValueError, match="read-only"):
+        walsh[0, 0] = 2.0
+
+
 def test_structured_values_build_no_dense_matrix():
     # n = 6: the dense two-copy operator alone would take 256 MiB
     n = 6

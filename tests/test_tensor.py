@@ -32,6 +32,55 @@ def test_kron_associativity():
     assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+_RNG = np.random.default_rng(21)
+KRON_CASES = {
+    "vectors": (_complex(_RNG, 2), _complex(_RNG, 4)),
+    "square": (_complex(_RNG, 2, 2), _complex(_RNG, 4, 4)),
+    "rectangular": (_complex(_RNG, 2, 3), _complex(_RNG, 3, 1)),
+    "real_x_complex": (np.array([[1.0, -0.0], [-2.5, 0.0]]), _complex(_RNG, 2, 2)),
+    "complex_x_real": (_complex(_RNG, 2, 2), _RNG.standard_normal((3, 3))),
+    "integer_lists": ([[1, 2], [3, 4]], [[0, -5], [6, 7]]),
+    "integer_vectors": ([1, -2], [3, 0, 4]),
+    "one_by_one": (np.array([[2.5 - 1j]]), _complex(_RNG, 2, 2)),
+    "both_one_by_one": ([[3.0]], [[-1j]]),
+}
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(KRON_CASES))
+def test_kron_equals_numpy_kron_bit_for_bit(case):
+    a, b = KRON_CASES[case]
+    want = np.kron(a, b)
+    assert np.array_equal(tensor.kron(a, b), want)
+    assert _same_bits(tensor.kron(a, b), want)
+    want3 = np.kron(np.kron(b, a), b)
+    assert _same_bits(tensor.kron_all([b, a, b]), want3)
+    assert _same_bits(tensor.kron_all([a]), np.asarray(a))
+
+
+@pytest.mark.parametrize("case", ["square", "one_by_one", "complex_x_real", "integer_lists"])
+def test_tensor_power_equals_numpy_kron_bit_for_bit(case):
+    for rho in map(np.asarray, KRON_CASES[case]):
+        want = rho
+        for k in range(1, 4):
+            assert _same_bits(tensor.tensor_power(rho, k), want), k
+            want = np.kron(want, rho)
+
+
+def test_kron_rejects_mixed_ranks():
+    with pytest.raises(ValueError, match="two vectors or two matrices"):
+        tensor.kron(np.ones(2), np.eye(2))
+    with pytest.raises(ValueError, match="two vectors or two matrices"):
+        tensor.kron(np.ones((2, 2, 2)), np.ones((2, 2, 2)))
+
+
 def test_tensor_power_trivial():
     mixed = np.eye(2) / 2
     np.testing.assert_allclose(tensor.tensor_power(mixed, 1), mixed)
@@ -108,6 +157,19 @@ def test_partial_trace_random_oracle():
             _explicit_partial_trace(rho, keep, 3),
             atol=1e-13,
         )
+
+
+def test_partial_trace_stack_matches_oracle_per_state():
+    rng = np.random.default_rng(17)
+    stack = np.array([tensor.random_density_matrix(8, rng) for _ in range(4)])
+    for keep in ([0], [2], [0, 2], [1, 2], [], [0, 1, 2]):
+        got = tensor.partial_trace(stack, keep)
+        assert got.shape == (4, 2 ** len(keep), 2 ** len(keep))
+        for rho, reduced in zip(stack, got):
+            np.testing.assert_allclose(reduced, _explicit_partial_trace(rho, keep, 3), atol=1e-13)
+            assert np.array_equal(tensor.partial_trace(rho, keep), reduced)
+        # keep as a generator, reversed and repeated gives the same bits
+        assert np.array_equal(tensor.partial_trace(stack, (q for q in keep[::-1] * 2)), got)
 
 
 def test_partial_trace_keep_all_exact():

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 
+from ginv import train
 from ginv.datasets import Graph, LabeledState, graph_dataset, graph_state
 from ginv.groups import permutation_operator
 from ginv.models import IdentityAnsatz, ModelSpec, QGCNNAnsatz, evaluate
-from ginv.observables import swap_operator
-from ginv.tensor import dm, purity, random_statevector
+from ginv.observables import PAULI, swap_operator
+from ginv.tensor import (
+    dm,
+    expectation_copies,
+    expm_hermitian,
+    kron_all,
+    purity,
+    random_density_matrix,
+    random_statevector,
+)
 from ginv.train import (
     TrainConfig,
     TrainableModel,
@@ -169,3 +178,46 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(iterations=0)
+
+
+def _graph_value_uncached(theta, rho, n):
+    """A(theta)^(x n) built afresh for each value, as before the cache."""
+    gen = theta[0] * PAULI["X"] + theta[1] * PAULI["Y"] + theta[2] * PAULI["Z"]
+    r = expm_hermitian(gen, 1.0)
+    a = r @ PAULI["Z"] @ r.conj().T
+    return expectation_copies(rho, 1, kron_all([a] * n))
+
+
+def test_graph_value_fn_equals_uncached_formula():
+    rng = np.random.default_rng(19)
+    n = 3
+    model = graph_invariant_model(n)
+    states = [random_density_matrix(2**n, rng) for _ in range(3)]
+    thetas = [[0.3, -1.2, 0.7], (0.3, -1.2, 0.7), np.array([0.3, -1.2, 0.7]),
+              (1, 0, 2), np.array([2.0, 0.1, -0.4]), [0.3, -1.2, 0.7]]
+    for theta in thetas:
+        for rho in states:
+            assert model.value_fn(theta, rho) == _graph_value_uncached(theta, rho, n)
+    # a theta array changed in place is a new point, not a stale cache hit
+    theta = np.array([0.5, 0.25, -0.75])
+    for step in range(3):
+        for rho in states:
+            assert model.value_fn(theta, rho) == _graph_value_uncached(theta, rho, n)
+        theta[step] += 0.125
+
+
+def test_graph_observable_built_once_per_theta_and_read_only(monkeypatch):
+    builds, seen = [], []
+    monkeypatch.setattr(train, "expm_hermitian", lambda *a: builds.append(a) or expm_hermitian(*a))
+    monkeypatch.setattr(train, "expectation_copies",
+                        lambda rho, k, o: seen.append(o) or expectation_copies(rho, k, o))
+    model = graph_invariant_model(2)
+    rng = np.random.default_rng(20)
+    states = [random_density_matrix(4, rng) for _ in range(4)]
+    for theta in ([0.1, 0.2, 0.3], [0.4, 0.5, 0.6]):
+        for rho in states:
+            model.value_fn(np.array(theta), rho)
+    assert len(builds) == 2
+    assert all(o is seen[0] for o in seen[:4]) and seen[4] is not seen[0]
+    with pytest.raises(ValueError, match="read-only"):
+        seen[0][0, 0] = 0.0
