@@ -200,11 +200,6 @@ class MidpointRule:
     """Threshold halfway between the two class means."""
 
 
-@dataclass
-class NearestClassMeanRule:
-    """Assign the label whose class mean is closest."""
-
-
 def _rule_dict(rule):
     d = {"kind": type(rule).__name__.removesuffix("Rule").lower()}
     d.update(asdict(rule))
@@ -216,9 +211,9 @@ def classify(dataset, model, rule, shots=0, rng=None):
 
     With shots = 0 the exact expectation is used; otherwise each value is
     a finite-shot estimate drawn from ``rng``. A class absent from the
-    dataset has mean None; the mean-based rules need both classes.
+    dataset has mean None; the midpoint rule needs both classes.
     """
-    if not isinstance(rule, (ThresholdRule, MidpointRule, NearestClassMeanRule)):
+    if not isinstance(rule, (ThresholdRule, MidpointRule)):
         raise ValueError(f"unknown rule {rule!r}")
     if shots > 0 and rng is None:
         raise ValueError("shots > 0 needs a random generator rng")
@@ -242,11 +237,9 @@ def classify(dataset, model, rule, shots=0, rng=None):
 
     if isinstance(rule, ThresholdRule):
         pred = (np.abs(values - rule.c) <= rule.eps).astype(int)
-    elif isinstance(rule, MidpointRule):
+    else:
         thr = (m0 + m1) / 2
         pred = (values > thr).astype(int) if m1 >= m0 else (values <= thr).astype(int)
-    else:
-        pred = (np.abs(values - m1) <= np.abs(values - m0)).astype(int)
 
     tp = int(((pred == 1) & (labels == 1)).sum())
     tn = int(((pred == 0) & (labels == 0)).sum())

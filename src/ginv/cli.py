@@ -166,16 +166,19 @@ def validate_config(raw):
 
 def _coerce(name, typ, value):
     """typ(value); a numeric field refuses booleans, an int field also
-    non-integral floats."""
+    non-integral floats, a float field NaN and infinities."""
     fractional = isinstance(value, float) and not value.is_integer()
     if typ is int and (isinstance(value, bool) or fractional):
         raise ConfigError(f"field {name}: expected an integer, got {value!r}")
     if typ is float and isinstance(value, bool):
         raise ConfigError(f"field {name}: expected a number, got {value!r}")
     try:
-        return typ(value)
+        value = typ(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field {name}: {exc}") from exc
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"field {name}: expected a finite number, got {value!r}")
+    return value
 
 
 # Group name -> (sampler, size field). U(d) and O(d) act on d dimensions,
@@ -209,11 +212,12 @@ def _resolve_graph(name):
     if name in GRAPH_PRESETS:
         return GRAPH_PRESETS[name]
     try:
-        return datasets.graph_from_dict(json.loads(name))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        d = json.loads(name)
+        return datasets.Graph(d["n"], {tuple(e) for e in d["edges"]})
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(
             f"graph {name!r} is neither a preset {sorted(GRAPH_PRESETS)} "
-            f'nor inline JSON {{"n": ..., "edges": [[j, k], ...]}}'
+            f'nor inline JSON {{"n": ..., "edges": [[j, k], ...]}} ({exc})'
         ) from exc
 
 
@@ -409,8 +413,9 @@ def run(config):
 
 
 def write_result(result, path):
-    """Atomic JSON write; a failed run never leaves a partial file."""
-    text = json.dumps(result, sort_keys=True, indent=2)
+    """Atomic JSON write; a failed run never leaves a partial file, and
+    NaN or an infinity is a ValueError, since standard JSON has neither."""
+    text = json.dumps(result, sort_keys=True, indent=2, allow_nan=False)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

@@ -6,11 +6,9 @@ unitaries), and multipartite entanglement (product vs fixed measure
 value). Graphs are encoded by evolving |+>^n under an Ising-plus-field
 Hamiltonian whose coupling topology is the graph.
 
-Generation is deterministic per seed. JSON round-trip helpers implement
-the on-disk schema used by the CLI.
+Generation is deterministic per seed.
 """
 
-import json
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -222,7 +220,7 @@ def _orbit_distance(rho0, rho1, n):
     """min_P ||rho1 - P rho0 P|| over qubit permutations P."""
     best = np.inf
     for perm in permutations(range(n)):
-        p = permutation_operator(perm, target="qubits").matrix
+        p = permutation_operator(perm, target="qubits")
         idx = np.argmax(p, axis=0)  # P rho P^T via row/col gather
         best = min(best, float(np.linalg.norm(rho1 - rho0[np.ix_(idx, idx)])))
     return best
@@ -258,62 +256,3 @@ def graph_dataset(g0, g1, count, t, rng):
             )
         )
     return items
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-
-
-def _matrix_to_dict(m):
-    m = np.asarray(m)
-    return {
-        "dim": m.shape[0],
-        "re": [float(x) for x in m.real.ravel()],
-        "im": [float(x) for x in m.imag.ravel()],
-    }
-
-
-def _matrix_from_dict(d):
-    dim = d["dim"]
-    m = np.array(d["re"], dtype=float) + 1j * np.array(d["im"], dtype=float)
-    return m.reshape(dim, dim)
-
-
-def graph_to_dict(g):
-    return {"n": g.n, "edges": [[j, k] for j, k in sorted(g.edges)]}
-
-
-def graph_from_dict(d):
-    return Graph(d["n"], {tuple(e) for e in d["edges"]})
-
-
-def dataset_to_dict(items, generator, params, seed):
-    out = []
-    for item in items:
-        if isinstance(item, LabeledUnitary):
-            out.append({"label": item.label, "unitary": _matrix_to_dict(item.unitary)})
-        else:
-            out.append({"label": item.label, "state": _matrix_to_dict(item.state)})
-    return {"generator": generator, "params": params, "seed": seed, "items": out}
-
-
-def save_dataset(path, items, generator, params, seed):
-    with open(path, "w") as fh:
-        json.dump(dataset_to_dict(items, generator, params, seed), fh, sort_keys=True)
-
-
-def load_dataset(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    items = []
-    for entry in data["items"]:
-        if "unitary" in entry:
-            items.append(
-                LabeledUnitary(_matrix_from_dict(entry["unitary"]), entry["label"])
-            )
-        else:
-            items.append(
-                LabeledState(_matrix_from_dict(entry["state"]), entry["label"])
-            )
-    meta = {k: data[k] for k in ("generator", "params", "seed")}
-    return items, meta

@@ -7,7 +7,7 @@ per seed; they are not meant to be shared across threads.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,20 +126,11 @@ class SymmetricSampler(GroupSampler):
 
     def sample(self):
         perm = self._rng.permutation(self.n)
-        return permutation_operator(perm, target="qubits").matrix
+        return permutation_operator(perm, target="qubits")
 
     def generators(self):
         """Exact adjacent-transposition generators of S_n."""
         return adjacent_transposition_generators(self.n)
-
-
-@dataclass
-class PermutationOp:
-    """A permutation of tensor factors together with its dense matrix."""
-
-    perm: tuple
-    target: str  # "copies" or "qubits"
-    matrix: np.ndarray = field(repr=False)
 
 
 def permutation_operator(perm, target="copies", qubits_per_copy=1):
@@ -164,7 +155,7 @@ def permutation_operator(perm, target="copies", qubits_per_copy=1):
         digits = [(a // shifts[t]) % q for t in range(m)]
         b = sum(digits[t] * shifts[perm[t]] for t in range(m))
         matrix[b, a] = 1.0
-    return PermutationOp(perm=perm, target=target, matrix=matrix)
+    return matrix
 
 
 def adjacent_transposition_generators(n):
@@ -178,7 +169,7 @@ def adjacent_transposition_generators(n):
     for i in range(n - 1):
         p = list(range(n))
         p[i], p[i + 1] = p[i + 1], p[i]
-        gens.append(permutation_operator(p, target="qubits").matrix)
+        gens.append(permutation_operator(p, target="qubits"))
     return gens
 
 

@@ -10,21 +10,13 @@ An ansatz realises the trainable unitary U(theta); the conjugated
 observable U^dag O U is what actually determines the model's symmetry.
 """
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import tensor
-from .datasets import (
-    Graph,
-    _matrix_from_dict,
-    _matrix_to_dict,
-    graph_from_dict,
-    graph_terms,
-    graph_to_dict,
-)
+from .datasets import Graph, graph_terms
 from .observables import PAULI, Observable, swap_operator
 # expectation_copies stays bound here for bench/tracer.py, which wraps it by name
 from .tensor import (  # noqa: F401
@@ -301,88 +293,3 @@ def estimate_with_shots(model, x, shots, rng, theta=None):
     estimate = float(outcomes.mean())
     stderr = float(outcomes.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
     return ShotEstimate(estimate, stderr)
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-
-
-def _ansatz_dict(a):
-    if isinstance(a, IdentityAnsatz):
-        return {"kind": "identity", "dim": a.dim}
-    if isinstance(a, FixedUnitaryAnsatz):
-        return {"kind": "fixed", "matrix": _matrix_to_dict(a.matrix)}
-    if isinstance(a, LayeredAnsatz):
-        generators = [_matrix_to_dict(g) for g in a.generators]
-        return {"kind": "layered", "generators": generators}
-    if isinstance(a, QGCNNAnsatz):
-        return {
-            "kind": "qgcnn",
-            "graph": graph_to_dict(a.graph),
-            "p_layers": a.p_layers,
-            "q_generators": a.q_generators,
-        }
-    raise ValueError(f"unserializable ansatz {type(a).__name__}")
-
-
-def _ansatz_undict(d):
-    kind = d["kind"]
-    if kind == "identity":
-        return IdentityAnsatz(d["dim"])
-    if kind == "fixed":
-        return FixedUnitaryAnsatz(_matrix_from_dict(d["matrix"]))
-    if kind == "layered":
-        return LayeredAnsatz([_matrix_from_dict(g) for g in d["generators"]])
-    if kind == "qgcnn":
-        return QGCNNAnsatz(graph_from_dict(d["graph"]), d["p_layers"], d["q_generators"])
-    raise ValueError(f"unknown ansatz kind {kind!r}")
-
-
-def model_to_dict(model):
-    out = {
-        "class": model.hclass,
-        "k": model.copies,
-        "ansatz": _ansatz_dict(model.ansatz),
-        "observable": {
-            "tag": model.observable.tag,
-            "copies": model.observable.copies,
-            "qubits_per_copy": model.observable.qubits_per_copy,
-            "matrix": _matrix_to_dict(model.observable.matrix),
-        },
-    }
-    if model.psi_in is not None:
-        out["psi_in"] = {
-            "dim": len(model.psi_in),
-            "re": [float(v) for v in model.psi_in.real],
-            "im": [float(v) for v in model.psi_in.imag],
-        }
-    return out
-
-
-def model_from_dict(d):
-    obs = Observable(
-        _matrix_from_dict(d["observable"]["matrix"]),
-        copies=d["observable"]["copies"],
-        qubits_per_copy=d["observable"]["qubits_per_copy"],
-        tag=d["observable"]["tag"],
-    )
-    psi_in = None
-    if "psi_in" in d:
-        psi_in = np.array(d["psi_in"]["re"]) + 1j * np.array(d["psi_in"]["im"])
-    return ModelSpec(
-        hclass=d["class"],
-        copies=d["k"],
-        ansatz=_ansatz_undict(d["ansatz"]),
-        observable=obs,
-        psi_in=psi_in,
-    )
-
-
-def save_model(path, model):
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True)
-
-
-def load_model(path):
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))

@@ -407,7 +407,7 @@ def test_criterion_7b_commutant_u2_k3_as_stated():
     schur_weyl = schur_weyl_commutant_dimension(d, k)
     # sum over all lambda |- m of (f^lambda)^2 = m! checks the helper itself
     helper_ok = all(schur_weyl_commutant_dimension(m, m) == factorial(m) for m in range(1, 7))
-    perms = [permutation_operator(p, target="copies").matrix for p in permutations(range(k))]
+    perms = [permutation_operator(p, target="copies") for p in permutations(range(k))]
     span_rank = int(np.linalg.matrix_rank(np.array([p.ravel() for p in perms])))
     worst_commutator = 0.0
     for v in UnitarySampler(d, seed).take(20):
@@ -464,9 +464,9 @@ def test_criterion_9_graph():
         abs(
             model.value_fn(
                 theta,
-                permutation_operator(p, target="qubits").matrix
+                permutation_operator(p, target="qubits")
                 @ probe
-                @ permutation_operator(p, target="qubits").matrix.T,
+                @ permutation_operator(p, target="qubits").T,
             )
             - base
         )

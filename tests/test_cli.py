@@ -36,14 +36,24 @@ def test_run_purity_experiment(tmp_path):
     assert "wall_time_s" in result
 
 
-def test_run_determinism_excluding_wall_time(tmp_path):
-    args = [
-        "run",
-        "--experiment", "purity",
-        "--n", "1",
-        "--samples", "40",
-        "--seed", "3",
-    ]
+# A small config of every experiment, for the byte-identity contract.
+SMALL_CONFIGS = {
+    "purity": ["--n", "1", "--samples", "40"],
+    "time_reversal_states": ["--n", "1", "--samples", "10", "--mc-samples", "50"],
+    "time_reversal_dynamics": [
+        "--n", "1", "--samples", "10", "--mc-samples", "50", "--shots", "20",
+    ],
+    "entanglement": ["--n", "2", "--samples", "10"],
+    "graph": ["--samples", "4", "--iterations", "3"],
+    "commutant": ["--d", "2", "--k", "2", "--trials", "3"],
+    "concentration": ["--n-max", "2", "--samples", "50"],
+    "ancilla": ["--n", "1", "--samples", "3"],
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(cli.SCHEMAS))
+def test_run_determinism_excluding_wall_time(tmp_path, experiment):
+    args = ["run", "--experiment", experiment, "--seed", "3", *SMALL_CONFIGS[experiment]]
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
     assert run_cli(args + ["--output", str(out_a)]) == 0
     assert run_cli(args + ["--output", str(out_b)]) == 0
@@ -220,6 +230,43 @@ def test_graph_preset_validation(capsys):
     assert "preset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "g0,reason",
+    [
+        ('{"n": 3, "edges": [[0, 5]]}', "edge (0,5) out of range"),
+        ('{"n": 3, "edges": [[1, 1]]}', "self-loop at node 1"),
+    ],
+)
+def test_malformed_inline_graph_is_config_error(tmp_path, capsys, g0, reason):
+    out = tmp_path / "g.json"
+    code = run_cli(["run", "--experiment", "graph", "--g0", g0, "-o", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "experiment,flag,value",
+    [
+        ("time_reversal_dynamics", "--eps", "nan"),
+        ("purity", "--b", "nan"),
+        ("graph", "--t", "inf"),
+    ],
+)
+def test_non_finite_float_flag_is_config_error(tmp_path, capsys, experiment, flag, value):
+    out = tmp_path / "r.json"
+    assert run_cli(["run", "--experiment", experiment, flag, value, "-o", str(out)]) == 2
+    assert not out.exists()
+    assert "expected a finite number" in capsys.readouterr().err
+
+
+def test_write_result_refuses_non_finite_floats(tmp_path):
+    out = tmp_path / "r.json"
+    with pytest.raises(ValueError):
+        cli.write_result({"value": float("nan")}, out)
+    assert os.listdir(tmp_path) == []
+
+
 def test_all_experiments_complete_at_defaults(tmp_path):
     # every experiment must finish its default desk-scale config in < 120 s
     import time
@@ -388,14 +435,20 @@ def test_empty_concentration_sweep_is_config_error(tmp_path, capsys, n_min, n_ma
         ("shots", False),
         ("b", True),
         ("b", False),
+        # json.dumps writes NaN and Infinity, which json.load reads back
+        ("b", float("nan")),
+        ("b", float("inf")),
+        ("b", "nan"),
+        ("b", "-Infinity"),
     ],
 )
 def test_int_fields_refuse_truncation(tmp_path, capsys, field, value):
     with pytest.raises(cli.ConfigError, match=f"field {field}"):
         cli.validate_config({"experiment": "purity", field: value})
-    config = tmp_path / "config.json"
+    config, out = tmp_path / "config.json", tmp_path / "r.json"
     config.write_text(json.dumps({"experiment": "purity", field: value}))
-    assert run_cli(["run", "--config", str(config), "-o", str(tmp_path / "r.json")]) == 2
+    assert run_cli(["run", "--config", str(config), "-o", str(out)]) == 2
+    assert not out.exists()
     assert f"field {field}" in capsys.readouterr().err
     assert cli.validate_config({"experiment": "purity", field: 2.0})[field] == 2
 

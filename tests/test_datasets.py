@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -166,7 +164,7 @@ def test_graph_hamiltonian_single_edge():
 def test_graph_hamiltonian_relabeling_conjugation():
     # oracle: H(P g) = P H(g) P for the permutation matrix P
     perm = (2, 0, 1)
-    p = permutation_operator(perm, target="qubits").matrix
+    p = permutation_operator(perm, target="qubits")
     h = ds.graph_hamiltonian(PATH3).matrix
     h_relabeled = ds.graph_hamiltonian(PATH3.relabel(perm)).matrix
     np.testing.assert_allclose(h_relabeled, p @ h @ p.T, atol=1e-12)
@@ -206,7 +204,7 @@ def test_graph_dataset_rejects_isomorphic_references():
 def test_fiduciary_state_is_permutation_invariant():
     plus = plus_state(3)
     for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
-        p = permutation_operator(perm, target="qubits").matrix
+        p = permutation_operator(perm, target="qubits")
         np.testing.assert_array_equal(p @ plus, plus)
 
 
@@ -229,38 +227,6 @@ def test_graph_dataset_conjugation_oracle():
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     a = a + a.conj().T
     a3 = kron_all([a] * 3)
-    p = permutation_operator((1, 2, 0), target="qubits").matrix
+    p = permutation_operator((1, 2, 0), target="qubits")
     conj = p @ item.state @ p.T
     assert abs(expectation(conj, a3) - expectation(item.state, a3)) < 1e-10
-
-
-def test_dataset_serialization_roundtrip(tmp_path):
-    items = ds.purity_dataset(1, 6, 0.6, np.random.default_rng(14))
-    path = tmp_path / "purity.json"
-    ds.save_dataset(path, items, "purity", {"n": 1, "b": 0.6}, seed=14)
-    loaded, meta = ds.load_dataset(path)
-    assert meta["generator"] == "purity"
-    assert meta["params"] == {"n": 1, "b": 0.6}
-    for a, b in zip(items, loaded):
-        assert a.label == b.label
-        np.testing.assert_allclose(a.state, b.state)
-    raw = json.loads(path.read_text())
-    assert set(raw) == {"generator", "params", "seed", "items"}
-    assert {"label", "state"} <= set(raw["items"][0])
-    assert {"dim", "re", "im"} <= set(raw["items"][0]["state"])
-
-
-def test_unitary_dataset_serialization_roundtrip(tmp_path):
-    items = ds.time_reversal_dynamics_dataset(1, 4, np.random.default_rng(15))
-    path = tmp_path / "dyn.json"
-    ds.save_dataset(path, items, "time_reversal_dynamics", {"n": 1}, seed=15)
-    loaded, _ = ds.load_dataset(path)
-    for a, b in zip(items, loaded):
-        assert isinstance(b, ds.LabeledUnitary)
-        np.testing.assert_allclose(a.unitary, b.unitary)
-
-
-def test_graph_serialization_roundtrip():
-    d = ds.graph_to_dict(TRIANGLE)
-    assert d == {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}
-    assert ds.graph_from_dict(d) == TRIANGLE

@@ -151,38 +151,38 @@ def test_local_unitary_sampler_structure():
 
 def test_permutation_operator_identity():
     p = permutation_operator((0, 1, 2), target="qubits")
-    np.testing.assert_array_equal(p.matrix, np.eye(8))
+    np.testing.assert_array_equal(p, np.eye(8))
 
 
 def test_permutation_operator_swap_copies():
     p = permutation_operator((1, 0), target="copies", qubits_per_copy=1)
     psi01 = np.kron([1, 0], [0, 1]).astype(complex)
     psi10 = np.kron([0, 1], [1, 0]).astype(complex)
-    np.testing.assert_allclose(p.matrix @ psi01, psi10)
+    np.testing.assert_allclose(p @ psi01, psi10)
 
 
 def test_permutation_operator_three_cycle_power():
     # oracle: a 3-cycle cubes to the identity
     p = permutation_operator((1, 2, 0), target="copies", qubits_per_copy=1)
-    cubed = p.matrix @ p.matrix @ p.matrix
+    cubed = p @ p @ p
     np.testing.assert_array_equal(cubed, np.eye(8))
-    assert not np.array_equal(p.matrix, np.eye(8))
+    assert not np.array_equal(p, np.eye(8))
 
 
 def test_permutation_operator_orthogonality_exact():
     p = permutation_operator((2, 0, 1, 3), target="qubits")
-    np.testing.assert_array_equal(p.matrix.T @ p.matrix, np.eye(16))
+    np.testing.assert_array_equal(p.T @ p, np.eye(16))
 
 
 def test_permutation_operator_composition():
-    pa = permutation_operator((1, 0, 2), target="qubits").matrix
-    pb = permutation_operator((0, 2, 1), target="qubits").matrix
+    pa = permutation_operator((1, 0, 2), target="qubits")
+    pb = permutation_operator((0, 2, 1), target="qubits")
     # composed permutation: apply (1,0,2) then (0,2,1)
     composed = [0] * 3
     first, second = (1, 0, 2), (0, 2, 1)
     for i in range(3):
         composed[i] = second[first[i]]
-    pc = permutation_operator(composed, target="qubits").matrix
+    pc = permutation_operator(composed, target="qubits")
     np.testing.assert_array_equal(pb @ pa, pc)
 
 
@@ -197,7 +197,7 @@ def test_permutation_tensor_relabeling():
     perm = (2, 0, 1)
     p = permutation_operator(perm, target="copies", qubits_per_copy=1)
     inverse = [perm.index(i) for i in range(3)]
-    lhs = p.matrix @ np.kron(np.kron(states[0], states[1]), states[2])
+    lhs = p @ np.kron(np.kron(states[0], states[1]), states[2])
     reordered = [states[inverse[i]] for i in range(3)]
     rhs = np.kron(np.kron(reordered[0], reordered[1]), reordered[2])
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -285,7 +285,7 @@ def test_check_invariance_dimension_mismatch():
 
 
 def test_check_equivariance_swap():
-    swap = permutation_operator((1, 0), target="copies", qubits_per_copy=1).matrix
+    swap = permutation_operator((1, 0), target="copies", qubits_per_copy=1)
     report = check_equivariance(swap, UnitarySampler(2, 4), k=2, trials=50)
     assert report.passed
 
@@ -301,7 +301,7 @@ def test_check_equivariance_qgcnn_cycle():
     u = ansatz.realize(np.array([0.7, 0.9, 0.4]))
     for shift in range(4):
         perm = tuple((i + shift) % 4 for i in range(4))
-        p = permutation_operator(perm, target="qubits").matrix
+        p = permutation_operator(perm, target="qubits")
         assert np.linalg.norm(u @ p - p @ u) < 1e-9
 
 

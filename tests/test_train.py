@@ -141,7 +141,7 @@ def test_invariance_preserved_at_every_iterate():
     perms = [(1, 0, 2), (2, 0, 1), (1, 2, 0)]
     for theta in result.thetas[:: max(1, len(result.thetas) // 5)]:
         for perm in perms:
-            p = permutation_operator(perm, target="qubits").matrix
+            p = permutation_operator(perm, target="qubits")
             moved = p @ reps[0].state @ p.T
             assert abs(
                 model.value_fn(theta, moved) - model.value_fn(theta, reps[0].state)
