@@ -20,13 +20,7 @@ import numpy as np
 
 from .datasets import LabeledUnitary
 from .groups import OrthogonalSampler, UnitarySampler, block_count
-from .models import (
-    IdentityAnsatz,
-    ModelSpec,
-    conjugated_observable,
-    estimate_with_shots,
-    evaluate,
-)
+from .models import ModelSpec, conjugated_observable, estimate_with_shots, evaluate
 from .observables import bell_projector, pauli_string
 
 # expectation_copies stays bound here for bench/tracer.py, which wraps it by name
@@ -98,13 +92,13 @@ def cantelli_bound(variance, delta):
 def _registered_moments(model, sampler, template):
     """Closed-form moments for recognised (model, sampler) pairs, else Nones.
 
-    Conjugation keeps Tr[O] and Tr[O^2], so the k = 1 forms read the
-    undressed observable; the Bell forms need an identity ansatz.
+    Conjugation keeps Tr[O] and Tr[O^2], so the single-copy forms read the
+    undressed observable; the Bell forms need a model without a unitary.
     """
     mean = var = None
     d = sampler.dim
     obs = model.observable
-    if model.hclass == "H1" and model.copies == 1 and sampler.kind in (
+    if model.hclass == "H1" and obs.copies == 1 and sampler.kind in (
         "unitary",
         "local_unitary",
     ):
@@ -115,11 +109,7 @@ def _registered_moments(model, sampler, template):
             and abs(np.real(np.trace(obs.matrix))) < 1e-10
         ):
             var = haar_var_time_reversal(obs, template, d)
-    elif (
-        sampler.kind == "unitary"
-        and obs.kind == "bell"
-        and isinstance(model.ansatz, IdentityAnsatz)
-    ):
+    elif sampler.kind == "unitary" and obs.kind == "bell" and model.unitary is None:
         # twirling the Bell projector over W x W gives (1 + SWAP)/(d(d+1)),
         # so the closed-form mean needs a symmetric-subspace input: a
         # swap-symmetric psi_in for H2, or any pure template for H1 (psi x
@@ -290,7 +280,7 @@ class ConcentrationResult:
 
 def _conventional_family(n, seed, label_class):
     obs, _ = pauli_string("Y" + "I" * (n - 1))
-    model = ModelSpec("H1", 1, IdentityAnsatz(2**n), obs)
+    model = ModelSpec("H1", obs)
     sampler = _class_sampler(n, seed, label_class)
     template = dm(zero_state(n))
     analytic = (
@@ -300,7 +290,7 @@ def _conventional_family(n, seed, label_class):
 
 
 def _enhanced_family(n, seed, label_class):
-    model = ModelSpec("H1", 2, IdentityAnsatz(4**n), bell_projector(n))
+    model = ModelSpec("H1", bell_projector(n))
     sampler = _class_sampler(n, seed, label_class)
     template = dm(zero_state(n))
     analytic = haar_var_enhanced_bell(2**n) if label_class == 0 else 0.0

@@ -35,7 +35,7 @@ from .groups import (
     UnitarySampler,
     commutant_analysis,
 )
-from .models import IdentityAnsatz, ModelSpec, evaluate, swap_test_model
+from .models import ModelSpec, evaluate, swap_test_model
 from .tensor import bell_state, dm, kron, random_statevector, zero_state
 from .train import TrainConfig, graph_invariant_model, optimize
 
@@ -213,6 +213,9 @@ def _resolve_graph(name):
         return GRAPH_PRESETS[name]
     try:
         d = json.loads(name)
+        numbers = [d["n"], *(j for e in d["edges"] for j in e)]
+        if any(isinstance(j, bool) or not isinstance(j, int) for j in numbers):
+            raise TypeError("the node count and edge endpoints must be integers")
         return datasets.Graph(d["n"], {tuple(e) for e in d["edges"]})
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(
@@ -228,7 +231,7 @@ def _resolve_graph(name):
 def run_purity(config, rng):
     n = config["n"]
     data = datasets.purity_dataset(n, config["samples"], config["b"], rng)
-    model = ModelSpec("H1", 2, IdentityAnsatz(4**n), observables.swap_operator(n))
+    model = ModelSpec("H1", observables.swap_operator(n))
     report = classify(data, model, MidpointRule(), shots=config["shots"], rng=rng)
     return {"classification": asdict(report)}
 
@@ -238,11 +241,11 @@ def run_time_reversal_states(config, rng):
     d = 2**n
     data = datasets.time_reversal_state_dataset(n, config["samples"], rng)
     if config["observable"] == "bell":
-        model = ModelSpec("H1", 2, IdentityAnsatz(d * d), observables.bell_projector(n))
+        model = ModelSpec("H1", observables.bell_projector(n))
         c = 1.0 / d
     elif config["observable"] == "odd_y":
         obs, _ = observables.pauli_string("Y" + "I" * (n - 1))
-        model = ModelSpec("H1", 1, IdentityAnsatz(d), obs)
+        model = ModelSpec("H1", obs)
         c = 0.0
     else:
         raise ConfigError(f"observable must be odd_y or bell, got {config['observable']!r}")
@@ -268,13 +271,7 @@ def run_time_reversal_dynamics(config, rng):
     n = config["n"]
     d = 2**n
     data = datasets.time_reversal_dynamics_dataset(n, config["samples"], rng)
-    model = ModelSpec(
-        "H2",
-        2,
-        IdentityAnsatz(d * d),
-        observables.bell_projector(n),
-        psi_in=bell_state(n),
-    )
+    model = ModelSpec("H2", observables.bell_projector(n), psi_in=bell_state(n))
     report = classify(
         data, model, ThresholdRule(1.0, config["eps"]), shots=config["shots"], rng=rng
     )
@@ -295,7 +292,7 @@ def run_entanglement(config, rng):
     measure = config["measure"]
     data = datasets.entanglement_dataset(n, config["samples"], config["b"], measure, rng)
     obs = observables.entanglement_observable(measure, n)
-    model = ModelSpec("H1", 2, IdentityAnsatz(4**n), obs)
+    model = ModelSpec("H1", obs)
     report = classify(data, model, MidpointRule(), shots=config["shots"], rng=rng)
     oracle = observables.ENTANGLEMENT_MEASURES[measure]
     max_oracle_dev = max(
@@ -313,6 +310,12 @@ def run_graph(config, rng):
     t = config["t"]
     if g0.n != g1.n:
         raise ConfigError("reference graphs must have the same node count")
+    try:
+        isomorphic = datasets.is_isomorphic(g0, g1)
+    except ValueError as exc:
+        raise ConfigError(f"reference graphs: {exc}") from exc
+    if isomorphic:
+        raise ConfigError("reference graphs are isomorphic")
     n = g0.n
     # One representative per class suffices: the trained model is exactly
     # permutation-invariant, so its value is constant on each class.

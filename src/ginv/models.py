@@ -1,22 +1,22 @@
-"""Hypothesis classes, ansatz constructors, and finite-shot estimation.
+"""Hypothesis classes, the QGCNN unitary, and finite-shot estimation.
 
 Three model families share one evaluation surface:
 
-  H1: Tr[U (rho^(x k)) U^dag O]                      (k copies of a state)
+  H1: Tr[U (rho^(x k)) U^dag O]            (k = O.copies copies of a state)
   H2: Tr[U (W^(x 2)) |Psi_in><Psi_in| (...)^dag U^dag O]   (input is a unitary)
   H3: Tr[U (|0><0| x rho x rho) U^dag (O_anc x 1 x 1)]     (one ancilla qubit)
 
-An ansatz realises the trainable unitary U(theta); the conjugated
-observable U^dag O U is what actually determines the model's symmetry.
+A model is its observable O and an optional fixed unitary U (the identity
+when absent); the conjugated observable U^dag O U is what determines the
+model's symmetry. ``qgcnn_unitary`` builds the S_n-equivariant graph ansatz.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from . import tensor
-from .datasets import Graph, graph_terms
+from .datasets import graph_terms
 from .observables import PAULI, Observable, swap_operator
 # expectation_copies stays bound here for bench/tracer.py, which wraps it by name
 from .tensor import (  # noqa: F401
@@ -32,79 +32,36 @@ from .tensor import (  # noqa: F401
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
-class Ansatz:
-    """Base: a parameterised unitary of fixed dimension."""
-
-    dim = None
-    n_params = 0
-
-    def realize(self, theta):
-        raise NotImplementedError
-
-
 @dataclass
-class IdentityAnsatz(Ansatz):
-    dim: int
-    n_params = 0
+class ModelSpec:
+    """A hypothesis-class model: a measurement, optionally dressed by a
+    fixed unitary U acting before it."""
 
-    def realize(self, theta):
-        _check_params(self, theta)
-        return np.eye(self.dim, dtype=complex)
-
-
-@dataclass
-class FixedUnitaryAnsatz(Ansatz):
-    matrix: np.ndarray = field(repr=False)
-    n_params = 0
+    hclass: str
+    observable: Observable
+    psi_in: np.ndarray | None = None
+    unitary: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix)
-        if not is_unitary(self.matrix):
-            raise ValueError("fixed ansatz matrix is not unitary")
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-    def realize(self, theta):
-        _check_params(self, theta)
-        return self.matrix
-
-
-@dataclass
-class LayeredAnsatz(Ansatz):
-    """Product of exp(-i theta_j G_j) over Hermitian generators G_j.
-
-    Factors are applied left to right: realize(theta) = e^{-i t_0 G_0}
-    e^{-i t_1 G_1} ... One parameter per generator.
-    """
-
-    generators: list = field(repr=False)
-
-    def __post_init__(self):
-        self.generators = [np.asarray(g) for g in self.generators]
-        for g in self.generators:
-            if not tensor.is_hermitian(g):
-                raise ValueError("layered ansatz generators must be Hermitian")
-
-    @property
-    def dim(self):
-        return self.generators[0].shape[0]
-
-    @property
-    def n_params(self):
-        return len(self.generators)
-
-    def realize(self, theta):
-        theta = _check_params(self, theta)
-        u = np.eye(self.dim, dtype=complex)
-        for t, g in zip(theta, self.generators):
-            u = u @ expm_hermitian(g, t)
-        return u
+        if self.hclass not in ("H1", "H2", "H3"):
+            raise ValueError(f"unknown hypothesis class {self.hclass!r}")
+        dim = self.observable.dim
+        if self.unitary is not None:
+            self.unitary = np.asarray(self.unitary)
+            if self.unitary.shape != (dim, dim):
+                raise ValueError(
+                    f"unitary shape {self.unitary.shape} != observable dim {dim}"
+                )
+            if not is_unitary(self.unitary):
+                raise ValueError("model unitary is not unitary")
+        if self.hclass == "H2":
+            if self.observable.copies != 2:
+                raise ValueError("H2 models act on two copies of the register")
+            if self.psi_in is None or len(self.psi_in) != dim:
+                raise ValueError("H2 requires a 2n-qubit input state psi_in")
 
 
-@dataclass
-class QGCNNAnsatz(Ansatz):
+def qgcnn_unitary(graph, theta, p_layers, q_generators):
     """Graph-convolutional ansatz: P repetitions of Q tied-weight layers.
 
     Each layer evolves under H_q = W_q sum_{(j,k) in E} Z_j Z_k
@@ -112,80 +69,29 @@ class QGCNNAnsatz(Ansatz):
     makes every generator commute with the graph's automorphisms.
     Parameters pack as [eta (P*Q, p-major), W (Q), B (Q)].
     """
-
-    graph: Graph
-    p_layers: int
-    q_generators: int
-
-    @property
-    def dim(self):
-        return 2**self.graph.n
-
-    @property
-    def n_params(self):
-        return self.p_layers * self.q_generators + 2 * self.q_generators
-
-    @cached_property
-    def _terms(self):
-        """The graph's ZZ and X sums, built on the first realize."""
-        return graph_terms(self.graph)
-
-    def realize(self, theta):
-        theta = _check_params(self, theta)
-        p, q = self.p_layers, self.q_generators
-        eta = theta[: p * q].reshape(p, q)
-        w = theta[p * q : p * q + q]
-        b = theta[p * q + q :]
-        zz, xs = self._terms
-        u = np.eye(self.dim, dtype=complex)
-        for pi in range(p):
-            for qi in range(q):
-                u = u @ expm_hermitian(w[qi] * zz + b[qi] * xs, eta[pi, qi])
-        return u
-
-
-def _check_params(ansatz, theta):
-    theta = np.zeros(ansatz.n_params) if theta is None else np.atleast_1d(theta)
-    if len(theta) != ansatz.n_params:
+    p, q = p_layers, q_generators
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if len(theta) != p * q + 2 * q:
         raise ValueError(
-            f"{type(ansatz).__name__} expects {ansatz.n_params} parameters, "
+            f"QGCNN with P={p}, Q={q} expects {p * q + 2 * q} parameters, "
             f"got {len(theta)}"
         )
-    return np.asarray(theta, dtype=float)
+    eta = theta[: p * q].reshape(p, q)
+    w = theta[p * q : p * q + q]
+    b = theta[p * q + q :]
+    zz, xs = graph_terms(graph)
+    u = np.eye(2**graph.n, dtype=complex)
+    for pi in range(p):
+        for qi in range(q):
+            u = u @ expm_hermitian(w[qi] * zz + b[qi] * xs, eta[pi, qi])
+    return u
 
 
-@dataclass
-class ModelSpec:
-    """A hypothesis-class model: ansatz, measurement, and copy count."""
-
-    hclass: str
-    copies: int
-    ansatz: Ansatz
-    observable: Observable
-    psi_in: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.hclass not in ("H1", "H2", "H3"):
-            raise ValueError(f"unknown hypothesis class {self.hclass!r}")
-        dim = self.observable.dim
-        if self.ansatz.dim != dim:
-            raise ValueError(
-                f"ansatz dim {self.ansatz.dim} != observable dim {dim}"
-            )
-        if self.hclass == "H2":
-            if self.copies != 2:
-                raise ValueError("H2 models act on two copies of the register")
-            if self.psi_in is None or len(self.psi_in) != dim:
-                raise ValueError("H2 requires a 2n-qubit input state psi_in")
-        if self.hclass == "H3" and self.copies != 2:
-            raise ValueError("H3 models act on an ancilla plus two copies")
-
-
-def conjugated_observable(model, theta=None):
-    """The dressed measurement U^dag(theta) O U(theta) as an Observable."""
-    if isinstance(model.ansatz, IdentityAnsatz) and theta is None:
+def conjugated_observable(model):
+    """The dressed measurement U^dag O U as an Observable."""
+    if model.unitary is None:
         return model.observable
-    u = model.ansatz.realize(theta)
+    u = model.unitary
     m = u.conj().T @ model.observable.matrix @ u
     return Observable(
         m,
@@ -195,10 +101,10 @@ def conjugated_observable(model, theta=None):
     )
 
 
-def evaluate(model, x, theta=None):
+def evaluate(model, x):
     """Exact model value on a density matrix (H1, H3) or unitary (H2)."""
     x = np.asarray(x)
-    obs = conjugated_observable(model, theta)
+    obs = conjugated_observable(model)
     if model.hclass == "H1":
         return obs.expectation(x)
     if model.hclass == "H2":
@@ -244,10 +150,7 @@ def swap_test_model(n, o_single=None):
     """H3 purity model: swap-test circuit with a Z ancilla measurement."""
     o_single = PAULI["Z"] if o_single is None else np.asarray(o_single)
     return ModelSpec(
-        hclass="H3",
-        copies=2,
-        ansatz=FixedUnitaryAnsatz(swap_test_unitary(n)),
-        observable=ancilla_observable(o_single, n),
+        "H3", ancilla_observable(o_single, n), unitary=swap_test_unitary(n)
     )
 
 
@@ -260,20 +163,20 @@ class ShotEstimate:
 def _input_state(model, x):
     """The undressed state sigma with model value Tr[sigma U^dag O U]."""
     if model.hclass == "H1":
-        return tensor.tensor_power(x, model.copies)
+        return tensor.tensor_power(x, model.observable.copies)
     if model.hclass == "H2":
         d = x.shape[0]
         return dm((x @ model.psi_in.reshape(d, d) @ x.T).ravel())
     return tensor.kron_all([dm(basis_state(2, 0)), x, x])
 
 
-def _shot_distribution(model, x, theta):
+def _shot_distribution(model, x):
     """Levels of the dressed observable and their probabilities: 1 and 0
     for the Bell projector, the parallel swap test for a swap polynomial on
     two copies, else the eigenbasis of U^dag O U on the undressed input."""
-    obs = conjugated_observable(model, theta)
+    obs = conjugated_observable(model)
     if obs.kind == "bell":
-        p = min(max(evaluate(model, x, theta), 0.0), 1.0)
+        p = min(max(evaluate(model, x), 0.0), 1.0)
         return np.array([1.0, 0.0]), np.array([p, 1.0 - p])
     if obs.kind == "swap" and model.hclass == "H1":
         return obs.shot_distribution(x)
@@ -283,12 +186,12 @@ def _shot_distribution(model, x, theta):
     return w, probs / probs.sum()
 
 
-def estimate_with_shots(model, x, shots, rng, theta=None):
+def estimate_with_shots(model, x, shots, rng):
     """Unbiased finite-shot estimate: ``shots`` levels of the dressed
     observable drawn by one ``rng.choice`` call."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    levels, probs = _shot_distribution(model, np.asarray(x), theta)
+    levels, probs = _shot_distribution(model, np.asarray(x))
     outcomes = rng.choice(levels, size=shots, p=probs)
     estimate = float(outcomes.mean())
     stderr = float(outcomes.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0

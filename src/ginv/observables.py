@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from . import tensor
-from .tensor import ATOL, bell_state, dm, kron_all, num_qubits, pair_layout, partial_trace
+from .tensor import ATOL, bell_state, dm, kron_all, num_qubits, partial_trace
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -59,12 +59,7 @@ class Observable:
         return values if rho.ndim == 3 else float(values[0])
 
     def _values(self, stack):
-        return tensor.expectation_copies(stack, self.copies, self._operand)
-
-    @cached_property
-    def _operand(self):
-        """The matrix as expectation_copies reads it, in pair layout at k = 2."""
-        return pair_layout(self.matrix) if self.copies == 2 else self.matrix
+        return tensor.expectation_copies(stack, self.copies, self.matrix)
 
     @cached_property
     def eigh(self):

@@ -6,7 +6,6 @@ so ``kron(a, b)`` applies ``a`` to qubit 0. Everything here is a pure
 function of its inputs; arrays are never mutated.
 """
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -149,16 +148,14 @@ def expectation_copies(rho, k, obs):
     """Tr[rho^(x k) obs] for one state, or per state of a (B, d, d) stack.
 
     A single state is scored as a stack of one. At k = 2 a stack is one
-    matrix product against obs in its pair layout; ``obs`` may be given as
-    ``pair_layout(obs)``, which that product reads without copying the d^4
-    entries again.
+    matrix product against obs with its indices regrouped by copy.
     """
     rho = np.asarray(rho)
     obs = np.asarray(obs)
     if rho.ndim == 2:
         return float(expectation_copies(rho[None], k, obs)[0])
     d = rho.shape[-1]
-    if obs.shape not in ((d**k, d**k), (d,) * 2 * k):
+    if obs.shape != (d**k, d**k):
         raise ValueError(f"observable shape {obs.shape} does not act on {d}^{k}")
     if k == 1:
         return np.real(np.einsum("bij,ji->b", rho, obs))
@@ -168,21 +165,7 @@ def expectation_copies(rho, k, obs):
         a = rho.reshape(len(rho), d * d)
         m = obs.reshape((d,) * 4).transpose(2, 0, 3, 1).reshape(d * d, d * d)
         return np.real(np.einsum("bx,bx->b", a @ m, a))
-    obs = obs.reshape(d**k, d**k)
     return np.array([expectation(tensor_power(r, k), obs) for r in rho])
-
-
-def pair_layout(obs):
-    """A (d^2, d^2) two-copy observable as a (d, d, d, d) view.
-
-    The view holds obs[(r,s),(i,j)] at [r, s, i, j], but its memory runs in
-    (i, r, j, s) order, the matrix a stacked k = 2 expectation_copies
-    multiplies by. Building it copies obs once.
-    """
-    obs = np.asarray(obs)
-    d = math.isqrt(obs.shape[0])
-    o4 = obs.reshape(d, d, d, d)
-    return np.ascontiguousarray(o4.transpose(2, 0, 3, 1)).transpose(1, 3, 0, 2)
 
 
 def expectation_factors(factors, obs):

@@ -55,8 +55,6 @@ from ginv.groups import (
     permutation_operator,
 )
 from ginv.models import (
-    FixedUnitaryAnsatz,
-    IdentityAnsatz,
     ModelSpec,
     estimate_with_shots,
     evaluate,
@@ -86,17 +84,15 @@ def _line(criterion, ok, detail):
 
 
 def swap_model(n):
-    return ModelSpec("H1", 2, IdentityAnsatz(4**n), obs.swap_operator(n))
+    return ModelSpec("H1", obs.swap_operator(n))
 
 
 def bell_model(n):
-    return ModelSpec("H1", 2, IdentityAnsatz(4**n), obs.bell_projector(n))
+    return ModelSpec("H1", obs.bell_projector(n))
 
 
 def dynamics_model(n):
-    return ModelSpec(
-        "H2", 2, IdentityAnsatz(4**n), obs.bell_projector(n), psi_in=bell_state(n)
-    )
+    return ModelSpec("H2", obs.bell_projector(n), psi_in=bell_state(n))
 
 
 def test_criterion_1_purity():
@@ -143,9 +139,7 @@ def test_criterion_2_no_go_average():
         h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         observable = obs.Observable((h + h.conj().T) / 2, 1, n, "random")
         for sampler in (UnitarySampler(d, 202 + n), LocalUnitarySampler(n, 203 + n)):
-            model = ModelSpec(
-                "H1", 1, FixedUnitaryAnsatz(haar_unitary(d, rng)), observable
-            )
+            model = ModelSpec("H1", observable, unitary=haar_unitary(d, rng))
             template = random_density_matrix(d, rng)
             report = empirical_moments(model, sampler, template, MC_SAMPLES)
             target = float(np.real(np.trace(observable.matrix))) / d
@@ -163,7 +157,7 @@ def test_criterion_2_no_go_average():
 def test_criterion_3_time_reversal_states():
     y_obs, odd = obs.pauli_string("YI")
     assert odd
-    model2 = ModelSpec("H1", 1, IdentityAnsatz(4), y_obs)
+    model2 = ModelSpec("H1", y_obs)
     data = time_reversal_state_dataset(2, 200, np.random.default_rng(301))
     worst = max(
         abs(evaluate(model2, item.state)) for item in data if item.label == 1
@@ -174,9 +168,7 @@ def test_criterion_3_time_reversal_states():
     details = []
     for n, seed in ((1, 302), (2, 303)):
         d = 2**n
-        model = ModelSpec(
-            "H1", 1, IdentityAnsatz(d), obs.pauli_string("Y" + "I" * (n - 1))[0]
-        )
+        model = ModelSpec("H1", obs.pauli_string("Y" + "I" * (n - 1))[0])
         report = empirical_moments(
             model, UnitarySampler(d, seed), dm(zero_state(n)), MC_SAMPLES
         )

@@ -22,25 +22,18 @@ from ginv.datasets import (
     time_reversal_state_dataset,
 )
 from ginv.groups import OrthogonalSampler, UnitarySampler, block_count, haar_unitary
-from ginv.models import (
-    FixedUnitaryAnsatz,
-    IdentityAnsatz,
-    ModelSpec,
-    evaluate,
-)
+from ginv.models import ModelSpec, estimate_with_shots, evaluate
 from ginv.observables import Observable, bell_projector, pauli_string, swap_operator
-from ginv.tensor import bell_state, dm, random_density_matrix, zero_state
+from ginv.tensor import bell_state, dm, purity, random_density_matrix, zero_state
 
 
 def odd_y_model(n):
     obs, _ = pauli_string("Y" + "I" * (n - 1))
-    return ModelSpec("H1", 1, IdentityAnsatz(2**n), obs)
+    return ModelSpec("H1", obs)
 
 
 def dynamics_model(n):
-    return ModelSpec(
-        "H2", 2, IdentityAnsatz(4**n), bell_projector(n), psi_in=bell_state(n)
-    )
+    return ModelSpec("H2", bell_projector(n), psi_in=bell_state(n))
 
 
 def test_haar_mean_conventional_values():
@@ -117,7 +110,7 @@ def test_haar_mean_enhanced_bell_monte_carlo():
 def test_haar_mean_enhanced_bell_state_task_registered():
     # two copies of a pure template live in the symmetric subspace, so the
     # closed form applies to the state task as well
-    model = ModelSpec("H1", 2, IdentityAnsatz(4), bell_projector(1))
+    model = ModelSpec("H1", bell_projector(1))
     report = empirical_moments(
         model, UnitarySampler(2, 15), dm(zero_state(1)), 20000
     )
@@ -130,10 +123,26 @@ def test_haar_mean_not_registered_for_antisymmetric_input():
     # input state averages to zero instead, so no closed form is attached
     singlet = np.zeros(4, dtype=complex)
     singlet[1], singlet[2] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-    model = ModelSpec("H2", 2, IdentityAnsatz(4), bell_projector(1), psi_in=singlet)
+    model = ModelSpec("H2", bell_projector(1), psi_in=singlet)
     report = empirical_moments(model, UnitarySampler(2, 16), None, 2000)
     assert report.analytic_mean is None
     assert abs(report.empirical_mean) < 1e-12
+
+
+def test_two_copy_model_never_gets_the_single_copy_form():
+    # a model's copy count is its observable's: a two-copy SWAP model is
+    # Tr[rho^2] on every Haar draw, never the k = 1 closed form Tr[O]/d = 1
+    rng = np.random.default_rng(0)
+    rho = random_density_matrix(2, rng)
+    model = ModelSpec("H1", swap_operator(1))
+    report = empirical_moments(model, UnitarySampler(2, 0), rho, 2000)
+    assert report.analytic_mean is None and report.analytic_var is None
+    assert abs(report.empirical_mean - purity(rho)) < 1e-12
+    # the same operator held dense draws its shots from rho x rho
+    dense = ModelSpec("H1", Observable(swap_operator(1).matrix, 2, 1, "dense swap"))
+    assert abs(evaluate(dense, rho) - purity(rho)) < 1e-12
+    est = estimate_with_shots(dense, rho, 4000, rng)
+    assert abs(est.estimate - purity(rho)) < 4 * est.stderr
 
 
 def test_empirical_moments_deterministic():
@@ -152,8 +161,8 @@ def _chunked_case(case):
         # a dressed random two-copy observable, not swap-symmetric
         m = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
         obs = Observable(m + m.conj().T, copies=2, qubits_per_copy=3, tag="random")
-        ansatz = FixedUnitaryAnsatz(haar_unitary(64, rng))
-        return ModelSpec("H1", 2, ansatz, obs), 8, random_density_matrix(8, rng)
+        model = ModelSpec("H1", obs, unitary=haar_unitary(64, rng))
+        return model, 8, random_density_matrix(8, rng)
     return dynamics_model(1), 2, None
 
 
@@ -223,7 +232,7 @@ def test_cantelli_dominates_empirical_tail():
 def test_classify_purity_midpoint():
     rng = np.random.default_rng(9)
     data = purity_dataset(1, 100, 0.5, rng)
-    model = ModelSpec("H1", 2, IdentityAnsatz(4), swap_operator(1))
+    model = ModelSpec("H1", swap_operator(1))
     report = classify(data, model, MidpointRule())
     assert report.accuracy == 1.0
     assert report.confusion["tp"] + report.confusion["tn"] == 100
@@ -243,7 +252,7 @@ def test_classify_constant_model_no_information():
     rng = np.random.default_rng(11)
     data = purity_dataset(1, 100, 0.5, rng)
     eye = Observable(np.eye(2) / 2, 1, 1, "constant")
-    model = ModelSpec("H1", 1, IdentityAnsatz(2), eye)
+    model = ModelSpec("H1", eye)
     # every value is 0.5 up to float dust, so a window rule labels all
     # items identically: accuracy exactly 1/2 on balanced data
     report = classify(data, model, ThresholdRule(0.5, 1e-6))
@@ -256,7 +265,7 @@ def test_classify_constant_model_no_information():
 def test_classify_invariant_under_group_conjugation():
     rng = np.random.default_rng(12)
     data = purity_dataset(1, 60, 0.6, rng)
-    model = ModelSpec("H1", 2, IdentityAnsatz(4), swap_operator(1))
+    model = ModelSpec("H1", swap_operator(1))
     base = classify(data, model, MidpointRule())
     conjugated = []
     for item in data:
@@ -288,7 +297,7 @@ def test_classify_absent_class():
     # a one-item dataset holds label 1 only
     data = purity_dataset(1, 1, 0.5, np.random.default_rng(14))
     assert [item.label for item in data] == [1]
-    model = ModelSpec("H1", 2, IdentityAnsatz(4), swap_operator(1))
+    model = ModelSpec("H1", swap_operator(1))
     report = classify(data, model, ThresholdRule(1.0, 1e-8))
     assert report.class_means["0"] is None
     assert abs(report.class_means["1"] - 1.0) < 1e-10

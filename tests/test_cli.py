@@ -235,6 +235,9 @@ def test_graph_preset_validation(capsys):
     [
         ('{"n": 3, "edges": [[0, 5]]}', "edge (0,5) out of range"),
         ('{"n": 3, "edges": [[1, 1]]}', "self-loop at node 1"),
+        ('{"n": 3, "edges": [[0, 1.5], [1, 2], [0, 2]]}', "must be integers"),
+        ('{"n": 3.5, "edges": [[0, 1]]}', "must be integers"),
+        ('{"n": 3, "edges": [[0, true]]}', "must be integers"),
     ],
 )
 def test_malformed_inline_graph_is_config_error(tmp_path, capsys, g0, reason):
@@ -242,6 +245,28 @@ def test_malformed_inline_graph_is_config_error(tmp_path, capsys, g0, reason):
     code = run_cli(["run", "--experiment", "graph", "--g0", g0, "-o", str(out)])
     assert code == 2
     assert not out.exists()
+    assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "g0,g1,reason",
+    [
+        ("cycle4", "cycle4", "isomorphic"),
+        ('{"n": 3, "edges": [[0, 2], [2, 1]]}', "path3", "isomorphic"),
+        # brute force cannot decide n = 9
+        ('{"n": 9, "edges": [[0, 1]]}', '{"n": 9, "edges": [[0, 1], [1, 2]]}', "n <= 8"),
+    ],
+)
+def test_undistinguishable_reference_graphs_refused_before_training(
+    tmp_path, capsys, monkeypatch, g0, g1, reason
+):
+    trained = []
+    monkeypatch.setattr(cli, "optimize", lambda *args: trained.append(args))
+    out = tmp_path / "g.json"
+    code = run_cli(["run", "--experiment", "graph", "--g0", g0, "--g1", g1, "-o", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert trained == []
     assert reason in capsys.readouterr().err
 
 

@@ -294,11 +294,10 @@ def test_check_equivariance_qgcnn_cycle():
     # oracle: cyclic relabelings are automorphisms of C4, so the layer
     # unitary must commute with the corresponding qubit permutations
     from ginv.datasets import Graph
-    from ginv.models import QGCNNAnsatz
+    from ginv.models import qgcnn_unitary
 
     c4 = Graph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
-    ansatz = QGCNNAnsatz(c4, p_layers=1, q_generators=1)
-    u = ansatz.realize(np.array([0.7, 0.9, 0.4]))
+    u = qgcnn_unitary(c4, np.array([0.7, 0.9, 0.4]), 1, 1)
     for shift in range(4):
         perm = tuple((i + shift) % 4 for i in range(4))
         p = permutation_operator(perm, target="qubits")

@@ -277,12 +277,12 @@ def test_expectation_copies_stack_matches_per_state(k):
     obs = obs + obs.conj().T
     per_state = np.array([tensor.expectation_copies(r, k, obs) for r in rhos])
     assert np.abs(tensor.expectation_copies(rhos, k, obs) - per_state).max() < 1e-12
-    if k == 2:
-        laid_out = tensor.pair_layout(obs)
-        np.testing.assert_array_equal(laid_out, obs.reshape(d, d, d, d))
-        assert laid_out.transpose(2, 0, 3, 1).flags.c_contiguous
-        stacked = tensor.expectation_copies(rhos, 2, laid_out)
-        assert np.abs(stacked - per_state).max() < 1e-12
+    # oracle: the dense tensor power of each state
+    dense = np.array([tensor.expectation(tensor.tensor_power(r, k), obs) for r in rhos])
+    assert np.abs(per_state - dense).max() < 1e-12
+    if k > 1:  # one matrix shape only; the (d,) * 2k tensor is refused
+        with pytest.raises(ValueError, match="does not act on"):
+            tensor.expectation_copies(rhos, k, obs.reshape((d,) * 2 * k))
 
 
 def test_expectation_factors_matches_kron():

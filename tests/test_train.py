@@ -4,7 +4,7 @@ import pytest
 from ginv import train
 from ginv.datasets import Graph, LabeledState, graph_dataset, graph_state
 from ginv.groups import permutation_operator
-from ginv.models import IdentityAnsatz, ModelSpec, QGCNNAnsatz, evaluate
+from ginv.models import ModelSpec, evaluate, qgcnn_unitary
 from ginv.observables import PAULI, swap_operator
 from ginv.tensor import (
     dm,
@@ -52,7 +52,6 @@ def test_finite_diff_richardson_order():
     # must not commute with the layer generator (a swap-symmetric one
     # makes the value constant in theta), hence Z x 1.
     rng = np.random.default_rng(0)
-    ansatz = QGCNNAnsatz(Graph(2, {(0, 1)}), p_layers=1, q_generators=1)
     rho = dm(random_statevector(4, rng))
     fixed = rng.standard_normal(3)
     from ginv.observables import PAULI
@@ -63,7 +62,7 @@ def test_finite_diff_richardson_order():
     def f(th):
         theta = fixed.copy()
         theta[0] = th[0]
-        u = ansatz.realize(theta)
+        u = qgcnn_unitary(Graph(2, {(0, 1)}), theta, 1, 1)
         return float(np.real(np.trace(u @ rho @ u.conj().T @ obs)))
 
     x = np.array([0.7])
@@ -79,7 +78,7 @@ def test_mse_constant_model():
 
 def test_mse_swap_purity_model_is_zero():
     rng = np.random.default_rng(1)
-    model = ModelSpec("H1", 2, IdentityAnsatz(4), swap_operator(1))
+    model = ModelSpec("H1", swap_operator(1))
     states = [dm(random_statevector(2, rng)) for _ in range(5)]
     values = [evaluate(model, s) for s in states]
     labels = [purity(s) for s in states]
