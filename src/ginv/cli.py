@@ -29,6 +29,7 @@ from .analysis import (
 )
 from .groups import (
     MAX_COMMUTANT_DIM,
+    MAX_ORBIT_PAIRS,
     LocalUnitarySampler,
     OrthogonalSampler,
     SymmetricSampler,
@@ -156,11 +157,14 @@ def validate_config(raw):
         )
     if experiment == "commutant":
         d, k = _group_degree(config["group"], config["n"], config["d"]), config["k"]
+        # the symmetric group's orbit count is capped in pair-index entries
+        if config["group"] == "symmetric":
+            name, power, cap = "d^(2k)", 2 * k, MAX_ORBIT_PAIRS
+        else:
+            name, power, cap = "d^k", k, MAX_COMMUTANT_DIM
         # in logarithms, so that a huge k is refused without computing d^k
-        if k * math.log2(d) > math.log2(MAX_COMMUTANT_DIM):
-            raise ConfigError(
-                f"commutant too large: d^k = {d}^{k} exceeds {MAX_COMMUTANT_DIM}"
-            )
+        if power * math.log2(d) > math.log2(cap):
+            raise ConfigError(f"commutant too large: {name} = {d}^{power} exceeds {cap}")
     return config
 
 

@@ -14,10 +14,9 @@ from itertools import permutations
 
 import numpy as np
 
-from .groups import haar_orthogonal, haar_unitary, permutation_operator
+from .groups import haar_orthogonal, haar_unitary, permutation_index
 from .observables import (
     ENTANGLEMENT_MEASURES,
-    PAULI,
     Observable,
     ghz_state,
 )
@@ -178,15 +177,19 @@ def entanglement_dataset(n, count, b, measure, rng):
 
 
 def graph_terms(g):
-    """(sum_{(j,k) in E} Z_j Z_k, sum_j X_j) on the graph's n qubits."""
+    """(sum_{(j,k) in E} Z_j Z_k, sum_j X_j) on the graph's n qubits.
 
-    def pauli_sum(pauli, site_sets):
-        total = np.zeros((2**g.n, 2**g.n), dtype=complex)
-        for sites in site_sets:
-            total += kron_all([PAULI[pauli if j in sites else "I"] for j in range(g.n)])
-        return total
-
-    return pauli_sum("Z", sorted(g.edges)), pauli_sum("X", [(j,) for j in range(g.n)])
+    Both come from one bit table b of the basis states: Z_j Z_k is the
+    diagonal (1 - 2 b_j)(1 - 2 b_k), and X_j maps a to a ^ (1 << (n-1-j)).
+    """
+    dim = 2**g.n
+    index = np.arange(dim)
+    signs = 1 - 2 * (index[:, None] >> np.arange(g.n - 1, -1, -1) & 1)
+    zz = np.diag(sum((signs[:, j] * signs[:, k] for j, k in g.edges), np.zeros(dim)))
+    xs = np.zeros((dim, dim), dtype=complex)
+    for j in range(g.n):
+        xs[index ^ (1 << (g.n - 1 - j)), index] = 1.0
+    return zz.astype(complex), xs
 
 
 def graph_hamiltonian(g):
@@ -217,13 +220,21 @@ def graph_state(g, t):
 
 
 def _orbit_distance(rho0, rho1, n):
-    """min_P ||rho1 - P rho0 P|| over qubit permutations P."""
-    best = np.inf
-    for perm in permutations(range(n)):
-        p = permutation_operator(perm, target="qubits")
-        idx = np.argmax(p, axis=0)  # P rho P^T via row/col gather
-        best = min(best, float(np.linalg.norm(rho1 - rho0[np.ix_(idx, idx)])))
-    return best
+    """min_P ||rho1 - P rho0 P^T|| over qubit permutations P.
+
+    ||rho1 - P rho0 P^T||^2 = ||rho1||^2 + ||rho0||^2 - 2 Re <rho1, P rho0 P^T>,
+    so the nearest P has the largest overlap. Each overlap gathers rho0 at
+    the flat indices idx[a] 2^n + idx[b], about 2^20 entries at a time; the
+    norm is taken only for the nearest P.
+    """
+    maps = permutation_index(list(permutations(range(n))), target="qubits")
+    flat0, conj1 = rho0.ravel(), rho1.conj().ravel()
+    overlaps = np.concatenate([
+        flat0[(block[:, :, None] << n | block[:, None, :]).reshape(len(block), -1)] @ conj1
+        for block in np.array_split(maps, max(1, len(maps) * 4**n >> 20))
+    ])
+    idx = maps[np.argmax(overlaps.real)]
+    return float(np.linalg.norm(rho1 - rho0[np.ix_(idx, idx)]))
 
 
 def graph_dataset(g0, g1, count, t, rng):

@@ -6,6 +6,7 @@ permutations. Samplers own a seeded random stream and are deterministic
 per seed; they are not meant to be shared across threads.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -125,37 +126,47 @@ class SymmetricSampler(GroupSampler):
         super().__init__(2**self.n, seed)
 
     def sample(self):
-        perm = self._rng.permutation(self.n)
-        return permutation_operator(perm, target="qubits")
+        return permutation_operator(self._rng.permutation(self.n), target="qubits")
 
-    def generators(self):
-        """Exact adjacent-transposition generators of S_n."""
-        return adjacent_transposition_generators(self.n)
+
+def permutation_index(perm, target="copies", qubits_per_copy=1):
+    """Index map of a permutation of tensor factors: P e_a = e_idx[a].
+
+    Factor i is moved to slot perm[i]. With target="qubits" each factor is
+    one qubit; with target="copies" each factor is a register of
+    ``qubits_per_copy`` qubits, so the digits of a are in base
+    q = 2^qubits_per_copy. ``perm`` may also be a stack (..., m) of
+    permutations, giving a stack (..., q^m) of index maps.
+    """
+    perm = np.asarray(perm, dtype=np.int64)
+    m = perm.shape[-1]
+    if (np.sort(perm, axis=-1) != np.arange(m)).any():
+        raise ValueError(f"{perm.tolist()} is not a permutation of 0..{m - 1}")
+    if target not in ("copies", "qubits"):
+        raise ValueError(f"unknown target {target!r}")
+    q = 2**qubits_per_copy if target == "copies" else 2
+    digits = np.arange(q**m)[:, None] // q ** np.arange(m - 1, -1, -1) % q
+    return q ** (m - 1 - perm) @ digits.T
 
 
 def permutation_operator(perm, target="copies", qubits_per_copy=1):
     """Dense operator permuting tensor factors.
 
     Factor i is moved to slot perm[i], so P (psi_0 x ... x psi_{m-1})
-    places psi_{perm^-1(j)} at slot j. With target="qubits" each factor
-    is one qubit; with target="copies" each factor is a register of
-    ``qubits_per_copy`` qubits.
+    places psi_{perm^-1(j)} at slot j; see ``permutation_index``.
     """
-    perm = tuple(int(p) for p in perm)
-    m = len(perm)
-    if sorted(perm) != list(range(m)):
-        raise ValueError(f"{perm} is not a permutation of 0..{m - 1}")
-    if target not in ("copies", "qubits"):
-        raise ValueError(f"unknown target {target!r}")
-    q = 2**qubits_per_copy if target == "copies" else 2
-    dim = q**m
-    matrix = np.zeros((dim, dim), dtype=complex)
-    shifts = [q ** (m - 1 - t) for t in range(m)]
-    for a in range(dim):
-        digits = [(a // shifts[t]) % q for t in range(m)]
-        b = sum(digits[t] * shifts[perm[t]] for t in range(m))
-        matrix[b, a] = 1.0
+    idx = permutation_index(perm, target, qubits_per_copy)
+    matrix = np.zeros((len(idx), len(idx)), dtype=complex)
+    matrix[idx, np.arange(len(idx))] = 1.0
     return matrix
+
+
+def _adjacent_transpositions(n):
+    """The transpositions (i, i+1) of n letters, as permutations."""
+    for i in range(n - 1):
+        p = np.arange(n)
+        p[[i, i + 1]] = i + 1, i
+        yield p
 
 
 def adjacent_transposition_generators(n):
@@ -165,12 +176,7 @@ def adjacent_transposition_generators(n):
     """
     if n == 1:
         return [np.eye(2, dtype=complex)]
-    gens = []
-    for i in range(n - 1):
-        p = list(range(n))
-        p[i], p[i + 1] = p[i + 1], p[i]
-        gens.append(permutation_operator(p, target="qubits"))
-    return gens
+    return [permutation_operator(p, target="qubits") for p in _adjacent_transpositions(n)]
 
 
 def brauer_basis_k2(n):
@@ -223,13 +229,14 @@ def check_equivariance(u, sampler, k, trials=50, tol=1e-9):
 @dataclass
 class CommutantReport:
     dimension: int
-    start_dimension: int  # size of the block-diagonal space the solve starts from
+    start_dimension: int  # size of the space the solve or the count starts from
     gap_ratio: float
-    cutoff: float
+    cutoff: float | None  # None for an exact orbit count
     ambiguous: bool
 
 
 MAX_COMMUTANT_DIM = 64  # largest d^k the commutant solver accepts
+MAX_ORBIT_PAIRS = 2**20  # largest d^(2k) the symmetric-group orbit count accepts
 
 # Absolute cutoff on the singular values of W -> A W - W A over an
 # orthonormal basis: for a unitary A the commutator of a unit-norm W has
@@ -287,8 +294,8 @@ def commutant_analysis(group, k, n_samples=20):
     """Dimension of {W : [W, V^(x k)] = 0 for all V} with rank diagnostics.
 
     ``group`` is a GroupSampler or an explicit list of unitary group-element
-    matrices. SymmetricSampler instances contribute their exact
-    adjacent-transposition generators instead of random draws.
+    matrices. For a SymmetricSampler the dimension is counted exactly, as
+    the number of orbits on index pairs (``_orbit_count``).
 
     The solve works in an eigenframe q of one element V_0, the first that
     has one, where the commutant of V_0^(x k) lies in the block-diagonal
@@ -301,8 +308,8 @@ def commutant_analysis(group, k, n_samples=20):
     element that is not normal.
     """
     if isinstance(group, SymmetricSampler):
-        elements = group.generators()
-    elif isinstance(group, GroupSampler):
+        return _orbit_count(group.n, k)
+    if isinstance(group, GroupSampler):
         elements = group.take(n_samples)
     else:
         elements = [np.asarray(g) for g in group]
@@ -359,3 +366,36 @@ def commutant_analysis(group, k, n_samples=20):
             RuntimeWarning,
         )
     return CommutantReport(len(basis), start_dimension, gap_ratio, _CUTOFF, ambiguous)
+
+
+def _orbit_count(n, k):
+    """Commutant dimension of S_n acting on (2^n)^(x k) by qubit permutations.
+
+    A permutation representation commutes exactly with the span of the
+    indicators of its group's orbits on index pairs (a, b), so the
+    dimension is the number of those orbits. Each pair index of
+    V^(x k) x V^(x k) is labelled by the smallest index in its orbit, found
+    by min-label propagation: one gather per adjacent transposition, which
+    acts by the same qubit permutation on all 2k registers, then pointer
+    jumping, until a pass changes nothing.
+    """
+    # in logarithms, so that a huge k is refused without computing d^(2k)
+    if 2 * k * n > math.log2(MAX_ORBIT_PAIRS):
+        raise ValueError(
+            f"system too large: d^(2k) = 2^{2 * k * n} exceeds {MAX_ORBIT_PAIRS}"
+        )
+    d = 2**n
+    gathers = [np.ix_(*[permutation_index(p, target="qubits")] * (2 * k))
+               for p in _adjacent_transpositions(n)]
+    shape = (d,) * (2 * k)
+    labels = np.arange(d ** (2 * k))
+    while True:
+        before = labels
+        for gather in gathers:
+            labels = np.minimum(labels, labels.reshape(shape)[gather].ravel())
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+        if np.array_equal(labels, before):
+            break
+    roots = np.count_nonzero(labels == np.arange(labels.size))
+    return CommutantReport(int(roots), labels.size, float("inf"), None, False)

@@ -1,8 +1,13 @@
 import json
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ginv
 from ginv import analysis, cli
 
 
@@ -78,7 +83,24 @@ def test_run_commutant_symmetric(tmp_path):
     assert code == 0
     result = read_result(out)
     assert result["dimension"] == 20
-    assert result["gap_ratio"] is None or result["gap_ratio"] > 1e3
+    # an exact orbit count over the 8^2 index pairs: no cutoff, no gap
+    assert (result["gap_ratio"], result["cutoff"], result["ambiguous"]) == (None, None, False)
+    assert result["start_dimension"] == 64
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_blas_threads_default_to_one(preset):
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {key: value for key, value in os.environ.items() if key not in names}
+    env["PYTHONPATH"] = str(Path(ginv.__file__).parents[1])
+    if preset is not None:
+        env.update(dict.fromkeys(names, preset))
+    # the variables must be set before numpy loads its BLAS
+    probe = ("import sys, os, ginv; assert 'numpy' not in sys.modules; "
+             "print(*(os.environ[name] for name in sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", probe, *names], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == [preset or "1"] * 2
 
 
 def test_run_time_reversal_dynamics(tmp_path):
@@ -411,23 +433,33 @@ def test_commutant_n_must_agree_with_d(tmp_path, capsys):
         {"k": 4},
         {"group": "orthogonal", "n": 3, "d": None, "k": 3},
         {"group": "local_unitary", "n": 4, "k": 2},
-        {"group": "symmetric", "n": 7, "k": 1},
-        {"group": "symmetric", "n": 13, "k": 1},
+        # the symmetric group's cap is d^(2k) <= 2^20 pair-index entries
+        {"group": "symmetric", "n": 11, "k": 1},
+        {"group": "symmetric", "n": 6, "k": 2},
         {"k": 10**12},
+        {"group": "symmetric", "n": 4, "k": 3},
     ],
 )
 def test_commutant_over_the_cap_is_config_error(tmp_path, capsys, fields):
     config = {"experiment": "commutant", **fields}
+    symmetric = config.get("group") == "symmetric"
+    if symmetric:
+        message = f"d^(2k) = {2 ** config['n']}^{2 * config['k']} exceeds 1048576"
+    else:
+        message = "exceeds 64"
     # refused while validating, before any sampler builds an element
-    with pytest.raises(cli.ConfigError, match="exceeds 64"):
+    with pytest.raises(cli.ConfigError, match=re.escape(message)):
         cli.validate_config(config)
     path, out = tmp_path / "config.json", tmp_path / "r.json"
     path.write_text(json.dumps(config))
     assert run_cli(["run", "--config", str(path), "-o", str(out)]) == 2
-    assert "exceeds 64" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
-    # one step down is at or under the cap
-    smaller = dict(config, k=1) if config["k"] > 1 else dict(config, n=6)
+    # one step down is at or under the cap: S_10 k=1, S_5 k=2, S_3 k=3
+    if symmetric:
+        smaller = dict(config, n=config["n"] - 1)
+    else:
+        smaller = dict(config, k=1) if config["k"] > 1 else dict(config, n=6)
     cli.validate_config(smaller)
 
 

@@ -1,10 +1,12 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from ginv import datasets as ds
 from ginv import observables as obs
 from ginv.groups import permutation_operator
-from ginv.tensor import dm, expectation, kron_all, plus_state, purity
+from ginv.tensor import dm, expectation, kron_all, plus_state, purity, random_density_matrix
 
 
 TRIANGLE = ds.Graph(3, {(0, 1), (1, 2), (0, 2)})
@@ -168,6 +170,35 @@ def test_graph_hamiltonian_relabeling_conjugation():
     h = ds.graph_hamiltonian(PATH3).matrix
     h_relabeled = ds.graph_hamiltonian(PATH3.relabel(perm)).matrix
     np.testing.assert_allclose(h_relabeled, p @ h @ p.T, atol=1e-12)
+
+
+def _kron_terms(g):
+    """The graph terms as sums of dense Pauli Kronecker products."""
+    def pauli_sum(pauli, site_sets):
+        return sum((kron_all([obs.PAULI[pauli if j in sites else "I"] for j in range(g.n)])
+                    for sites in site_sets), np.zeros((2**g.n, 2**g.n), dtype=complex))
+    return pauli_sum("Z", sorted(g.edges)), pauli_sum("X", [(j,) for j in range(g.n)])
+
+
+@pytest.mark.parametrize("g", [TRIANGLE, PATH3, ds.Graph(4, {(0, 3), (1, 2), (0, 2)}),
+                               ds.Graph(5, set()), ds.Graph(1, set())])
+def test_graph_terms_equal_pauli_kronecker_sums(g):
+    for got, want in zip(ds.graph_terms(g), _kron_terms(g)):
+        assert got.dtype == complex
+        np.testing.assert_array_equal(got, want)
+
+
+def test_orbit_distance_equals_dense_conjugation():
+    rng = np.random.default_rng(14)
+    n = 4
+    perms = [permutation_operator(p, target="qubits") for p in permutations(range(n))]
+    for _ in range(3):
+        rho0, rho1 = (random_density_matrix(2**n, rng) for _ in range(2))
+        dense = min(np.linalg.norm(rho1 - p @ rho0 @ p.T) for p in perms)
+        assert abs(ds._orbit_distance(rho0, rho1, n) - dense) < 1e-12
+        # zero, not rounding, on a relabelled copy
+        p = perms[rng.integers(len(perms))]
+        assert ds._orbit_distance(rho0, p @ rho0 @ p.T, n) == 0.0
 
 
 def test_graph_validation():

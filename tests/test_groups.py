@@ -1,5 +1,5 @@
 from itertools import permutations
-from math import prod
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from ginv.groups import (
     commutant_analysis,
     haar_orthogonal,
     haar_unitary,
+    permutation_index,
     permutation_operator,
 )
 from ginv.observables import PAULI, bell_projector, swap_operator
@@ -147,6 +148,61 @@ def test_local_unitary_sampler_structure():
     v = s.sample()
     assert v.shape == (8, 8)
     assert np.linalg.norm(v @ v.conj().T - np.eye(8)) < 1e-9
+
+
+def _per_digit_index(perm, q):
+    """Index map of a factor permutation, written out digit by digit."""
+    m = len(perm)
+    shifts = [q ** (m - 1 - t) for t in range(m)]
+    index = []
+    for a in range(q**m):
+        digits = [(a // shifts[t]) % q for t in range(m)]
+        index.append(sum(digits[t] * shifts[perm[t]] for t in range(m)))
+    return index
+
+
+def test_permutation_index_equals_per_digit_loop():
+    for n in range(1, 6):
+        for perm in permutations(range(n)):
+            assert permutation_index(perm, target="qubits").tolist() == _per_digit_index(perm, 2)
+    for qubits_per_copy, m in ((1, 5), (2, 4)):
+        q = 2**qubits_per_copy
+        for perm in permutations(range(m)):
+            got = permutation_index(perm, "copies", qubits_per_copy)
+            assert got.tolist() == _per_digit_index(perm, q)
+
+
+def test_permutation_index_of_a_stack():
+    perms = list(permutations(range(4)))
+    stacked = permutation_index(perms, target="qubits")
+    assert stacked.shape == (24, 16)
+    for perm, row in zip(perms, stacked):
+        assert row.tolist() == _per_digit_index(perm, 2)
+    with pytest.raises(ValueError, match="not a permutation"):
+        permutation_index([(0, 1, 2), (0, 0, 1)], target="qubits")
+
+
+def _per_digit_matrix(perm, q=2):
+    index = _per_digit_index(perm, q)
+    matrix = np.zeros((len(index), len(index)), dtype=complex)
+    for a, b in enumerate(index):
+        matrix[b, a] = 1.0
+    return matrix
+
+
+def test_permutation_operator_from_index_map():
+    for perm in permutations(range(4)):
+        np.testing.assert_array_equal(permutation_operator(perm, target="qubits"),
+                                      _per_digit_matrix(perm))
+    np.testing.assert_array_equal(permutation_operator((2, 0, 1), "copies", 2),
+                                  _per_digit_matrix((2, 0, 1), 4))
+
+
+def test_symmetric_sampler_stream():
+    # the same rng.permutation draws as before, and the same matrices
+    rng = np.random.default_rng(22)
+    for v in SymmetricSampler(4, seed=22).take(10):
+        np.testing.assert_array_equal(v, _per_digit_matrix(rng.permutation(4)))
 
 
 def test_permutation_operator_identity():
@@ -482,6 +538,30 @@ def test_commutant_refuses_non_normal_element():
     for elements in ([shear], [np.eye(2), shear]):
         with pytest.raises(ValueError, match="not normal"):
             commutant_analysis(elements, 2)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2)])
+def test_orbit_count_equals_svd_route(n, k):
+    # the explicit generator matrices take the SVD route
+    counted = commutant_analysis(SymmetricSampler(n, 0), k)
+    solved = commutant_analysis(adjacent_transposition_generators(n), k)
+    assert counted.dimension == solved.dimension
+    assert counted.start_dimension == 4 ** (n * k)
+    assert (counted.gap_ratio, counted.cutoff, counted.ambiguous) == (np.inf, None, False)
+
+
+@pytest.mark.parametrize(
+    "n,k", [(n, 1) for n in range(1, 11)] + [(n, 2) for n in range(1, 6)] + [(2, 3), (3, 3)]
+)
+def test_orbit_count_is_multiset_count(n, k):
+    # orbits of S_n on n-letter words over the 4^k (row, column) symbols
+    assert commutant_analysis(SymmetricSampler(n, 0), k).dimension == comb(n + 4**k - 1, n)
+
+
+@pytest.mark.parametrize("n,k", [(11, 1), (6, 2), (4, 3), (2, 10**12)])
+def test_orbit_count_refuses_over_the_cap(n, k):
+    with pytest.raises(ValueError, match="exceeds 1048576"):
+        commutant_analysis(SymmetricSampler(n, 0), k)
 
 
 def test_adjacent_transpositions_generate():
