@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .datasets import LabeledUnitary
-from .groups import OrthogonalSampler, UnitarySampler, block_count
+from .groups import UnitarySampler, block_count
 from .models import ModelSpec, conjugated_observable, estimate_with_shots, evaluate
 from .observables import bell_projector, pauli_string
 
@@ -278,50 +278,29 @@ class ConcentrationResult:
     samples: int
 
 
-def _conventional_family(n, seed, label_class):
-    obs, _ = pauli_string("Y" + "I" * (n - 1))
-    model = ModelSpec("H1", obs)
-    sampler = _class_sampler(n, seed, label_class)
-    template = dm(zero_state(n))
-    analytic = (
-        haar_var_time_reversal(obs, template, 2**n) if label_class == 0 else 0.0
-    )
-    return model, sampler, template, analytic
-
-
-def _enhanced_family(n, seed, label_class):
-    model = ModelSpec("H1", bell_projector(n))
-    sampler = _class_sampler(n, seed, label_class)
-    template = dm(zero_state(n))
-    analytic = haar_var_enhanced_bell(2**n) if label_class == 0 else 0.0
-    return model, sampler, template, analytic
-
-
-def _class_sampler(n, seed, label_class):
-    if label_class == 0:
-        return UnitarySampler(2**n, seed)
-    return OrthogonalSampler(2**n, seed)
-
-
+# Family name -> the observable on n qubits. Each row's analytic variance is
+# the one empirical_moments registers for that observable.
 CONCENTRATION_FAMILIES = {
-    "conventional_odd_y": _conventional_family,
-    "enhanced_bell": _enhanced_family,
+    "conventional_odd_y": lambda n: pauli_string("Y" + "I" * (n - 1))[0],
+    "enhanced_bell": bell_projector,
 }
 
 
-def concentration_experiment(family, n_range, samples, seed=0, label_class=0):
-    """Per-n model variance over group-scrambled inputs, with log2 slope.
+def concentration_experiment(family, n_range, samples, seed=0):
+    """Per-n model variance over Haar-scrambled |0><0|, with log2 slope.
 
-    ``family`` is a name from CONCENTRATION_FAMILIES.
+    ``family`` is a name from CONCENTRATION_FAMILIES; the draws at n come
+    from a UnitarySampler seeded seed + n.
     """
     builder = CONCENTRATION_FAMILIES.get(family)
     if builder is None:
         raise ValueError(f"unknown concentration family {family!r}")
     rows = []
     for n in n_range:
-        model, sampler, template, analytic = builder(n, seed + n, label_class)
-        report = empirical_moments(model, sampler, template, samples)
-        rows.append(ConcentrationRow(n, report.empirical_var, analytic))
+        model = ModelSpec("H1", builder(n))
+        sampler = UnitarySampler(2**n, seed + n)
+        report = empirical_moments(model, sampler, dm(zero_state(n)), samples)
+        rows.append(ConcentrationRow(n, report.empirical_var, report.analytic_var))
     ns = np.array([r.n for r in rows], dtype=float)
     evs = np.array([max(r.empirical_var, 1e-300) for r in rows])
     slope = float(np.polyfit(ns, np.log2(evs), 1)[0]) if len(rows) > 1 else None

@@ -28,13 +28,12 @@ from .analysis import (
     empirical_moments,
 )
 from .groups import (
-    MAX_COMMUTANT_DIM,
-    MAX_ORBIT_PAIRS,
     LocalUnitarySampler,
     OrthogonalSampler,
     SymmetricSampler,
     UnitarySampler,
     commutant_analysis,
+    commutant_excess,
 )
 from .models import ModelSpec, evaluate, swap_test_model
 from .tensor import bell_state, dm, kron, random_statevector, zero_state
@@ -52,74 +51,72 @@ GRAPH_PRESETS = {
     "star4": datasets.Graph(4, {(0, 1), (0, 2), (0, 3)}),
 }
 
-# Per-experiment config schema: field -> (type, default). None means required.
+# Per-experiment config schema: field -> (type, default, minimum). A None
+# default is kept as null; a None minimum means no bound. Below its minimum a
+# count fails a run or reports nothing; purity and entanglement samples have
+# none, since one item names the absent class.
 SCHEMAS = {
-    "purity": {"n": (int, 2), "b": (float, 0.5), "samples": (int, 100)},
+    "purity": {
+        "n": (int, 2, 1),
+        "b": (float, 0.5, None),
+        "samples": (int, 100, None),
+        "shots": (int, 0, 0),
+    },
     "time_reversal_states": {
-        "n": (int, 2),
-        "samples": (int, 200),
-        "observable": (str, "odd_y"),  # odd_y | bell
-        "eps": (float, None),
-        "mc_samples": (int, 20000),
+        "n": (int, 2, 1),
+        "samples": (int, 200, 1),
+        "observable": (str, "odd_y", None),  # odd_y | bell
+        "eps": (float, None, None),
+        "mc_samples": (int, 20000, 2),
+        "shots": (int, 0, 0),
     },
     "time_reversal_dynamics": {
-        "n": (int, 3),
-        "samples": (int, 200),
-        "eps": (float, 0.1),
-        "mc_samples": (int, 20000),
+        "n": (int, 3, 1),
+        "samples": (int, 200, 1),
+        "eps": (float, 0.1, None),
+        "mc_samples": (int, 20000, 2),
+        "shots": (int, 0, 0),
     },
     "entanglement": {
-        "n": (int, 3),
-        "b": (float, 0.5),
-        "measure": (str, "meyer_wallach"),
-        "samples": (int, 100),
+        "n": (int, 3, 1),
+        "b": (float, 0.5, None),
+        "measure": (str, "meyer_wallach", None),
+        "samples": (int, 100, None),
+        "shots": (int, 0, 0),
     },
     "graph": {
-        "g0": (str, "triangle"),
-        "g1": (str, "path3"),
-        "t": (float, 1.0),
-        "samples": (int, 100),
-        "iterations": (int, 60),
-        "learning_rate": (float, 0.5),
+        "g0": (str, "triangle", None),
+        "g1": (str, "path3", None),
+        "t": (float, 1.0, None),
+        "samples": (int, 100, 1),
+        "iterations": (int, 60, 1),
+        "learning_rate": (float, 0.5, None),
     },
     "commutant": {
-        "group": (str, "unitary"),  # unitary | orthogonal | local_unitary | symmetric
-        "n": (int, None),
-        "d": (int, 4),  # ignored by local_unitary/symmetric, which need --n
-        "k": (int, 2),
-        "trials": (int, 20),
+        "group": (str, "unitary", None),  # unitary | orthogonal | local_unitary | symmetric
+        "n": (int, None, 1),
+        "d": (int, 4, 1),  # local_unitary and symmetric record d = 2**n
+        "k": (int, 2, 1),
+        "trials": (int, 20, 1),
     },
     "concentration": {
-        "family": (str, "conventional_odd_y"),
-        "n_min": (int, 1),
-        "n_max": (int, 5),
-        "samples": (int, 20000),
+        "family": (str, "conventional_odd_y", None),
+        "n_min": (int, 1, 1),
+        "n_max": (int, 5, None),
+        "samples": (int, 20000, 2),
     },
-    "ancilla": {"n": (int, 1), "samples": (int, 50)},
+    "ancilla": {"n": (int, 1, 1), "samples": (int, 50, 1)},
 }
 
-COMMON_FIELDS = {"experiment", "seed", "shots", "output"}
+COMMON_FIELDS = {"experiment", "seed", "output"}
 
 # Fields that take an explicit null besides those whose default is null:
 # a null commutant d means d = 2**n.
 NULLABLE = {("commutant", "d")}
 
-# Smallest value of each count field; below it a run fails or reports nothing.
-# Purity and entanglement samples have none: one item names the absent class.
-MINIMUMS = {
-    "purity": {"n": 1},
-    "time_reversal_states": {"n": 1, "samples": 1, "mc_samples": 2},
-    "time_reversal_dynamics": {"n": 1, "samples": 1, "mc_samples": 2},
-    "entanglement": {"n": 1},
-    "graph": {"samples": 1, "iterations": 1},
-    "commutant": {"n": 1, "d": 1, "k": 1, "trials": 1},
-    "concentration": {"n_min": 1, "samples": 2},
-    "ancilla": {"n": 1, "samples": 1},
-}
-
 # Every field `ginv run` takes as a flag, with its type.
-RUN_FIELDS = {"seed": int, "shots": int} | {
-    name: typ for schema in SCHEMAS.values() for name, (typ, _) in schema.items()
+RUN_FIELDS = {"seed": int} | {
+    name: typ for schema in SCHEMAS.values() for name, (typ, *_) in schema.items()
 }
 
 
@@ -136,19 +133,12 @@ def validate_config(raw):
     unknown = set(raw) - COMMON_FIELDS - set(schema)
     if unknown:
         raise ConfigError(f"unknown config fields for {experiment}: {sorted(unknown)}")
-    config = {
-        "experiment": experiment,
-        "seed": _coerce("seed", int, raw.get("seed", 0)),
-        "shots": _coerce("shots", int, raw.get("shots", 0)),
-    }
-    if config["shots"] < 0:
-        raise ConfigError("shots must be >= 0")
-    for name, (typ, default) in schema.items():
+    config = {"experiment": experiment, "seed": _coerce("seed", int, raw.get("seed", 0))}
+    for name, (typ, default, low) in schema.items():
         value = raw.get(name, default)
         if value is None and default is not None and (experiment, name) not in NULLABLE:
             raise ConfigError(f"field {name}: expected a value, got null")
         config[name] = None if value is None else _coerce(name, typ, value)
-        low = MINIMUMS[experiment].get(name)
         if low is not None and config[name] is not None and config[name] < low:
             raise ConfigError(f"field {name}: must be >= {low}, got {config[name]}")
     if experiment == "concentration" and config["n_min"] > config["n_max"]:
@@ -156,15 +146,16 @@ def validate_config(raw):
             f"need n_min <= n_max, got n_min={config['n_min']}, n_max={config['n_max']}"
         )
     if experiment == "commutant":
-        d, k = _group_degree(config["group"], config["n"], config["d"]), config["k"]
-        # the symmetric group's orbit count is capped in pair-index entries
-        if config["group"] == "symmetric":
-            name, power, cap = "d^(2k)", 2 * k, MAX_ORBIT_PAIRS
-        else:
-            name, power, cap = "d^k", k, MAX_COMMUTANT_DIM
-        # in logarithms, so that a huge k is refused without computing d^k
-        if power * math.log2(d) > math.log2(cap):
-            raise ConfigError(f"commutant too large: {name} = {d}^{power} exceeds {cap}")
+        group = config["group"]
+        if group not in SAMPLERS:
+            raise ConfigError(f"unknown group {group!r}")
+        qubits = SAMPLERS[group][1] == "n"
+        # the qubit groups act on, and record, d = 2**n; a d given must agree
+        d = _group_degree(group, config["n"], None if qubits and "d" not in raw else config["d"])
+        if qubits:
+            config["d"] = d
+        if excess := commutant_excess(d, config["k"], orbits=group == "symmetric"):
+            raise ConfigError(f"commutant too large: {excess}")
     return config
 
 
@@ -197,12 +188,8 @@ SAMPLERS = {
 
 def _group_degree(group, n, d):
     """Dimension the group's elements act on, from --n and --d."""
-    if group not in SAMPLERS:
-        raise ConfigError(f"unknown group {group!r}")
-    if SAMPLERS[group][1] == "n":
-        if n is None:
-            raise ConfigError(f"{group} group needs --n")
-        return 2**n
+    if SAMPLERS[group][1] == "n" and n is None:
+        raise ConfigError(f"{group} group needs --n")
     if n is not None and d is not None and d != 2**n:
         raise ConfigError(
             f"{group} group: --n {n} means d = {2**n}, but d = {d}; pass --d {2**n}"
@@ -312,27 +299,22 @@ def run_graph(config, rng):
     g0 = _resolve_graph(config["g0"])
     g1 = _resolve_graph(config["g1"])
     t = config["t"]
-    if g0.n != g1.n:
-        raise ConfigError("reference graphs must have the same node count")
+    # the dataset's checks refuse the reference graphs before any training
     try:
-        isomorphic = datasets.is_isomorphic(g0, g1)
+        test = datasets.graph_dataset(g0, g1, config["samples"], t, rng)
     except ValueError as exc:
-        raise ConfigError(f"reference graphs: {exc}") from exc
-    if isomorphic:
-        raise ConfigError("reference graphs are isomorphic")
-    n = g0.n
+        raise ConfigError(str(exc)) from exc
     # One representative per class suffices: the trained model is exactly
     # permutation-invariant, so its value is constant on each class.
     reps = [
         datasets.LabeledState(datasets.graph_state(g0, t), 0),
         datasets.LabeledState(datasets.graph_state(g1, t), 1),
     ]
-    trainable = graph_invariant_model(n)
+    trainable = graph_invariant_model(g0.n)
     train_config = TrainConfig(config["learning_rate"], config["iterations"])
     result = optimize(trainable, reps, train_config)
     h0 = trainable.value_fn(result.theta, reps[0].state)
     h1 = trainable.value_fn(result.theta, reps[1].state)
-    test = datasets.graph_dataset(g0, g1, config["samples"], t, rng)
     midpoint = (h0 + h1) / 2
     correct = 0
     for item in test:
@@ -446,6 +428,8 @@ def _md_table(headers, rows):
 
 
 def format_report(result, fmt):
+    if not isinstance(result, dict) or "schema" not in result:
+        raise ConfigError("result file is not a ginv result")
     if "concentration" in result:
         conc = result["concentration"]
         if fmt == "csv":
@@ -471,17 +455,15 @@ def format_report(result, fmt):
             ],
         )
         return table + f"\naccuracy: {rep['accuracy']!r}\n"
-    if "moments" in result or "dimension" in result or "conjugation_deviation" in result:
-        flat = {
-            k: v
-            for k, v in result.items()
-            if k not in ("schema", "version", "config", "wall_time_s")
-        }
-        rows = sorted(_flatten(flat).items())
-        if fmt == "csv":
-            return "key,value\n" + "\n".join(f"{k},{v}" for k, v in rows) + "\n"
-        return _md_table(["key", "value"], rows)
-    raise ConfigError("result file contains no reportable payload")
+    flat = {
+        k: v
+        for k, v in result.items()
+        if k not in ("schema", "version", "config", "wall_time_s")
+    }
+    rows = sorted(_flatten(flat).items())
+    if fmt == "csv":
+        return "key,value\n" + "\n".join(f"{k},{v}" for k, v in rows) + "\n"
+    return _md_table(["key", "value"], rows)
 
 
 def _flatten(d, prefix=""):

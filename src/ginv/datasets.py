@@ -206,10 +206,11 @@ def is_isomorphic(g0, g1):
         raise ValueError("brute-force isomorphism limited to n <= 8")
     if len(g0.edges) != len(g1.edges):
         return False
-    for perm in permutations(range(g0.n)):
-        if g0.relabel(perm).edges == g1.edges:
-            return True
-    return False
+    # relabelled edge sets, sorted as Graph stores them, with no Graph built
+    return any(
+        {(min(p[j], p[k]), max(p[j], p[k])) for j, k in g0.edges} == g1.edges
+        for p in permutations(range(g0.n))
+    )
 
 
 def graph_state(g, t):
@@ -240,28 +241,29 @@ def _orbit_distance(rho0, rho1, n):
 def graph_dataset(g0, g1, count, t, rng):
     """States encoding random relabelings of two non-isomorphic graphs.
 
-    Each item evolves |+>^n for time t under the Hamiltonian of a random
-    relabeling of g0 or g1; the label records which reference graph.
+    Each item is the state of g0 or g1 evolved for time t, relabelled by a
+    random qubit permutation P: P rho P^T, gathered by P's index map. It
+    equals the state of the relabelled graph, since H(relabel(g)) =
+    P H(g) P^T and P |+>^n = |+>^n; the label records which reference graph.
     """
-    if is_isomorphic(g0, g1):
-        raise ValueError("reference graphs are isomorphic")
     if g0.n != g1.n:
         raise ValueError("reference graphs must have the same node count")
+    if is_isomorphic(g0, g1):
+        raise ValueError("reference graphs are isomorphic")
     n = g0.n
-    ref0 = graph_state(g0, t)
-    ref1 = graph_state(g1, t)
-    if _orbit_distance(ref0, ref1, n) < 1e-6:
+    refs = (graph_state(g0, t), graph_state(g1, t))
+    if _orbit_distance(*refs, n) < 1e-6:
         raise ValueError(
             f"evolution time t={t} does not distinguish the reference graphs"
         )
-    refs = (g0, g1)
     items = []
     for label in _balanced_labels(count, rng):
         perm = rng.permutation(n)
-        g = refs[label].relabel(perm)
+        # (P rho P^T)[idx[a], idx[b]] = rho[a, b], so gather by the inverse map
+        inverse = permutation_index(np.argsort(perm), target="qubits")
         items.append(
             LabeledState(
-                graph_state(g, t),
+                refs[label][np.ix_(inverse, inverse)],
                 int(label),
                 {"generator": "graph", "t": t, "perm": [int(x) for x in perm]},
             )

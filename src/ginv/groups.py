@@ -238,6 +238,22 @@ class CommutantReport:
 MAX_COMMUTANT_DIM = 64  # largest d^k the commutant solver accepts
 MAX_ORBIT_PAIRS = 2**20  # largest d^(2k) the symmetric-group orbit count accepts
 
+
+def commutant_excess(d, k, orbits=False):
+    """Why the commutant of degree d on k copies is over its cap, else None.
+
+    The solve is capped at d^k <= MAX_COMMUTANT_DIM, the orbit count at
+    d^(2k) <= MAX_ORBIT_PAIRS pair-index entries. The test is in
+    logarithms, so that a huge k is refused without computing d^k.
+    """
+    if orbits:
+        name, power, cap = "d^(2k)", 2 * k, MAX_ORBIT_PAIRS
+    else:
+        name, power, cap = "d^k", k, MAX_COMMUTANT_DIM
+    if power * math.log2(d) > math.log2(cap):
+        return f"{name} = {d}^{power} exceeds {cap}"
+    return None
+
 # Absolute cutoff on the singular values of W -> A W - W A over an
 # orthonormal basis: for a unitary A the commutator of a unit-norm W has
 # norm at most 2, so the cutoff needs no scaling with the spectrum.
@@ -315,11 +331,8 @@ def commutant_analysis(group, k, n_samples=20):
         elements = [np.asarray(g) for g in group]
     if not elements:
         raise ValueError("need at least one group element")
-    d = elements[0].shape[0]
-    if d**k > MAX_COMMUTANT_DIM:
-        raise ValueError(
-            f"system too large: d^k = {d**k} exceeds {MAX_COMMUTANT_DIM}"
-        )
+    if excess := commutant_excess(elements[0].shape[0], k):
+        raise ValueError(f"system too large: {excess}")
     stack = np.array(elements)
     drift = np.linalg.norm(stack @ stack.conj().swapaxes(1, 2)
                            - stack.conj().swapaxes(1, 2) @ stack, axis=(1, 2))
@@ -379,12 +392,9 @@ def _orbit_count(n, k):
     acts by the same qubit permutation on all 2k registers, then pointer
     jumping, until a pass changes nothing.
     """
-    # in logarithms, so that a huge k is refused without computing d^(2k)
-    if 2 * k * n > math.log2(MAX_ORBIT_PAIRS):
-        raise ValueError(
-            f"system too large: d^(2k) = 2^{2 * k * n} exceeds {MAX_ORBIT_PAIRS}"
-        )
     d = 2**n
+    if excess := commutant_excess(d, k, orbits=True):
+        raise ValueError(f"system too large: {excess}")
     gathers = [np.ix_(*[permutation_index(p, target="qubits")] * (2 * k))
                for p in _adjacent_transpositions(n)]
     shape = (d,) * (2 * k)

@@ -331,12 +331,12 @@ def test_concentration_enhanced_slope_matches_mc_oracle():
 
 
 def test_concentration_label1_variance_vanishes():
-    result = concentration_experiment(
-        "conventional_odd_y", range(1, 4), 500, seed=1, label_class=1
-    )
-    for row in result.rows:
-        assert row.empirical_var < 1e-18
-        assert row.analytic_var == 0.0
+    # orthogonally scrambled |0> stays real, where the odd-Y model is zero
+    for n in range(1, 4):
+        report = empirical_moments(
+            odd_y_model(n), OrthogonalSampler(2**n, 1 + n), dm(zero_state(n)), 500
+        )
+        assert report.empirical_var < 1e-18
 
 
 def test_concentration_unknown_family():

@@ -292,6 +292,62 @@ def test_undistinguishable_reference_graphs_refused_before_training(
     assert reason in capsys.readouterr().err
 
 
+def test_undistinguishing_time_refused_before_training(tmp_path, capsys, monkeypatch):
+    trained = []
+    monkeypatch.setattr(cli, "optimize", lambda *args: trained.append(args))
+    out = tmp_path / "g.json"
+    args = ["run", "--experiment", "graph", "--t", "0", "--iterations", "200"]
+    assert run_cli(args + ["-o", str(out)]) == 2
+    assert not out.exists()
+    assert trained == []
+    assert "does not distinguish the reference graphs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["graph", "commutant", "concentration", "ancilla"])
+def test_shots_is_unknown_where_nothing_reads_it(tmp_path, capsys, experiment):
+    out = tmp_path / "r.json"
+    assert run_cli(["run", "--experiment", experiment, "--shots", "5", "-o", str(out)]) == 2
+    assert not out.exists()
+    assert "unknown config fields" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group", ["symmetric", "local_unitary"])
+def test_qubit_groups_record_d_as_two_to_the_n(tmp_path, capsys, group):
+    out = tmp_path / "comm.json"
+    args = ["run", "--experiment", "commutant", "--group", group, "--n", "3", "--k", "1"]
+    assert run_cli(args + ["-o", str(out)]) == 0
+    assert read_result(out)["config"]["d"] == 8
+    out.unlink()
+    # an explicit d must agree with n, as for U(d) and O(d); the default 4 need not
+    assert run_cli(args + ["--d", "8", "-o", str(out)]) == 0
+    assert read_result(out)["config"]["d"] == 8
+    out.unlink()
+    assert run_cli(args + ["--d", "4", "-o", str(out)]) == 2
+    assert "--n 3 means d = 8, but d = 4" in capsys.readouterr().err
+    assert not out.exists()
+    config = {"experiment": "commutant", "group": group, "n": 3, "d": None}
+    assert cli.validate_config(config)["d"] == 8
+
+
+@pytest.mark.parametrize("experiment", sorted(cli.SCHEMAS))
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+def test_every_result_can_be_reported(tmp_path, capsys, experiment, fmt):
+    out = tmp_path / "r.json"
+    args = ["run", "--experiment", experiment, *SMALL_CONFIGS[experiment], "-o", str(out)]
+    assert run_cli(args) == 0
+    capsys.readouterr()
+    assert run_cli(["report", str(out), "--format", fmt]) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '{"dimension": 4}'])
+def test_report_refuses_files_that_are_not_results(tmp_path, capsys, text):
+    path = tmp_path / "r.json"
+    path.write_text(text)
+    assert run_cli(["report", str(path)]) == 2
+    assert "not a ginv result" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "experiment,flag,value",
     [
@@ -331,11 +387,11 @@ def test_all_experiments_complete_at_defaults(tmp_path):
 
 
 def test_run_flags_cover_every_schema_field():
-    fields = {"seed": int, "shots": int}
+    fields = {"seed": int}
     for schema in cli.SCHEMAS.values():
-        for name, (typ, _) in schema.items():
+        for name, (typ, default, minimum) in schema.items():
             assert fields.setdefault(name, typ) is typ, name
-    assert {"mc_samples", "n_min", "learning_rate"} <= set(fields)
+    assert {"mc_samples", "n_min", "learning_rate", "shots"} <= set(fields)
     samples = {int: ("3", 3), float: ("0.25", 0.25), str: ("x", "x")}
     parser = cli.build_parser()
     for name, typ in fields.items():
@@ -586,11 +642,20 @@ MINIMUM_CASES = [
     ("concentration", "samples", 2),
     ("ancilla", "n", 1),
     ("ancilla", "samples", 1),
+    ("purity", "shots", 0),
+    ("time_reversal_states", "shots", 0),
+    ("time_reversal_dynamics", "shots", 0),
+    ("entanglement", "shots", 0),
 ]
 
 
 def test_minimum_cases_cover_the_table():
-    table = {(e, f): low for e, fields in cli.MINIMUMS.items() for f, low in fields.items()}
+    table = {
+        (e, f): low
+        for e, fields in cli.SCHEMAS.items()
+        for f, (_, _, low) in fields.items()
+        if low is not None
+    }
     assert table == {(e, f): low for e, f, low in MINIMUM_CASES}
 
 

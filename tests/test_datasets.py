@@ -232,6 +232,41 @@ def test_graph_dataset_rejects_isomorphic_references():
         ds.graph_dataset(TRIANGLE, TRIANGLE.relabel((1, 2, 0)), 4, 1.0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("g0,g1", [
+    (TRIANGLE, PATH3),
+    (ds.Graph(4, {(0, 1), (1, 2), (2, 3), (0, 3)}), ds.Graph(4, {(0, 1), (0, 2), (0, 3)})),
+    (ds.Graph(5, {(0, 1), (1, 2), (2, 3), (3, 4)}), ds.Graph(5, {(0, 4), (1, 4), (2, 4), (3, 4)})),
+])
+def test_graph_dataset_items_equal_relabelled_graph_states(g0, g1):
+    # oracle: the state of the relabelled graph, built from its Hamiltonian
+    t = 0.7
+    items = ds.graph_dataset(g0, g1, 12, t, np.random.default_rng(15))
+    assert {item.label for item in items} == {0, 1}
+    for item in items:
+        g = (g0, g1)[item.label].relabel(item.provenance["perm"])
+        np.testing.assert_allclose(item.state, ds.graph_state(g, t), rtol=0, atol=1e-12)
+
+
+def test_graph_dataset_draws_labels_then_one_permutation_per_item():
+    rng, twin = np.random.default_rng(16), np.random.default_rng(16)
+    items = ds.graph_dataset(TRIANGLE, PATH3, 5, 1.0, rng)
+    labels = ds._balanced_labels(5, twin)
+    assert [item.label for item in items] == labels.tolist()
+    assert [item.provenance["perm"] for item in items] == [
+        twin.permutation(3).tolist() for _ in items
+    ]
+
+
+def test_is_isomorphic_equals_relabel_brute_force():
+    rng = np.random.default_rng(17)
+    pairs = list(permutations(range(4), 2))
+    for _ in range(40):
+        g0, g1 = (ds.Graph(4, {pairs[i] for i in rng.choice(12, size=3, replace=False)})
+                  for _ in range(2))
+        oracle = any(g0.relabel(p).edges == g1.edges for p in permutations(range(4)))
+        assert ds.is_isomorphic(g0, g1) == oracle
+
+
 def test_fiduciary_state_is_permutation_invariant():
     plus = plus_state(3)
     for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
