@@ -10,6 +10,7 @@ Generation is deterministic per seed.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -213,11 +214,15 @@ def is_isomorphic(g0, g1):
     )
 
 
+@lru_cache(maxsize=2)
 def graph_state(g, t):
-    """|+>^n evolved for time t under the graph Hamiltonian, as a density matrix."""
+    """|+>^n evolved for time t under the graph Hamiltonian, as a read-only
+    density matrix; the last two (graph, t) pairs are kept, so a run's two
+    reference states are built once."""
     w = expm_hermitian(graph_hamiltonian(g).matrix, t)
-    psi = w @ plus_state(g.n)
-    return dm(psi)
+    rho = dm(w @ plus_state(g.n))
+    rho.flags.writeable = False
+    return rho
 
 
 def _orbit_distance(rho0, rho1, n):

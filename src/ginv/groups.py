@@ -239,20 +239,24 @@ MAX_COMMUTANT_DIM = 64  # largest d^k the commutant solver accepts
 MAX_ORBIT_PAIRS = 2**20  # largest d^(2k) the symmetric-group orbit count accepts
 
 
-def commutant_excess(d, k, orbits=False):
+def commutant_excess(d, k, orbits=False, n=None):
     """Why the commutant of degree d on k copies is over its cap, else None.
 
     The solve is capped at d^k <= MAX_COMMUTANT_DIM, the orbit count at
     d^(2k) <= MAX_ORBIT_PAIRS pair-index entries. The test is in
-    logarithms, so that a huge k is refused without computing d^k.
+    logarithms, so that a huge k is refused without computing d^k. A degree
+    given by its qubit count n (d = None) is formed only when it is at most
+    the cap, and written (2^n) otherwise, so a huge n is refused as cheaply.
     """
     if orbits:
         name, power, cap = "d^(2k)", 2 * k, MAX_ORBIT_PAIRS
     else:
         name, power, cap = "d^k", k, MAX_COMMUTANT_DIM
-    if power * math.log2(d) > math.log2(cap):
-        return f"{name} = {d}^{power} exceeds {cap}"
-    return None
+    if power * (n if d is None else math.log2(d)) <= math.log2(cap):
+        return None
+    if d is None:
+        d = 2**n if n <= math.log2(cap) else f"(2^{n})"
+    return f"{name} = {d}^{power} exceeds {cap}"
 
 # Absolute cutoff on the singular values of W -> A W - W A over an
 # orthonormal basis: for a unitary A the commutator of a unit-norm W has

@@ -6,13 +6,16 @@ function that makes it fixes its kind: a swap polynomial, the Bell
 projector, or a dense matrix. The structured kinds are valued from the
 state itself and build their dense ``matrix`` on first access.
 
-Each entanglement observable has a companion ``*_oracle`` evaluating the
-same quantity from reduced-state purities via partial traces; tests hold
-the two routes against each other.
+A swap polynomial reads every reduced purity Tr[rho_a^2] from one
+Pauli-weight transform of the state (``subset_purities``), or, when its
+terms act on at most one qubit, from the one-qubit marginals. Each
+entanglement observable has a companion ``*_oracle`` evaluating the same
+quantity from partial traces (``subset_purity``), an independent route;
+the runner and the tests hold the two against each other.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -98,13 +101,15 @@ class SwapPolynomial(Observable):
 
     def _values(self, stack):
         masks = np.flatnonzero(self.coeffs)
-        return self.coeffs[masks] @ self._purities(stack, masks)
-
-    def _purities(self, stack, masks):
-        """Tr[rho_a^2] per subset mask (rows) and state (columns)."""
-        n = self.qubits_per_copy
-        subsets = ([j for j in range(n) if a >> (n - 1 - j) & 1] for a in masks)
-        return np.array([subset_purity(stack, s) for s in subsets]).reshape(len(masks), -1)
+        if masks.tolist() == [len(self.coeffs) - 1]:
+            # a lone whole-register term needs only Tr[rho^2]
+            return self.coeffs[-1] * np.real(np.einsum("bij,bji->b", stack, stack))
+        if not np.any(masks & (masks - 1)):
+            # terms on at most one qubit need only the one-qubit marginals,
+            # which cost O(n d), where the full transform costs O(n 4^n)
+            columns = [int(a).bit_length() for a in masks]
+            return _one_qubit_purities(stack)[:, columns] @ self.coeffs[masks]
+        return subset_purities(stack)[:, masks] @ self.coeffs[masks]
 
     def shot_distribution(self, rho):
         """Levels f(z) = sum_a (-1)^{z.a} c_a and probabilities
@@ -112,8 +117,7 @@ class SwapPolynomial(Observable):
         z, projectors prod_j (1 + (-1)^{z_j} SWAP_j) / 2 (Beckey, Gigena,
         Coles, Cerezo, arXiv:2104.06923): two Walsh-Hadamard transforms."""
         n = self.qubits_per_copy
-        purities = self._purities(np.asarray(rho)[None], np.arange(2**n))[:, 0]
-        probs = np.clip(self._walsh @ purities / 2**n, 0.0, None)
+        probs = np.clip(self._walsh @ subset_purities(rho) / 2**n, 0.0, None)
         return self._walsh @ self.coeffs, probs / probs.sum()
 
     @cached_property
@@ -227,16 +231,84 @@ def ghz_state(n):
     return psi
 
 
-def w_state(n):
-    """Equal superposition of the n single-excitation basis states."""
-    psi = np.zeros(2**n, dtype=complex)
+# Per qubit, the entries (00, 01, 10, 11) of an operator over its (row bit,
+# column bit) pair map to its weights on I, X, Y, Z. Y's factor i is left
+# out: it makes a weight i^k times a real one, and leaves its square.
+_PAULI_WEIGHTS = np.array(
+    [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, 0.0], [1.0, 0.0, 0.0, -1.0]]
+)
+# Per qubit, the squared weights that Tr[rho_a^2] sums: I's alone for a qubit
+# outside a (row 0), half of all four for a qubit inside a (row 1).
+_SUPPORT = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5]])
+
+
+def subset_purities(rho):
+    """Tr[rho_a^2] of every qubit subset a of a Hermitian n-qubit rho, or per
+    state of a (B, d, d) stack: shape (2^n,) or (B, 2^n), indexed by the bit
+    mask of a, with bit n-1-j for qubit j.
+
+    Tr[rho_a^2] = 2^-|a| sum_{P supported in a} Tr[rho P]^2 over Pauli strings
+    P. The 4^n weights come from n per-qubit 4 x 4 maps, applied to the real
+    and imaginary parts at once; their squares then go through n per-qubit
+    2 x 4 support maps. No step loops over subsets.
+    """
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    d = rho.shape[-1]
+    n = num_qubits(d)
+    stack = rho.reshape(-1, d, d)
+    b = len(stack)
+    # axes (r_1, c_1, ..., r_n, c_n, state, real/imaginary): one axis of 4 per qubit
+    t = stack.view(np.float64).reshape((b,) + (2,) * (2 * n + 1))
+    order = [a for j in range(n) for a in (1 + j, 1 + n + j)] + [0, 2 * n + 1]
+    x = t.transpose(order).reshape(4**n, -1)
     for j in range(n):
-        psi[2 ** (n - 1 - j)] = 1 / np.sqrt(n)
-    return psi
+        x = np.matmul(_PAULI_WEIGHTS, x.reshape(4**j, 4, -1))
+    x = x.reshape(4**n, b, 2)
+    squares = x[..., 0] ** 2 + x[..., 1] ** 2
+    for j in range(n):
+        squares = np.matmul(_SUPPORT, squares.reshape(2**j, 4, -1))
+    purities = squares.reshape(2**n, b).T
+    return purities if rho.ndim == 3 else purities[0]
+
+
+def _one_qubit_purities(stack):
+    """Tr[rho_a^2] of the empty mask and the one-qubit masks 2^k, per state
+    of a (B, d, d) stack: shape (B, n + 1), column k + 1 for mask 2^k (qubit
+    j = n-1-k), column 0 for the empty mask, whose value is Tr[rho]^2.
+
+    The marginal of qubit j is [[p0, o], [o*, p1]], with p0 + p1 = Tr[rho] and
+    p0 - p1 = Tr[rho Z_j] from the diagonal, and o the sum of the d/2 entries
+    rho[x, x + 2^k] with bit k of x clear; its purity is
+    (Tr[rho]^2 + Tr[rho Z_j]^2) / 2 + 2 |o|^2.
+    """
+    b, d = len(stack), stack.shape[-1]
+    signs, offdiagonal = _marginal_tables(num_qubits(d))
+    flat = stack.reshape(b, d * d)
+    diag = np.real(flat[:, :: d + 1])
+    trace = diag.sum(axis=1)
+    o = flat[:, offdiagonal].sum(axis=2)
+    marginals = (trace[:, None] ** 2 + (diag @ signs) ** 2) / 2 + 2 * np.abs(o) ** 2
+    return np.column_stack([trace**2, marginals])
+
+
+@lru_cache(maxsize=None)
+def _marginal_tables(n):
+    """Read-only (d, n) signs (-1)^{bit k of x} and (n, d/2) flat indices
+    x d + x + 2^k of the x with bit k clear."""
+    shift = np.arange(n)[:, None]
+    x, y = np.arange(2**n), np.arange(2 ** (n - 1))
+    signs = (1.0 - 2 * ((x >> shift) & 1)).T
+    # the x with bit k clear: y with a zero bit inserted there
+    low = ((y >> shift) << (shift + 1)) | (y & ((1 << shift) - 1))
+    offdiagonal = (low << n) + (low | (1 << shift))
+    for a in (signs, offdiagonal):
+        a.flags.writeable = False
+    return signs, offdiagonal
 
 
 def subset_purity(rho, subset):
-    """Tr[rho_a^2] of the marginal on ``subset``, per state of a stack."""
+    """Tr[rho_a^2] of the marginal on ``subset`` by a partial trace, per
+    state of a stack; the oracles' route."""
     reduced = partial_trace(rho, subset)
     purity = np.real(np.einsum("...ij,...ji->...", reduced, reduced))
     return purity if purity.ndim else float(purity)
@@ -247,7 +319,7 @@ def impurity_oracle(rho, j):
 
 
 def meyer_wallach_oracle(rho):
-    n = num_qubits(rho.shape[0])
+    n = num_qubits(rho.shape[-1])
     return (2.0 / n) * sum(1.0 - subset_purity(rho, [j]) for j in range(n))
 
 
@@ -259,7 +331,7 @@ def concentratable_oracle(rho, q_set):
 
 
 def ntangle_oracle(rho):
-    n = num_qubits(rho.shape[0])
+    n = num_qubits(rho.shape[-1])
     total = sum((-1) ** len(a) * subset_purity(rho, a) for a in _subsets(range(n)))
     return 1.0 - total / 2**n
 
@@ -268,7 +340,7 @@ ENTANGLEMENT_MEASURES = {
     "impurity": lambda rho: impurity_oracle(rho, 0),
     "meyer_wallach": meyer_wallach_oracle,
     "concentratable": lambda rho: concentratable_oracle(
-        rho, range(num_qubits(rho.shape[0]))
+        rho, range(num_qubits(rho.shape[-1]))
     ),
     "ntangle": ntangle_oracle,
 }

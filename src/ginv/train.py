@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .observables import PAULI
-from .tensor import expectation_copies, expm_hermitian, kron_all
+from .tensor import expectation_copies, kron_all
 
 
 FD_STEP = 1e-4  # central-difference step of the gradient
@@ -101,21 +101,35 @@ def optimize(trainable, dataset, config):
     return OptimizeResult(theta=theta, loss_trace=trace, thetas=thetas)
 
 
+def rotated_z(theta):
+    """A(theta) = R Z R^dag with R = exp(-i (t1 X + t2 Y + t3 Z)), as a.sigma.
+
+    R turns the Bloch sphere by 2|theta| about theta/|theta|, so a is the
+    z axis turned so, by Rodrigues' formula; theta = 0 leaves a = z.
+    """
+    theta = np.asarray(theta, dtype=float)
+    norm = np.linalg.norm(theta)
+    a = np.array([0.0, 0.0, 1.0])
+    if norm > 0:
+        k = theta / norm
+        c, s = np.cos(2 * norm), np.sin(2 * norm)
+        # a = z cos + (k x z) sin + k (k . z)(1 - cos)
+        a = a * c + np.array([k[1], -k[0], 0.0]) * s + k * (k[2] * (1 - c))
+    return a[0] * PAULI["X"] + a[1] * PAULI["Y"] + a[2] * PAULI["Z"]
+
+
 def graph_invariant_model(n, theta0=(0.3, 0.2, 0.1)):
     """Permutation-invariant single-copy model A(theta)^(x n).
 
-    A(theta) = R Z R^dag with R = exp(-i (t1 X + t2 Y + t3 Z)), so the
-    observable is a tensor power of one single-qubit operator for every
-    theta and commutes with all qubit permutations. It is built once per
-    theta: a loss evaluation scores every item at the same point.
+    A(theta) is ``rotated_z``, so the observable is a tensor power of one
+    single-qubit operator for every theta and commutes with all qubit
+    permutations. It is built once per theta: a loss evaluation scores
+    every item at the same point.
     """
 
     @lru_cache(maxsize=1)
     def observable(theta):
-        gen = theta[0] * PAULI["X"] + theta[1] * PAULI["Y"] + theta[2] * PAULI["Z"]
-        r = expm_hermitian(gen, 1.0)
-        a = r @ PAULI["Z"] @ r.conj().T
-        obs = kron_all([a] * n)
+        obs = kron_all([rotated_z(theta)] * n)
         obs.flags.writeable = False
         return obs
 

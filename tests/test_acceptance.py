@@ -294,7 +294,7 @@ def test_criterion_6_entanglement():
     oracle_ok = worst < 1e-9
 
     ghz3 = dm(obs.ghz_state(3))
-    w3 = dm(obs.w_state(3))
+    w3 = dm(np.array([0, 1, 1, 0, 1, 0, 0, 0], dtype=complex) / np.sqrt(3))  # W state
     product = dm(
         np.kron(random_statevector(2, rng), random_statevector(2, rng)).astype(complex)
     )

@@ -189,14 +189,34 @@ def test_runtime_error_leaves_no_partial_file(tmp_path, capsys):
     code = run_cli(
         [
             "run",
-            "--experiment", "entanglement",
-            "--n", "1",  # no entangled states on one qubit: bisection fails
+            "--experiment", "purity",
+            "--samples", "1",  # one item: the midpoint rule lacks a class
             "--output", str(out),
         ]
     )
     assert code == 3
     assert not out.exists()
-    assert "runtime error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "runtime error" in err and "label 0 is absent" in err
+
+
+@pytest.mark.parametrize(
+    "args,attainable",
+    [
+        (["--n", "1"], "[0, 0]"),  # no entangled states on one qubit
+        (["--measure", "concentratable"], "[0, 0.375]"),
+        (["--measure", "concentratable", "--n", "4"], "[0, 0.4375]"),
+        (["--measure", "ntangle"], "[1, 1]"),
+    ],
+)
+def test_unattainable_entanglement_target_is_config_error(tmp_path, capsys, args, attainable):
+    out = tmp_path / "never.json"
+    code = run_cli(["run", "--experiment", "entanglement", *args, "--output", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert f"target measure 0.5 outside attainable range {attainable}" in err
 
 
 def test_report_classification_formats(tmp_path, capsys):
@@ -494,12 +514,21 @@ def test_commutant_n_must_agree_with_d(tmp_path, capsys):
         {"group": "symmetric", "n": 6, "k": 2},
         {"k": 10**12},
         {"group": "symmetric", "n": 4, "k": 3},
+        # 2^n itself is past the cap: refused by n, and written 2^n, since
+        # 2^20000 has more decimal digits than Python will print
+        {"group": "symmetric", "n": 20000, "k": 1},
+        {"group": "unitary", "n": 20000},
+        {"group": "local_unitary", "n": 5000},
     ],
 )
 def test_commutant_over_the_cap_is_config_error(tmp_path, capsys, fields):
     config = {"experiment": "commutant", **fields}
     symmetric = config.get("group") == "symmetric"
-    if symmetric:
+    huge = config.get("n", 0) > 20
+    if huge:
+        power = 2 * config.get("k", 2) if symmetric else config.get("k", 2)
+        message = f"= (2^{config['n']})^{power} exceeds"
+    elif symmetric:
         message = f"d^(2k) = {2 ** config['n']}^{2 * config['k']} exceeds 1048576"
     else:
         message = "exceeds 64"
@@ -509,8 +538,11 @@ def test_commutant_over_the_cap_is_config_error(tmp_path, capsys, fields):
     path, out = tmp_path / "config.json", tmp_path / "r.json"
     path.write_text(json.dumps(config))
     assert run_cli(["run", "--config", str(path), "-o", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and len(err) < 200
     assert not out.exists()
+    if huge:
+        return
     # one step down is at or under the cap: S_10 k=1, S_5 k=2, S_3 k=3
     if symmetric:
         smaller = dict(config, n=config["n"] - 1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ginv import observables as obs
+from ginv import tensor
 from ginv.groups import (
     LocalUnitarySampler,
     OrthogonalSampler,
@@ -25,6 +26,14 @@ from ginv.tensor import (
 
 def product_state(n, rng):
     return kron_all([random_statevector(2, rng) for _ in range(n)])
+
+
+def w_state(n):
+    """Equal superposition of the n single-excitation basis states."""
+    psi = np.zeros(2**n, dtype=complex)
+    for j in range(n):
+        psi[2 ** (n - 1 - j)] = 1 / np.sqrt(n)
+    return psi
 
 
 def test_swap_operator_involution():
@@ -122,7 +131,7 @@ def test_meyer_wallach_reference_values():
         got = obs.meyer_wallach_observable(n).expectation(dm(obs.ghz_state(n)))
         assert abs(got - 1.0) < 1e-10
     # oracle: every single-qubit marginal of W3 has purity 5/9
-    w3 = dm(obs.w_state(3))
+    w3 = dm(w_state(3))
     marg = partial_trace(w3, [0])
     assert abs(np.real(np.trace(marg @ marg)) - 5 / 9) < 1e-12
     assert abs(obs.meyer_wallach_observable(3).expectation(w3) - 8 / 9) < 1e-10
@@ -300,7 +309,7 @@ def test_reference_states():
     ghz = obs.ghz_state(3)
     assert abs(np.linalg.norm(ghz) - 1) < 1e-12
     assert abs(ghz[0] - ghz[-1]) < 1e-12
-    w = obs.w_state(3)
+    w = w_state(3)
     assert abs(np.linalg.norm(w) - 1) < 1e-12
     assert abs(w[1] - w[2]) < 1e-12 and abs(w[2] - w[4]) < 1e-12
 
@@ -382,3 +391,84 @@ def test_structured_values_build_no_dense_matrix():
     # oracle: <Phi|psi x psi> = psi^T psi / sqrt(d)
     bell = abs(psi @ psi) ** 2 / 2**n
     assert abs(obs.bell_projector(n).expectation(rho) - bell) < 1e-15
+
+
+def random_hermitian(d, rng):
+    """Hermitian, of trace other than 1 and not positive; entries O(1/d)."""
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (a + a.conj().T) / d
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_pauli_weight_purities_equal_partial_traces(n):
+    # oracle: Tr[rho_a^2] of every mask a by its own partial trace
+    rng = np.random.default_rng(50 + n)
+    d = 2**n
+    masks = range(2**n)
+    subsets = [[j for j in range(n) if a >> (n - 1 - j) & 1] for a in masks]
+    states = {
+        "pure": dm(random_statevector(d, rng)),
+        "mixed": random_density_matrix(d, rng),
+        "unnormalised": random_hermitian(d, rng),
+    }
+    for kind, rho in states.items():
+        got = obs.subset_purities(rho)
+        assert got.shape == (2**n,)
+        oracle = [obs.subset_purity(rho, a) for a in subsets]
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12, err_msg=kind)
+    stack = np.array([random_density_matrix(d, rng), dm(random_statevector(d, rng)),
+                      random_hermitian(d, rng), random_density_matrix(d, rng, rank=1),
+                      np.eye(d) / d])
+    got = obs.subset_purities(stack)
+    assert got.shape == (5, 2**n)
+    oracle = np.array([obs.subset_purity(stack, a) for a in subsets]).T
+    np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
+    for rho, row in zip(stack, got):
+        np.testing.assert_allclose(obs.subset_purities(rho), row, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_one_qubit_purities_equal_partial_traces(n):
+    # the value route of swap polynomials whose terms act on at most one qubit
+    rng = np.random.default_rng(80 + n)
+    d = 2**n
+    stack = np.array([dm(random_statevector(d, rng)), random_density_matrix(d, rng),
+                      random_hermitian(d, rng)])
+    got = obs._one_qubit_purities(stack)
+    # column k + 1 holds mask 2^k, that is qubit n-1-k
+    oracle = np.column_stack([obs.subset_purity(stack, [])]
+                             + [obs.subset_purity(stack, [n - 1 - k]) for k in range(n)])
+    np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
+
+
+def test_swap_polynomial_values_and_shots_take_no_partial_trace(monkeypatch):
+    calls = []
+    partial_trace = tensor.partial_trace
+    monkeypatch.setattr(obs, "partial_trace", lambda *a: calls.append(a) or partial_trace(*a))
+    monkeypatch.setattr(tensor, "partial_trace", lambda *a: calls.append(a) or partial_trace(*a))
+    rng = np.random.default_rng(60)
+    n = 4
+    rho = random_density_matrix(2**n, rng)
+    stack = np.array([random_density_matrix(2**n, rng) for _ in range(3)])
+    for observable in structured_observables(n):
+        if observable.kind != "swap":
+            continue
+        observable.expectation(rho)
+        observable.expectation(stack)
+        observable.shot_distribution(rho)
+    assert calls == []
+    # the oracles still take partial traces: the counter sees them
+    obs.ntangle_oracle(rho)
+    assert len(calls) == 2**n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_oracles_equal_per_state_oracles(n):
+    rng = np.random.default_rng(70 + n)
+    stack = np.array([random_density_matrix(2**n, rng, rank=r) for r in (1, 2, 2**n)])
+    for measure, oracle in obs.ENTANGLEMENT_MEASURES.items():
+        stacked = oracle(stack)
+        assert stacked.shape == (len(stack),), measure
+        single = [oracle(rho) for rho in stack]
+        np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-14, err_msg=measure)
+        assert all(isinstance(v, float) for v in single), measure

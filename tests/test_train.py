@@ -181,10 +181,27 @@ def test_train_config_validation():
 
 def _graph_value_uncached(theta, rho, n):
     """A(theta)^(x n) built afresh for each value, as before the cache."""
+    return expectation_copies(rho, 1, kron_all([train.rotated_z(theta)] * n))
+
+
+def _rotated_z_by_expm(theta):
+    """R Z R^dag with R = exp(-i theta.sigma) formed by eigendecomposition."""
     gen = theta[0] * PAULI["X"] + theta[1] * PAULI["Y"] + theta[2] * PAULI["Z"]
     r = expm_hermitian(gen, 1.0)
-    a = r @ PAULI["Z"] @ r.conj().T
-    return expectation_copies(rho, 1, kron_all([a] * n))
+    return r @ PAULI["Z"] @ r.conj().T
+
+
+def test_rotated_z_equals_the_expm_route():
+    rng = np.random.default_rng(21)
+    # theta = 0, random points, |theta| > pi (turns past a full circle), a
+    # theta along z (a stays z) and one near zero
+    thetas = [np.zeros(3), *rng.standard_normal((20, 3)), np.array([3.0, -1.5, 1.0]),
+              np.array([0.0, 0.0, 4.0]), np.array([1e-9, 0.0, 0.0])]
+    assert np.linalg.norm(thetas[-3]) > np.pi
+    for theta in thetas:
+        a = train.rotated_z(theta)
+        np.testing.assert_allclose(a, _rotated_z_by_expm(theta), rtol=0, atol=1e-14)
+    assert np.array_equal(train.rotated_z((0, 0, 0)), PAULI["Z"])
 
 
 def test_graph_value_fn_equals_uncached_formula():
@@ -207,7 +224,8 @@ def test_graph_value_fn_equals_uncached_formula():
 
 def test_graph_observable_built_once_per_theta_and_read_only(monkeypatch):
     builds, seen = [], []
-    monkeypatch.setattr(train, "expm_hermitian", lambda *a: builds.append(a) or expm_hermitian(*a))
+    rotated_z = train.rotated_z
+    monkeypatch.setattr(train, "rotated_z", lambda theta: builds.append(theta) or rotated_z(theta))
     monkeypatch.setattr(train, "expectation_copies",
                         lambda rho, k, o: seen.append(o) or expectation_copies(rho, k, o))
     model = graph_invariant_model(2)
