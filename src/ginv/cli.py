@@ -150,15 +150,15 @@ def validate_config(raw):
         if group not in SAMPLERS:
             raise ConfigError(f"unknown group {group!r}")
         orbits = group == "symmetric"
-        # the degree 2**n of an --n is held to the cap before it is formed
-        if n is not None and (excess := commutant_excess(None, k, orbits, n=n)):
+        # the cap is checked once, on log2 d: from --n before 2**n is formed
+        if n is not None and (excess := commutant_excess(n, k, orbits)):
             raise ConfigError(f"commutant too large: {excess}")
         qubits = SAMPLERS[group][1] == "n"
         # the qubit groups act on, and record, d = 2**n; a d given must agree
         d = _group_degree(group, n, None if qubits and "d" not in raw else config["d"])
         if qubits:
             config["d"] = d
-        if excess := commutant_excess(d, k, orbits):
+        if n is None and (excess := commutant_excess(math.log2(d), k, orbits)):
             raise ConfigError(f"commutant too large: {excess}")
     return config
 
@@ -293,18 +293,10 @@ def run_entanglement(config, rng):
     obs = observables.entanglement_observable(measure, n)
     model = ModelSpec("H1", obs)
     report = classify(data, model, MidpointRule(), shots=config["shots"], rng=rng)
-    # The oracle takes partial traces, a route independent of the observable's.
-    # It scores stacks of up to 2^16 entries (256 states at n = 4): they save
-    # numpy calls, while a larger stack costs more to copy than it saves.
+    # the oracle takes partial traces, a route independent of the observable's
     values = np.array([evaluate(model, item.state) for item in data])
     oracle = observables.ENTANGLEMENT_MEASURES[measure]
-    block = 2**16 >> 2 * n
-    stacks = (
-        (np.array([item.state for item in data[i : i + block]]) for i in range(0, len(data), block))
-        if block > 1
-        else (item.state[None] for item in data)
-    )
-    oracle_values = np.concatenate([oracle(stack) for stack in stacks])
+    oracle_values = oracle(np.array([item.state for item in data]))
     return {
         "classification": asdict(report),
         "max_oracle_deviation": float(np.abs(values - oracle_values).max()),

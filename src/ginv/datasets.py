@@ -217,8 +217,8 @@ def is_isomorphic(g0, g1):
 @lru_cache(maxsize=2)
 def graph_state(g, t):
     """|+>^n evolved for time t under the graph Hamiltonian, as a read-only
-    density matrix; the last two (graph, t) pairs are kept, so a run's two
-    reference states are built once."""
+    density matrix; the last two (graph, t) pairs are kept for the life of
+    the process, so a run's two reference states are built once."""
     w = expm_hermitian(graph_hamiltonian(g).matrix, t)
     rho = dm(w @ plus_state(g.n))
     rho.flags.writeable = False

@@ -239,23 +239,22 @@ MAX_COMMUTANT_DIM = 64  # largest d^k the commutant solver accepts
 MAX_ORBIT_PAIRS = 2**20  # largest d^(2k) the symmetric-group orbit count accepts
 
 
-def commutant_excess(d, k, orbits=False, n=None):
-    """Why the commutant of degree d on k copies is over its cap, else None.
+def commutant_excess(bits, k, orbits=False):
+    """Why the commutant of degree d = 2^bits on k copies is over its cap,
+    else None.
 
     The solve is capped at d^k <= MAX_COMMUTANT_DIM, the orbit count at
-    d^(2k) <= MAX_ORBIT_PAIRS pair-index entries. The test is in
-    logarithms, so that a huge k is refused without computing d^k. A degree
-    given by its qubit count n (d = None) is formed only when it is at most
-    the cap, and written (2^n) otherwise, so a huge n is refused as cheaply.
+    d^(2k) <= MAX_ORBIT_PAIRS pair-index entries. The test takes bits =
+    log2 d, so that a huge k or qubit count is refused without forming d^k
+    or 2^n. The message writes d in decimal up to 2^32 and (2^bits) beyond.
     """
     if orbits:
         name, power, cap = "d^(2k)", 2 * k, MAX_ORBIT_PAIRS
     else:
         name, power, cap = "d^k", k, MAX_COMMUTANT_DIM
-    if power * (n if d is None else math.log2(d)) <= math.log2(cap):
+    if power * bits <= math.log2(cap):
         return None
-    if d is None:
-        d = 2**n if n <= math.log2(cap) else f"(2^{n})"
+    d = round(2**bits) if bits <= 32 else f"(2^{bits:.15g})"
     return f"{name} = {d}^{power} exceeds {cap}"
 
 # Absolute cutoff on the singular values of W -> A W - W A over an
@@ -335,7 +334,7 @@ def commutant_analysis(group, k, n_samples=20):
         elements = [np.asarray(g) for g in group]
     if not elements:
         raise ValueError("need at least one group element")
-    if excess := commutant_excess(elements[0].shape[0], k):
+    if excess := commutant_excess(math.log2(elements[0].shape[0]), k):
         raise ValueError(f"system too large: {excess}")
     stack = np.array(elements)
     drift = np.linalg.norm(stack @ stack.conj().swapaxes(1, 2)
@@ -396,9 +395,9 @@ def _orbit_count(n, k):
     acts by the same qubit permutation on all 2k registers, then pointer
     jumping, until a pass changes nothing.
     """
-    d = 2**n
-    if excess := commutant_excess(d, k, orbits=True):
+    if excess := commutant_excess(n, k, orbits=True):
         raise ValueError(f"system too large: {excess}")
+    d = 2**n
     gathers = [np.ix_(*[permutation_index(p, target="qubits")] * (2 * k))
                for p in _adjacent_transpositions(n)]
     shape = (d,) * (2 * k)

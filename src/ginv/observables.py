@@ -7,15 +7,14 @@ projector, or a dense matrix. The structured kinds are valued from the
 state itself and build their dense ``matrix`` on first access.
 
 A swap polynomial reads every reduced purity Tr[rho_a^2] from one
-Pauli-weight transform of the state (``subset_purities``), or, when its
-terms act on at most one qubit, from the one-qubit marginals. Each
+Pauli-weight transform of the state (``subset_purities``). Each
 entanglement observable has a companion ``*_oracle`` evaluating the same
 quantity from partial traces (``subset_purity``), an independent route;
 the runner and the tests hold the two against each other.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -104,11 +103,6 @@ class SwapPolynomial(Observable):
         if masks.tolist() == [len(self.coeffs) - 1]:
             # a lone whole-register term needs only Tr[rho^2]
             return self.coeffs[-1] * np.real(np.einsum("bij,bji->b", stack, stack))
-        if not np.any(masks & (masks - 1)):
-            # terms on at most one qubit need only the one-qubit marginals,
-            # which cost O(n d), where the full transform costs O(n 4^n)
-            columns = [int(a).bit_length() for a in masks]
-            return _one_qubit_purities(stack)[:, columns] @ self.coeffs[masks]
         return subset_purities(stack)[:, masks] @ self.coeffs[masks]
 
     def shot_distribution(self, rho):
@@ -269,41 +263,6 @@ def subset_purities(rho):
         squares = np.matmul(_SUPPORT, squares.reshape(2**j, 4, -1))
     purities = squares.reshape(2**n, b).T
     return purities if rho.ndim == 3 else purities[0]
-
-
-def _one_qubit_purities(stack):
-    """Tr[rho_a^2] of the empty mask and the one-qubit masks 2^k, per state
-    of a (B, d, d) stack: shape (B, n + 1), column k + 1 for mask 2^k (qubit
-    j = n-1-k), column 0 for the empty mask, whose value is Tr[rho]^2.
-
-    The marginal of qubit j is [[p0, o], [o*, p1]], with p0 + p1 = Tr[rho] and
-    p0 - p1 = Tr[rho Z_j] from the diagonal, and o the sum of the d/2 entries
-    rho[x, x + 2^k] with bit k of x clear; its purity is
-    (Tr[rho]^2 + Tr[rho Z_j]^2) / 2 + 2 |o|^2.
-    """
-    b, d = len(stack), stack.shape[-1]
-    signs, offdiagonal = _marginal_tables(num_qubits(d))
-    flat = stack.reshape(b, d * d)
-    diag = np.real(flat[:, :: d + 1])
-    trace = diag.sum(axis=1)
-    o = flat[:, offdiagonal].sum(axis=2)
-    marginals = (trace[:, None] ** 2 + (diag @ signs) ** 2) / 2 + 2 * np.abs(o) ** 2
-    return np.column_stack([trace**2, marginals])
-
-
-@lru_cache(maxsize=None)
-def _marginal_tables(n):
-    """Read-only (d, n) signs (-1)^{bit k of x} and (n, d/2) flat indices
-    x d + x + 2^k of the x with bit k clear."""
-    shift = np.arange(n)[:, None]
-    x, y = np.arange(2**n), np.arange(2 ** (n - 1))
-    signs = (1.0 - 2 * ((x >> shift) & 1)).T
-    # the x with bit k clear: y with a zero bit inserted there
-    low = ((y >> shift) << (shift + 1)) | (y & ((1 << shift) - 1))
-    offdiagonal = (low << n) + (low | (1 << shift))
-    for a in (signs, offdiagonal):
-        a.flags.writeable = False
-    return signs, offdiagonal
 
 
 def subset_purity(rho, subset):

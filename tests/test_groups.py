@@ -564,6 +564,20 @@ def test_orbit_count_refuses_over_the_cap(n, k):
         commutant_analysis(SymmetricSampler(n, 0), k)
 
 
+@pytest.mark.parametrize("d", [3, 16, 65, 1000003, 2**32 - 1])
+def test_commutant_excess_writes_a_given_degree_in_decimal(d):
+    # the degree comes in as log2 d; the message still names d itself
+    assert groups.commutant_excess(np.log2(d), 6) == f"d^k = {d}^6 exceeds 64"
+    assert groups.commutant_excess(np.log2(d), 10, orbits=True).startswith(f"d^(2k) = {d}^20 ")
+
+
+def test_commutant_excess_caps_by_qubit_count():
+    assert groups.commutant_excess(6, 1) is None
+    assert groups.commutant_excess(7, 1) == "d^k = 128^1 exceeds 64"
+    assert groups.commutant_excess(10, 1, orbits=True) is None
+    assert groups.commutant_excess(20000, 1) == "d^k = (2^20000)^1 exceeds 64"
+
+
 def test_adjacent_transpositions_generate():
     gens = adjacent_transposition_generators(3)
     assert len(gens) == 2

@@ -427,20 +427,6 @@ def test_pauli_weight_purities_equal_partial_traces(n):
         np.testing.assert_allclose(obs.subset_purities(rho), row, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_one_qubit_purities_equal_partial_traces(n):
-    # the value route of swap polynomials whose terms act on at most one qubit
-    rng = np.random.default_rng(80 + n)
-    d = 2**n
-    stack = np.array([dm(random_statevector(d, rng)), random_density_matrix(d, rng),
-                      random_hermitian(d, rng)])
-    got = obs._one_qubit_purities(stack)
-    # column k + 1 holds mask 2^k, that is qubit n-1-k
-    oracle = np.column_stack([obs.subset_purity(stack, [])]
-                             + [obs.subset_purity(stack, [n - 1 - k]) for k in range(n)])
-    np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
-
-
 def test_swap_polynomial_values_and_shots_take_no_partial_trace(monkeypatch):
     calls = []
     partial_trace = tensor.partial_trace
