@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .datasets import LabeledUnitary
 from .groups import UnitarySampler, block_count
 from .models import ModelSpec, conjugated_observable, estimate_with_shots, evaluate
 from .observables import bell_projector, pauli_string
@@ -197,7 +196,8 @@ def _rule_dict(rule):
 
 
 def classify(dataset, model, rule, shots=0, rng=None):
-    """Run the model over a labeled dataset and score a decision rule.
+    """Run the model over a Dataset's inputs, states or unitaries as its
+    hclass reads them, and score a decision rule.
 
     With shots = 0 the exact expectation is used; otherwise each value is
     a finite-shot estimate drawn from ``rng``. A class absent from the
@@ -207,20 +207,16 @@ def classify(dataset, model, rule, shots=0, rng=None):
         raise ValueError(f"unknown rule {rule!r}")
     if shots > 0 and rng is None:
         raise ValueError("shots > 0 needs a random generator rng")
-    labels = np.array([item.label for item in dataset])
+    labels = dataset.labels
     absent = [c for c in (0, 1) if not (labels == c).any()]
     if absent and not isinstance(rule, ThresholdRule):
         raise ValueError(
             f"{type(rule).__name__} needs both classes; label {absent[0]} is absent"
         )
-    values = []
-    for item in dataset:
-        x = item.unitary if isinstance(item, LabeledUnitary) else item.state
-        if shots > 0:
-            values.append(estimate_with_shots(model, x, shots, rng).estimate)
-        else:
-            values.append(evaluate(model, x))
-    values = np.array(values)
+    values = np.array([
+        estimate_with_shots(model, x, shots, rng).estimate if shots > 0 else evaluate(model, x)
+        for x in dataset.inputs
+    ])
     m0, m1 = (
         None if c in absent else float(values[labels == c].mean()) for c in (0, 1)
     )

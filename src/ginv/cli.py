@@ -54,7 +54,8 @@ GRAPH_PRESETS = {
 # Per-experiment config schema: field -> (type, default, minimum). A None
 # default is kept as null; a None minimum means no bound. Below its minimum a
 # count fails a run or reports nothing; purity and entanglement samples have
-# none, since one item names the absent class.
+# none, since one item names the absent class. CHOICES lists the names a
+# naming field takes.
 SCHEMAS = {
     "purity": {
         "n": (int, 2, 1),
@@ -65,7 +66,7 @@ SCHEMAS = {
     "time_reversal_states": {
         "n": (int, 2, 1),
         "samples": (int, 200, 1),
-        "observable": (str, "odd_y", None),  # odd_y | bell
+        "observable": (str, "odd_y", None),
         "eps": (float, None, None),
         "mc_samples": (int, 20000, 2),
         "shots": (int, 0, 0),
@@ -93,7 +94,7 @@ SCHEMAS = {
         "learning_rate": (float, 0.5, None),
     },
     "commutant": {
-        "group": (str, "unitary", None),  # unitary | orthogonal | local_unitary | symmetric
+        "group": (str, "unitary", None),
         "n": (int, None, 1),
         "d": (int, 4, 1),  # local_unitary and symmetric record d = 2**n
         "k": (int, 2, 1),
@@ -141,14 +142,17 @@ def validate_config(raw):
         config[name] = None if value is None else _coerce(name, typ, value)
         if low is not None and config[name] is not None and config[name] < low:
             raise ConfigError(f"field {name}: must be >= {low}, got {config[name]}")
+        choices = CHOICES.get((experiment, name), ())
+        if choices and config[name] not in choices:
+            raise ConfigError(
+                f"field {name}: expected one of {sorted(choices)}, got {config[name]!r}"
+            )
     if experiment == "concentration" and config["n_min"] > config["n_max"]:
         raise ConfigError(
             f"need n_min <= n_max, got n_min={config['n_min']}, n_max={config['n_max']}"
         )
     if experiment == "commutant":
         group, n, k = config["group"], config["n"], config["k"]
-        if group not in SAMPLERS:
-            raise ConfigError(f"unknown group {group!r}")
         orbits = group == "symmetric"
         # the cap is checked once, on log2 d: from --n before 2**n is formed
         if n is not None and (excess := commutant_excess(n, k, orbits)):
@@ -187,6 +191,15 @@ SAMPLERS = {
     "orthogonal": (OrthogonalSampler, "d"),
     "local_unitary": (LocalUnitarySampler, "n"),
     "symmetric": (SymmetricSampler, "n"),
+}
+
+
+# Fields that take one of a fixed set of names.
+CHOICES = {
+    ("time_reversal_states", "observable"): ("odd_y", "bell"),
+    ("entanglement", "measure"): observables.ENTANGLEMENT_MEASURES,
+    ("commutant", "group"): SAMPLERS,
+    ("concentration", "family"): analysis.CONCENTRATION_FAMILIES,
 }
 
 
@@ -238,12 +251,10 @@ def run_time_reversal_states(config, rng):
     if config["observable"] == "bell":
         model = ModelSpec("H1", observables.bell_projector(n))
         c = 1.0 / d
-    elif config["observable"] == "odd_y":
+    else:
         obs, _ = observables.pauli_string("Y" + "I" * (n - 1))
         model = ModelSpec("H1", obs)
         c = 0.0
-    else:
-        raise ConfigError(f"observable must be odd_y or bell, got {config['observable']!r}")
     eps = config["eps"]
     if eps is None:
         # tight for exact values, half the class value under shot noise
@@ -294,9 +305,8 @@ def run_entanglement(config, rng):
     model = ModelSpec("H1", obs)
     report = classify(data, model, MidpointRule(), shots=config["shots"], rng=rng)
     # the oracle takes partial traces, a route independent of the observable's
-    values = np.array([evaluate(model, item.state) for item in data])
-    oracle = observables.ENTANGLEMENT_MEASURES[measure]
-    oracle_values = oracle(np.array([item.state for item in data]))
+    values = np.array([evaluate(model, rho) for rho in data.inputs])
+    oracle_values = observables.ENTANGLEMENT_MEASURES[measure](data.inputs)
     return {
         "classification": asdict(report),
         "max_oracle_deviation": float(np.abs(values - oracle_values).max()),
@@ -314,28 +324,23 @@ def run_graph(config, rng):
         raise ConfigError(str(exc)) from exc
     # One representative per class suffices: the trained model is exactly
     # permutation-invariant, so its value is constant on each class.
-    reps = [
-        datasets.LabeledState(datasets.graph_state(g0, t), 0),
-        datasets.LabeledState(datasets.graph_state(g1, t), 1),
-    ]
+    reps = datasets.Dataset(
+        np.array([datasets.graph_state(g0, t), datasets.graph_state(g1, t)]), np.array([0, 1])
+    )
     trainable = graph_invariant_model(g0.n)
     train_config = TrainConfig(config["learning_rate"], config["iterations"])
     result = optimize(trainable, reps, train_config)
-    h0 = trainable.value_fn(result.theta, reps[0].state)
-    h1 = trainable.value_fn(result.theta, reps[1].state)
+    h0, h1 = (trainable.value_fn(result.theta, rho) for rho in reps.inputs)
     midpoint = (h0 + h1) / 2
-    correct = 0
-    for item in test:
-        value = trainable.value_fn(result.theta, item.state)
-        pred = int(value > midpoint) if h1 >= h0 else int(value <= midpoint)
-        correct += pred == item.label
+    values = np.array([trainable.value_fn(result.theta, rho) for rho in test.inputs])
+    pred = values > midpoint if h1 >= h0 else values <= midpoint
     return {
         "final_loss": result.loss_trace[-1],
         "loss_trace": result.loss_trace,
         "theta": [float(x) for x in result.theta],
         "class_values": {"0": h0, "1": h1},
         "gap": abs(h1 - h0),
-        "test_accuracy": correct / len(test),
+        "test_accuracy": float(np.mean(pred == test.labels)),
     }
 
 

@@ -6,7 +6,8 @@ unitaries), and multipartite entanglement (product vs fixed measure
 value). Graphs are encoded by evolving |+>^n under an Ising-plus-field
 Hamiltonian whose coupling topology is the graph.
 
-Generation is deterministic per seed.
+Each generator returns one Dataset, its input stack filled row by row;
+generation is deterministic per seed.
 """
 
 from dataclasses import dataclass, field
@@ -16,11 +17,7 @@ from itertools import permutations
 import numpy as np
 
 from .groups import haar_orthogonal, haar_unitary, permutation_index
-from .observables import (
-    ENTANGLEMENT_MEASURES,
-    Observable,
-    ghz_state,
-)
+from .observables import ENTANGLEMENT_MEASURES, Observable
 from .tensor import (
     dm,
     expm_hermitian,
@@ -32,16 +29,15 @@ from .tensor import (
 
 
 @dataclass
-class LabeledState:
-    state: np.ndarray = field(repr=False)
-    label: int
-    provenance: dict = field(default_factory=dict)
+class Dataset:
+    """N labeled inputs: an (N, d, d) stack of density matrices, or of
+    unitaries for the time-reversal dynamics, and their int labels."""
 
+    inputs: np.ndarray = field(repr=False)
+    labels: np.ndarray
 
-@dataclass
-class LabeledUnitary:
-    unitary: np.ndarray = field(repr=False)
-    label: int
+    def __len__(self):
+        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -68,6 +64,12 @@ def _balanced_labels(count, rng):
     return labels
 
 
+def _unfilled(count, d, rng):
+    """A dataset of ``count`` d x d inputs for the generator to fill row by
+    row, with its labels drawn first."""
+    return Dataset(np.empty((count, d, d), dtype=complex), _balanced_labels(count, rng))
+
+
 def mixed_fraction_for_purity(b, d):
     """Pure-state weight p with Tr[(p psi + (1-p) I/d)^2] = b.
 
@@ -84,67 +86,65 @@ def purity_dataset(n, count, b, rng):
     """Pure Haar states (label 1) vs depolarised states of purity b (label 0)."""
     d = 2**n
     p = mixed_fraction_for_purity(b, d)
-    items = []
-    for label in _balanced_labels(count, rng):
+    data = _unfilled(count, d, rng)
+    for row, label in zip(data.inputs, data.labels):
         psi = random_statevector(d, rng)
-        if label == 1:
-            state = dm(psi)
-        else:
-            state = p * dm(psi) + (1.0 - p) * np.eye(d) / d
-        items.append(
-            LabeledState(state, int(label), {"generator": "purity", "b": b, "p": p})
-        )
-    return items
+        row[:] = dm(psi) if label == 1 else p * dm(psi) + (1.0 - p) * np.eye(d) / d
+    return data
 
 
 def time_reversal_state_dataset(n, count, rng):
     """|0>^n evolved by Haar orthogonal (label 1) vs Haar unitary (label 0)."""
     d = 2**n
     zero = zero_state(n)
-    items = []
-    for label in _balanced_labels(count, rng):
+    data = _unfilled(count, d, rng)
+    for row, label in zip(data.inputs, data.labels):
         v = haar_orthogonal(d, rng) if label == 1 else haar_unitary(d, rng)
-        items.append(
-            LabeledState(dm(v @ zero), int(label), {"generator": "time_reversal_states"})
-        )
-    return items
+        row[:] = dm(v @ zero)
+    return data
 
 
 def time_reversal_dynamics_dataset(n, count, rng):
     """Haar orthogonal unitaries (label 1) vs Haar unitaries (label 0)."""
     d = 2**n
-    items = []
-    for label in _balanced_labels(count, rng):
-        w = haar_orthogonal(d, rng) if label == 1 else haar_unitary(d, rng)
-        items.append(LabeledUnitary(w, int(label)))
-    return items
+    data = _unfilled(count, d, rng)
+    for row, label in zip(data.inputs, data.labels):
+        row[:] = haar_orthogonal(d, rng) if label == 1 else haar_unitary(d, rng)
+    return data
 
 
-def _ghz_interpolation(n, alpha):
-    v = np.cos(alpha) * zero_state(n) + np.sin(alpha) * ghz_state(n)
-    return v / np.linalg.norm(v)
+# Slack of the attainable-range check: a target this close to an end of the
+# range is taken as that end.
+RANGE_SLACK = 1e-6
 
 
-def _bisect_measure(measure_fn, n, b, tol=1e-6, max_iter=200):
-    lo, hi = 0.0, np.pi / 2
-    f_lo = measure_fn(dm(_ghz_interpolation(n, lo)))
-    f_hi = measure_fn(dm(_ghz_interpolation(n, hi)))
-    if not (min(f_lo, f_hi) - tol <= b <= max(f_lo, f_hi) + tol):
+def _target_state(measure_fn, n, b):
+    """The state on the |0>^n-GHZ path whose measure is b, in closed form.
+
+    Every proper nonempty marginal of sqrt(1 - w)|0..0> + sqrt(w)|1..1> is
+    diag(1 - w, w), of purity p = 1 - 2w(1 - w): 1 at the product end, 1/2
+    at GHZ. Each measure is affine in the reduced purities (Beckey et al.,
+    arXiv:2104.06923), hence affine in p, so its values at the two ends fix
+    p, and w = (1 - sqrt(2p - 1)) / 2. A constant measure (odd-n ntangle,
+    n = 1) takes the GHZ end.
+    """
+    d = 2**n
+    # |GHZ><GHZ| from its four corners: the outer product of the rounded
+    # vector leaves ~1e-16 in the ends, and a constant 0 would print as dust
+    rho_ghz = np.zeros((d, d), dtype=complex)
+    rho_ghz[np.ix_([0, -1], [0, -1])] = 0.5
+    product, ghz = measure_fn(dm(zero_state(n))), measure_fn(rho_ghz)
+    low, high = sorted((product, ghz))
+    if not low - RANGE_SLACK <= b <= high + RANGE_SLACK:
         raise ValueError(
-            f"target measure {b} outside attainable range [{f_lo:.6g}, {f_hi:.6g}]"
+            f"target measure {b} outside attainable range [{low:.6g}, {high:.6g}]"
         )
-    increasing = f_hi >= f_lo
-    for _ in range(max_iter):
-        mid = (lo + hi) / 2
-        f_mid = measure_fn(dm(_ghz_interpolation(n, mid)))
-        if abs(f_mid - b) <= tol:
-            return mid
-        if (f_mid < b) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    # Interval exhausted; endpoint is within tolerance by the bracket check.
-    return (lo + hi) / 2
+    # 2p - 1 = (b - ghz) / (product - ghz): 0 at GHZ, 1 at the product end
+    s = np.clip((b - ghz) / (product - ghz), 0.0, 1.0) if high - low > RANGE_SLACK else 0.0
+    w = (1.0 - np.sqrt(s)) / 2
+    psi = np.zeros(d, dtype=complex)
+    psi[0], psi[-1] = np.sqrt(1.0 - w), np.sqrt(w)
+    return psi
 
 
 def entanglement_dataset(n, count, b, measure, rng):
@@ -152,29 +152,20 @@ def entanglement_dataset(n, count, b, measure, rng):
 
     Label 0 items are random single-qubit product states (measure 0 for
     impurity / meyer_wallach / concentratable; the signed-sum ntangle
-    operator evaluates to 1 on products instead); label 1 items
-    interpolate |0>^n with GHZ_n so the chosen measure equals b, then are
+    operator evaluates to 1 on products instead); label 1 items are the
+    state of measure b on the |0>^n-GHZ path (``_target_state``), then
     scrambled by a measure-preserving random local unitary.
     """
     if measure not in ENTANGLEMENT_MEASURES:
         raise ValueError(f"unknown entanglement measure {measure!r}")
-    measure_fn = ENTANGLEMENT_MEASURES[measure]
-    alpha = _bisect_measure(measure_fn, n, b)
-    base = _ghz_interpolation(n, alpha)
-    items = []
-    for label in _balanced_labels(count, rng):
+    base = _target_state(ENTANGLEMENT_MEASURES[measure], n, b)
+    data = _unfilled(count, 2**n, rng)
+    for row, label in zip(data.inputs, data.labels):
         # A random local unitary either scrambles the fixed-measure state
         # (measure-preserving) or turns |0>^n into a random product state.
         local = kron_all([haar_unitary(2, rng) for _ in range(n)])
-        psi = local @ (base if label == 1 else zero_state(n))
-        items.append(
-            LabeledState(
-                dm(psi),
-                int(label),
-                {"generator": "entanglement", "measure": measure, "b": b, "alpha": alpha},
-            )
-        )
-    return items
+        row[:] = dm(local @ (base if label == 1 else zero_state(n)))
+    return data
 
 
 def graph_terms(g):
@@ -261,16 +252,10 @@ def graph_dataset(g0, g1, count, t, rng):
         raise ValueError(
             f"evolution time t={t} does not distinguish the reference graphs"
         )
-    items = []
-    for label in _balanced_labels(count, rng):
+    data = _unfilled(count, 2**n, rng)
+    for row, label in zip(data.inputs, data.labels):
         perm = rng.permutation(n)
         # (P rho P^T)[idx[a], idx[b]] = rho[a, b], so gather by the inverse map
         inverse = permutation_index(np.argsort(perm), target="qubits")
-        items.append(
-            LabeledState(
-                refs[label][np.ix_(inverse, inverse)],
-                int(label),
-                {"generator": "graph", "t": t, "perm": [int(x) for x in perm]},
-            )
-        )
-    return items
+        row[:] = refs[label][np.ix_(inverse, inverse)]
+    return data

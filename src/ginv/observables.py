@@ -218,13 +218,6 @@ def hermitize(a, copies=1):
     )
 
 
-def ghz_state(n):
-    """(|0...0> + |1...1>)/sqrt(2)."""
-    psi = np.zeros(2**n, dtype=complex)
-    psi[0] = psi[-1] = 1 / np.sqrt(2)
-    return psi
-
-
 # Per qubit, the entries (00, 01, 10, 11) of an operator over its (row bit,
 # column bit) pair map to its weights on I, X, Y, Z. Y's factor i is left
 # out: it makes a weight i^k times a real one, and leaves its square.

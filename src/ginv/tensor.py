@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# Global Hermiticity / PSD / trace tolerance. Single knob by design.
+# Global Hermiticity tolerance. Single knob by design.
 ATOL = 1e-10
 
 # tensor_power refuses allocations beyond this many bytes.
@@ -114,18 +114,6 @@ def is_unitary(a, tol=1e-9):
     return np.linalg.norm(a @ a.conj().T - np.eye(d)) <= tol
 
 
-def check_density_matrix(rho, tol=None):
-    """Raise ValueError unless rho is Hermitian, unit trace, and PSD."""
-    tol = ATOL if tol is None else tol
-    rho = np.asarray(rho)
-    if not is_hermitian(rho, tol):
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > tol:
-        raise ValueError(f"density matrix trace {np.trace(rho)} != 1")
-    if np.linalg.eigvalsh(rho).min() < -tol:
-        raise ValueError("density matrix has a negative eigenvalue")
-
-
 def expm_hermitian(h, t=1.0):
     """Unitary exp(-i t h) of a Hermitian generator, via eigendecomposition."""
     h = np.asarray(h)
@@ -224,11 +212,3 @@ def random_statevector(dim, rng):
     """Haar-random pure state (normalised complex Gaussian vector)."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def random_density_matrix(dim, rng, rank=None):
-    """Random full-rank (or rank-limited) density matrix."""
-    rank = dim if rank is None else rank
-    a = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho)

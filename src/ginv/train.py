@@ -50,9 +50,8 @@ def mse_labels(values, labels):
 
 
 def dataset_loss(trainable, theta, dataset):
-    values = [trainable.value_fn(theta, item.state) for item in dataset]
-    labels = [item.label for item in dataset]
-    return mse_labels(values, labels)
+    values = [trainable.value_fn(theta, rho) for rho in dataset.inputs]
+    return mse_labels(values, dataset.labels)
 
 
 def finite_diff_gradient(f, theta, step):

@@ -1,0 +1,32 @@
+"""States and checks that only the tests use."""
+
+import numpy as np
+
+from ginv.tensor import ATOL, is_hermitian
+
+
+def random_density_matrix(dim, rng, rank=None):
+    """Random full-rank (or rank-limited) density matrix."""
+    rank = dim if rank is None else rank
+    a = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+def check_density_matrix(rho, tol=None):
+    """Raise ValueError unless rho is Hermitian, unit trace, and PSD."""
+    tol = ATOL if tol is None else tol
+    rho = np.asarray(rho)
+    if not is_hermitian(rho, tol):
+        raise ValueError("density matrix is not Hermitian")
+    if abs(np.trace(rho) - 1.0) > tol:
+        raise ValueError(f"density matrix trace {np.trace(rho)} != 1")
+    if np.linalg.eigvalsh(rho).min() < -tol:
+        raise ValueError("density matrix has a negative eigenvalue")
+
+
+def ghz_state(n):
+    """(|0...0> + |1...1>)/sqrt(2)."""
+    psi = np.zeros(2**n, dtype=complex)
+    psi[0] = psi[-1] = 1 / np.sqrt(2)
+    return psi

@@ -66,10 +66,10 @@ from ginv.tensor import (
     dm,
     kron,
     purity,
-    random_density_matrix,
     random_statevector,
     zero_state,
 )
+from helpers import ghz_state, random_density_matrix
 from ginv.train import TrainConfig, graph_invariant_model, optimize
 
 MC_SAMPLES = 20000
@@ -160,7 +160,7 @@ def test_criterion_3_time_reversal_states():
     model2 = ModelSpec("H1", y_obs)
     data = time_reversal_state_dataset(2, 200, np.random.default_rng(301))
     worst = max(
-        abs(evaluate(model2, item.state)) for item in data if item.label == 1
+        abs(evaluate(model2, rho)) for rho in data.inputs[data.labels == 1]
     )
     null_ok = worst < 1e-10
 
@@ -293,7 +293,7 @@ def test_criterion_6_entanglement():
                 worst = max(worst, abs(observable.expectation(rho) - oracle(rho)))
     oracle_ok = worst < 1e-9
 
-    ghz3 = dm(obs.ghz_state(3))
+    ghz3 = dm(ghz_state(3))
     w3 = dm(np.array([0, 1, 1, 0, 1, 0, 0, 0], dtype=complex) / np.sqrt(3))  # W state
     product = dm(
         np.kron(random_statevector(2, rng), random_statevector(2, rng)).astype(complex)
@@ -302,9 +302,9 @@ def test_criterion_6_entanglement():
         (obs.meyer_wallach_observable(3).expectation(ghz3), 1.0),
         (obs.meyer_wallach_observable(3).expectation(w3), 8 / 9),
         (obs.concentratable_observable([0, 1, 2], 3).expectation(ghz3), 0.375),
-        (obs.ntangle_observable(2).expectation(dm(obs.ghz_state(2))), 0.75),
+        (obs.ntangle_observable(2).expectation(dm(ghz_state(2))), 0.75),
         (obs.meyer_wallach_observable(2).expectation(product), 0.0),
-        (obs.impurity_observable(0, 2).expectation(dm(obs.ghz_state(2))), 1.0),
+        (obs.impurity_observable(0, 2).expectation(dm(ghz_state(2))), 1.0),
     ]
     refs_ok = all(abs(got - want) < 1e-9 for got, want in refs)
 
@@ -466,22 +466,20 @@ def test_criterion_9_graph():
     )
     inv_ok = inv_worst < 1e-9
 
-    from ginv.datasets import LabeledState
+    from ginv.datasets import Dataset
 
-    reps = [
-        LabeledState(graph_state(TRIANGLE, 1.0), 0),
-        LabeledState(graph_state(PATH3, 1.0), 1),
-    ]
+    reps = Dataset(
+        np.array([graph_state(TRIANGLE, 1.0), graph_state(PATH3, 1.0)]), np.array([0, 1])
+    )
     result = optimize(model, reps, TrainConfig(learning_rate=0.5, iterations=60))
-    h0 = model.value_fn(result.theta, reps[0].state)
-    h1 = model.value_fn(result.theta, reps[1].state)
+    h0, h1 = (model.value_fn(result.theta, rho) for rho in reps.inputs)
     test_set = graph_dataset(TRIANGLE, PATH3, 100, 1.0, np.random.default_rng(902))
     midpoint = (h0 + h1) / 2
     correct = sum(
-        (int(model.value_fn(result.theta, item.state) > midpoint)
+        (int(model.value_fn(result.theta, rho) > midpoint)
          if h1 >= h0
-         else int(model.value_fn(result.theta, item.state) <= midpoint)) == item.label
-        for item in test_set
+         else int(model.value_fn(result.theta, rho) <= midpoint)) == label
+        for rho, label in zip(test_set.inputs, test_set.labels)
     )
     accuracy = correct / len(test_set)
     ok = _line(

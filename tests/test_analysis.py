@@ -17,6 +17,7 @@ from ginv.analysis import (
     misclassification_probability,
 )
 from ginv.datasets import (
+    Dataset,
     purity_dataset,
     time_reversal_dynamics_dataset,
     time_reversal_state_dataset,
@@ -24,7 +25,8 @@ from ginv.datasets import (
 from ginv.groups import OrthogonalSampler, UnitarySampler, block_count, haar_unitary
 from ginv.models import ModelSpec, estimate_with_shots, evaluate
 from ginv.observables import Observable, bell_projector, pauli_string, swap_operator
-from ginv.tensor import bell_state, dm, purity, random_density_matrix, zero_state
+from ginv.tensor import bell_state, dm, purity, zero_state
+from helpers import random_density_matrix
 
 
 def odd_y_model(n):
@@ -267,13 +269,9 @@ def test_classify_invariant_under_group_conjugation():
     data = purity_dataset(1, 60, 0.6, rng)
     model = ModelSpec("H1", swap_operator(1))
     base = classify(data, model, MidpointRule())
-    conjugated = []
-    for item in data:
-        v = haar_unitary(2, rng)
-        conjugated.append(
-            type(item)(v @ item.state @ v.conj().T, item.label, item.provenance)
-        )
-    moved = classify(conjugated, model, MidpointRule())
+    v = haar_unitary(2, rng, count=len(data))
+    moved_inputs = v @ data.inputs @ v.conj().swapaxes(-1, -2)
+    moved = classify(Dataset(moved_inputs, data.labels), model, MidpointRule())
     assert moved.accuracy == base.accuracy
     assert moved.confusion == base.confusion
 
@@ -296,7 +294,7 @@ def test_classify_shots_need_rng():
 def test_classify_absent_class():
     # a one-item dataset holds label 1 only
     data = purity_dataset(1, 1, 0.5, np.random.default_rng(14))
-    assert [item.label for item in data] == [1]
+    assert data.labels.tolist() == [1]
     model = ModelSpec("H1", swap_operator(1))
     report = classify(data, model, ThresholdRule(1.0, 1e-8))
     assert report.class_means["0"] is None

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ginv
-from ginv import analysis, cli
+from ginv import analysis, cli, observables
 
 
 def run_cli(argv):
@@ -207,6 +207,8 @@ def test_runtime_error_leaves_no_partial_file(tmp_path, capsys):
         (["--measure", "concentratable"], "[0, 0.375]"),
         (["--measure", "concentratable", "--n", "4"], "[0, 0.4375]"),
         (["--measure", "ntangle"], "[1, 1]"),
+        # decreasing from the product end, printed [min, max]
+        (["--measure", "ntangle", "--n", "4"], "[0.9375, 1]"),
     ],
 )
 def test_unattainable_entanglement_target_is_config_error(tmp_path, capsys, args, attainable):
@@ -321,6 +323,44 @@ def test_undistinguishing_time_refused_before_training(tmp_path, capsys, monkeyp
     assert not out.exists()
     assert trained == []
     assert "does not distinguish the reference graphs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "experiment,field",
+    [
+        ("concentration", "family"),
+        ("time_reversal_states", "observable"),
+        ("entanglement", "measure"),
+        ("commutant", "group"),
+    ],
+)
+def test_unknown_choice_is_refused_before_any_work(tmp_path, capsys, monkeypatch, experiment, field):
+    # refused by validate_config, before a runner draws or samples anything
+    ran = []
+    monkeypatch.setitem(cli.RUNNERS, experiment, lambda *args: ran.append(args))
+    out = tmp_path / "r.json"
+    flag = "--" + field.replace("_", "-")
+    assert run_cli(["run", "--experiment", experiment, flag, "foo", "-o", str(out)]) == 2
+    assert not out.exists()
+    assert ran == []
+    assert f"field {field}: expected one of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("measure", ["impurity", "ntangle"])
+def test_entanglement_oracle_reads_the_dataset_stack_itself(monkeypatch, measure):
+    # the oracle check scores the dataset's own input stack, not a copy
+    made, seen = [], []
+    generate, oracle = cli.datasets.entanglement_dataset, observables.ENTANGLEMENT_MEASURES[measure]
+    monkeypatch.setattr(cli.datasets, "entanglement_dataset",
+                        lambda *args: made.append(generate(*args)) or made[-1])
+    monkeypatch.setitem(observables.ENTANGLEMENT_MEASURES, measure,
+                        lambda rho: seen.append(rho) or oracle(rho))
+    cli.run({"experiment": "entanglement", "measure": measure, "n": 2, "b": 0.8,
+             "samples": 6})
+    # the dataset values the two ends of its path, the check the whole stack
+    stacks = [rho for rho in seen if rho.ndim == 3]
+    assert len(made) == 1 and len(stacks) == 1
+    assert stacks[0] is made[0].inputs
 
 
 @pytest.mark.parametrize("experiment", ["graph", "commutant", "concentration", "ancilla"])

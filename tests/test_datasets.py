@@ -6,34 +6,41 @@ import pytest
 from ginv import datasets as ds
 from ginv import observables as obs
 from ginv.groups import permutation_operator
-from ginv.tensor import dm, expectation, kron_all, plus_state, purity, random_density_matrix
+from ginv.tensor import dm, expectation, kron_all, plus_state, purity, zero_state
+from helpers import ghz_state, random_density_matrix
 
 
 TRIANGLE = ds.Graph(3, {(0, 1), (1, 2), (0, 2)})
 PATH3 = ds.Graph(3, {(0, 1), (1, 2)})
 
 
+def test_dataset_is_one_input_stack_and_its_labels():
+    data = ds.purity_dataset(2, 7, 0.5, np.random.default_rng(0))
+    assert len(data) == 7
+    assert data.inputs.shape == (7, 4, 4) and data.inputs.dtype == complex
+    assert data.labels.shape == (7,)
+    assert set(data.labels.tolist()) == {0, 1}
+
+
 def test_purity_dataset_minimum_purity_is_maximally_mixed():
-    items = ds.purity_dataset(1, 10, 0.5, np.random.default_rng(0))
-    for item in items:
-        if item.label == 0:
-            np.testing.assert_allclose(item.state, np.eye(2) / 2, atol=1e-12)
+    data = ds.purity_dataset(1, 10, 0.5, np.random.default_rng(0))
+    for rho in data.inputs[data.labels == 0]:
+        np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
 
 
 def test_purity_dataset_quadratic_root_oracle():
     # oracle: recompute Tr[rho^2] of the constructed mixed states
-    items = ds.purity_dataset(1, 20, 0.625, np.random.default_rng(1))
-    assert abs(items[0].provenance["p"] - 0.5) < 1e-12
-    for item in items:
-        target = 0.625 if item.label == 0 else 1.0
-        assert abs(purity(item.state) - target) < 1e-9
+    assert abs(ds.mixed_fraction_for_purity(0.625, 2) - 0.5) < 1e-12
+    for n, b in ((1, 0.625), (2, 0.7), (3, 0.3)):
+        data = ds.purity_dataset(n, 20, b, np.random.default_rng(1))
+        for rho in data.inputs[data.labels == 0]:
+            assert abs(purity(rho) - b) < 1e-12
 
 
 def test_purity_dataset_label1_pure():
-    items = ds.purity_dataset(2, 30, 0.7, np.random.default_rng(2))
-    for item in items:
-        if item.label == 1:
-            assert abs(purity(item.state) - 1.0) < 1e-10
+    data = ds.purity_dataset(2, 30, 0.7, np.random.default_rng(2))
+    for rho in data.inputs[data.labels == 1]:
+        assert abs(purity(rho) - 1.0) < 1e-10
 
 
 def test_purity_dataset_rejects_bad_target():
@@ -46,26 +53,22 @@ def test_purity_dataset_rejects_bad_target():
 def test_purity_dataset_balanced_and_seed_stable():
     a = ds.purity_dataset(1, 11, 0.6, np.random.default_rng(3))
     b = ds.purity_dataset(1, 11, 0.6, np.random.default_rng(3))
-    assert [i.label for i in a] == [i.label for i in b]
-    assert sum(i.label for i in a) == 6  # ceil(11/2) ones
-    for x, y in zip(a, b):
-        assert np.array_equal(x.state, y.state)
+    assert np.array_equal(a.labels, b.labels)
+    assert a.labels.sum() == 6  # ceil(11/2) ones
+    assert np.array_equal(a.inputs, b.inputs)
 
 
 def test_time_reversal_states_real_amplitudes():
-    items = ds.time_reversal_state_dataset(2, 40, np.random.default_rng(4))
-    for item in items:
-        if item.label == 1:
-            assert np.abs(item.state.imag).max() < 1e-12
+    data = ds.time_reversal_state_dataset(2, 40, np.random.default_rng(4))
+    assert np.abs(data.inputs[data.labels == 1].imag).max() < 1e-12
 
 
 def test_time_reversal_states_odd_y_null():
     y_string, flag = obs.pauli_string("YI")
     assert flag
-    items = ds.time_reversal_state_dataset(2, 40, np.random.default_rng(5))
-    for item in items:
-        if item.label == 1:
-            assert abs(expectation(item.state, y_string.matrix)) < 1e-10
+    data = ds.time_reversal_state_dataset(2, 40, np.random.default_rng(5))
+    for rho in data.inputs[data.labels == 1]:
+        assert abs(expectation(rho, y_string.matrix)) < 1e-10
 
 
 def test_time_reversal_states_haar_moments():
@@ -74,21 +77,18 @@ def test_time_reversal_states_haar_moments():
     n = 1
     d = 2**n
     count = 5000
-    items = ds.time_reversal_state_dataset(n, 2 * count, np.random.default_rng(6))
+    data = ds.time_reversal_state_dataset(n, 2 * count, np.random.default_rng(6))
     y = obs.pauli_string("Y")[0]
-    vals = np.array(
-        [expectation(i.state, y.matrix) for i in items if i.label == 0]
-    )
+    vals = np.array([expectation(rho, y.matrix) for rho in data.inputs[data.labels == 0]])
     stderr = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean()) < 4 * stderr
     assert abs(vals.var(ddof=1) - 1 / (d + 1)) < 0.1 / (d + 1)
 
 
 def test_time_reversal_dynamics_labels():
-    items = ds.time_reversal_dynamics_dataset(2, 30, np.random.default_rng(7))
-    for item in items:
-        w = item.unitary
-        if item.label == 1:
+    data = ds.time_reversal_dynamics_dataset(2, 30, np.random.default_rng(7))
+    for w, label in zip(data.inputs, data.labels):
+        if label == 1:
             assert np.abs(w.imag).max() < 1e-12
             assert np.linalg.norm(w @ w.T - np.eye(4)) < 1e-9
         else:
@@ -96,10 +96,8 @@ def test_time_reversal_dynamics_labels():
 
 
 def test_entanglement_dataset_product_states_have_zero_measure():
-    items = ds.entanglement_dataset(3, 20, 0.5, "meyer_wallach", np.random.default_rng(8))
-    for item in items:
-        if item.label == 0:
-            assert abs(obs.meyer_wallach_oracle(item.state)) < 1e-9
+    data = ds.entanglement_dataset(3, 20, 0.5, "meyer_wallach", np.random.default_rng(8))
+    assert np.abs(obs.meyer_wallach_oracle(data.inputs[data.labels == 0])).max() < 1e-9
 
 
 def test_entanglement_dataset_hits_target_measure():
@@ -107,35 +105,44 @@ def test_entanglement_dataset_hits_target_measure():
     # sit at 1); the other measures vanish on products
     targets = {"meyer_wallach": 0.3, "concentratable": 0.2, "impurity": 0.3, "ntangle": 0.8}
     for measure, b in targets.items():
-        items = ds.entanglement_dataset(2, 10, b, measure, np.random.default_rng(9))
-        fn = obs.ENTANGLEMENT_MEASURES[measure]
-        for item in items:
-            if item.label == 1:
-                assert abs(fn(item.state) - b) < 1e-5, measure
-            elif measure != "ntangle":
-                assert abs(fn(item.state)) < 1e-9, measure
-            else:
-                assert abs(fn(item.state) - 1.0) < 1e-9
+        data = ds.entanglement_dataset(2, 10, b, measure, np.random.default_rng(9))
+        values = obs.ENTANGLEMENT_MEASURES[measure](data.inputs)
+        product = 1.0 if measure == "ntangle" else 0.0
+        assert np.abs(values[data.labels == 1] - b).max() < 1e-12, measure
+        assert np.abs(values[data.labels == 0] - product).max() < 1e-9, measure
+
+
+@pytest.mark.parametrize("measure", sorted(obs.ENTANGLEMENT_MEASURES))
+@pytest.mark.parametrize("n", range(2, 7))
+def test_entanglement_dataset_hits_every_attainable_target(measure, n):
+    # oracle: the partial-trace measure of every label-1 item, at both ends
+    # of the range (|0>^n and GHZ) and at three interior points
+    fn = obs.ENTANGLEMENT_MEASURES[measure]
+    product, ghz = fn(dm(zero_state(n))), fn(dm(ghz_state(n)))
+    for s in (0.0, 0.2, 0.5, 0.9, 1.0):
+        b = product + s * (ghz - product)
+        data = ds.entanglement_dataset(n, 4, b, measure, np.random.default_rng(n))
+        values = fn(data.inputs[data.labels == 1])
+        assert np.abs(values - b).max() < 1e-12, (measure, n, s)
 
 
 def test_entanglement_dataset_ghz_endpoint():
-    b = obs.meyer_wallach_oracle(dm(obs.ghz_state(3)))
-    items = ds.entanglement_dataset(3, 6, b, "meyer_wallach", np.random.default_rng(10))
-    assert abs(items[0].provenance["alpha"] - np.pi / 2) < 0.01
-    for item in items:
-        if item.label == 1:
-            assert abs(obs.meyer_wallach_oracle(item.state) - b) < 1e-5
+    # oracle: at the top of the range every label-1 item is GHZ up to local
+    # unitaries, so each one-qubit marginal is maximally mixed
+    b = obs.meyer_wallach_oracle(dm(ghz_state(3)))
+    data = ds.entanglement_dataset(3, 6, b, "meyer_wallach", np.random.default_rng(10))
+    label1 = data.inputs[data.labels == 1]
+    assert np.abs(obs.meyer_wallach_oracle(label1) - b).max() < 1e-12
+    for j in range(3):
+        assert np.abs(obs.subset_purity(label1, [j]) - 0.5).max() < 1e-12
 
 
 def test_entanglement_dataset_local_conjugation_preserves_measure():
     # conjugation by local unitaries is already applied per item; the
-    # measure of every label-1 item must still match the interpolant's
-    items = ds.entanglement_dataset(2, 10, 0.8, "ntangle", np.random.default_rng(11))
-    alpha = items[0].provenance["alpha"]
-    base = obs.ntangle_oracle(dm(ds._ghz_interpolation(2, alpha)))
-    for item in items:
-        if item.label == 1:
-            assert abs(obs.ntangle_oracle(item.state) - base) < 1e-9
+    # measure of every label-1 item must still match the unscrambled state's
+    data = ds.entanglement_dataset(2, 10, 0.8, "ntangle", np.random.default_rng(11))
+    base = obs.ntangle_oracle(dm(ds._target_state(obs.ntangle_oracle, 2, 0.8)))
+    assert np.abs(obs.ntangle_oracle(data.inputs[data.labels == 1]) - base).max() < 1e-12
 
 
 def test_entanglement_dataset_unattainable_target():
@@ -239,22 +246,27 @@ def test_graph_dataset_rejects_isomorphic_references():
 ])
 def test_graph_dataset_items_equal_relabelled_graph_states(g0, g1):
     # oracle: the state of the relabelled graph, built from its Hamiltonian
+    # graph, with the permutation replayed from a twin generator
     t = 0.7
-    items = ds.graph_dataset(g0, g1, 12, t, np.random.default_rng(15))
-    assert {item.label for item in items} == {0, 1}
-    for item in items:
-        g = (g0, g1)[item.label].relabel(item.provenance["perm"])
-        np.testing.assert_allclose(item.state, ds.graph_state(g, t), rtol=0, atol=1e-12)
+    rng, twin = np.random.default_rng(15), np.random.default_rng(15)
+    data = ds.graph_dataset(g0, g1, 12, t, rng)
+    assert set(data.labels.tolist()) == {0, 1}
+    ds._balanced_labels(12, twin)
+    for rho, label in zip(data.inputs, data.labels):
+        g = (g0, g1)[label].relabel(twin.permutation(g0.n))
+        np.testing.assert_allclose(rho, ds.graph_state(g, t), rtol=0, atol=1e-12)
 
 
 def test_graph_dataset_draws_labels_then_one_permutation_per_item():
     rng, twin = np.random.default_rng(16), np.random.default_rng(16)
-    items = ds.graph_dataset(TRIANGLE, PATH3, 5, 1.0, rng)
+    data = ds.graph_dataset(TRIANGLE, PATH3, 5, 1.0, rng)
     labels = ds._balanced_labels(5, twin)
-    assert [item.label for item in items] == labels.tolist()
-    assert [item.provenance["perm"] for item in items] == [
-        twin.permutation(3).tolist() for _ in items
-    ]
+    assert np.array_equal(data.labels, labels)
+    for rho, label in zip(data.inputs, labels):
+        g = (TRIANGLE, PATH3)[label].relabel(twin.permutation(3))
+        np.testing.assert_allclose(rho, ds.graph_state(g, 1.0), rtol=0, atol=1e-12)
+    # the generator drew nothing else: both streams are at the same point
+    assert rng.random() == twin.random()
 
 
 def test_is_isomorphic_equals_relabel_brute_force():
@@ -277,22 +289,22 @@ def test_fiduciary_state_is_permutation_invariant():
 def test_graph_dataset_invariant_model_constant_per_class():
     from ginv.train import graph_invariant_model
 
-    items = ds.graph_dataset(TRIANGLE, PATH3, 12, 1.0, np.random.default_rng(12))
+    data = ds.graph_dataset(TRIANGLE, PATH3, 12, 1.0, np.random.default_rng(12))
     model = graph_invariant_model(3)
     theta = np.array([0.4, 0.8, 0.3])
     values = {0: set(), 1: set()}
-    for item in items:
-        values[item.label].add(round(model.value_fn(theta, item.state), 9))
+    for rho, label in zip(data.inputs, data.labels):
+        values[label].add(round(model.value_fn(theta, rho), 9))
     assert len(values[0]) == 1 and len(values[1]) == 1
 
 
 def test_graph_dataset_conjugation_oracle():
     # P rho P vs rho agree under any A^(x n) observable
     rng = np.random.default_rng(13)
-    item = ds.graph_dataset(TRIANGLE, PATH3, 2, 1.0, rng)[0]
+    rho = ds.graph_dataset(TRIANGLE, PATH3, 2, 1.0, rng).inputs[0]
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     a = a + a.conj().T
     a3 = kron_all([a] * 3)
     p = permutation_operator((1, 2, 0), target="qubits")
-    conj = p @ item.state @ p.T
-    assert abs(expectation(conj, a3) - expectation(item.state, a3)) < 1e-10
+    conj = p @ rho @ p.T
+    assert abs(expectation(conj, a3) - expectation(rho, a3)) < 1e-10

@@ -21,7 +21,8 @@ from ginv.groups import (
     permutation_operator,
 )
 from ginv.observables import PAULI, bell_projector, swap_operator
-from ginv.tensor import bell_state, dm, random_density_matrix, zero_state
+from ginv.tensor import bell_state, dm, zero_state
+from helpers import random_density_matrix
 
 
 def test_haar_unitary_d1_phase():

@@ -19,10 +19,10 @@ from ginv.tensor import (
     expm_hermitian,
     kron,
     purity,
-    random_density_matrix,
     random_statevector,
     tensor_power,
 )
+from helpers import random_density_matrix
 
 C4 = Graph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
 K3 = Graph(3, {(0, 1), (1, 2), (0, 2)})

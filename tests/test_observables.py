@@ -18,10 +18,10 @@ from ginv.tensor import (
     kron_all,
     partial_trace,
     purity,
-    random_density_matrix,
     random_statevector,
     zero_state,
 )
+from helpers import ghz_state, random_density_matrix
 
 
 def product_state(n, rng):
@@ -75,7 +75,7 @@ def test_swap_j_product_state():
 def test_swap_j_ghz_marginals():
     # oracle: purity of the reduced state from an explicit partial trace
     for n, j in ((2, 0), (3, 2)):
-        rho = dm(obs.ghz_state(n))
+        rho = dm(ghz_state(n))
         marginal = partial_trace(rho, [j])
         oracle = np.real(np.trace(marginal @ marginal))
         got = obs.swap_j(j, n).expectation(rho)
@@ -120,15 +120,15 @@ def test_impurity_observable():
     rng = np.random.default_rng(4)
     rho = dm(product_state(2, rng))
     assert abs(obs.impurity_observable(0, 2).expectation(rho)) < 1e-10
-    assert abs(obs.impurity_observable(0, 2).expectation(dm(obs.ghz_state(2))) - 1.0) < 1e-10
-    assert abs(obs.impurity_observable(1, 3).expectation(dm(obs.ghz_state(3))) - 1.0) < 1e-10
+    assert abs(obs.impurity_observable(0, 2).expectation(dm(ghz_state(2))) - 1.0) < 1e-10
+    assert abs(obs.impurity_observable(1, 3).expectation(dm(ghz_state(3))) - 1.0) < 1e-10
 
 
 def test_meyer_wallach_reference_values():
     rng = np.random.default_rng(5)
     assert abs(obs.meyer_wallach_observable(3).expectation(dm(product_state(3, rng)))) < 1e-10
     for n in (2, 3, 4):
-        got = obs.meyer_wallach_observable(n).expectation(dm(obs.ghz_state(n)))
+        got = obs.meyer_wallach_observable(n).expectation(dm(ghz_state(n)))
         assert abs(got - 1.0) < 1e-10
     # oracle: every single-qubit marginal of W3 has purity 5/9
     w3 = dm(w_state(3))
@@ -141,7 +141,7 @@ def test_concentratable_reference_values():
     rng = np.random.default_rng(6)
     assert abs(obs.concentratable_observable([0, 1], 2).expectation(dm(product_state(2, rng)))) < 1e-10
     # oracle: purity sum over the subset lattice, computed inline
-    bell_pair = dm(obs.ghz_state(2))
+    bell_pair = dm(ghz_state(2))
     sums = sum(
         np.real(np.trace(partial_trace(bell_pair, a) @ partial_trace(bell_pair, a)))
         for r in range(3)
@@ -151,7 +151,7 @@ def test_concentratable_reference_values():
     got = obs.concentratable_observable([0, 1], 2).expectation(bell_pair)
     assert abs(got - oracle) < 1e-12
     assert abs(got - 0.25) < 1e-12
-    ghz3 = dm(obs.ghz_state(3))
+    ghz3 = dm(ghz_state(3))
     got3 = obs.concentratable_observable([0, 1, 2], 3).expectation(ghz3)
     assert abs(got3 - 0.375) < 1e-12
 
@@ -165,7 +165,7 @@ def test_concentratable_rejects_empty_subset():
 
 def test_ntangle_reference_values():
     # oracle: signed purity sums computed from the definitions
-    bell_pair = dm(obs.ghz_state(2))
+    bell_pair = dm(ghz_state(2))
     assert abs(obs.ntangle_observable(2).expectation(bell_pair) - 0.75) < 1e-12
     zero2 = dm(zero_state(2))
     assert abs(obs.ntangle_observable(2).expectation(zero2) - 1.0) < 1e-12
@@ -294,7 +294,7 @@ def test_entanglement_separation():
     rng = np.random.default_rng(13)
     for n in (2, 3, 4):
         conc = obs.concentratable_observable(range(n), n)
-        assert conc.expectation(dm(obs.ghz_state(n))) > 0.2
+        assert conc.expectation(dm(ghz_state(n))) > 0.2
         assert abs(conc.expectation(dm(product_state(n, rng)))) < 1e-10
 
 
@@ -306,7 +306,7 @@ def test_observable_validation():
 
 
 def test_reference_states():
-    ghz = obs.ghz_state(3)
+    ghz = ghz_state(3)
     assert abs(np.linalg.norm(ghz) - 1) < 1e-12
     assert abs(ghz[0] - ghz[-1]) < 1e-12
     w = w_state(3)

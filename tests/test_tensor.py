@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ginv import tensor
-from ginv.observables import PAULI, ghz_state
+from ginv.observables import PAULI
+from helpers import check_density_matrix, ghz_state, random_density_matrix
 
 
 def test_kron_identity():
@@ -150,7 +151,7 @@ def test_partial_trace_ghz3_oracle():
 
 def test_partial_trace_random_oracle():
     rng = np.random.default_rng(7)
-    rho = tensor.random_density_matrix(8, rng)
+    rho = random_density_matrix(8, rng)
     for keep in ([0], [2], [0, 2], [1, 2]):
         np.testing.assert_allclose(
             tensor.partial_trace(rho, keep),
@@ -161,7 +162,7 @@ def test_partial_trace_random_oracle():
 
 def test_partial_trace_stack_matches_oracle_per_state():
     rng = np.random.default_rng(17)
-    stack = np.array([tensor.random_density_matrix(8, rng) for _ in range(4)])
+    stack = np.array([random_density_matrix(8, rng) for _ in range(4)])
     for keep in ([0], [2], [0, 2], [1, 2], [], [0, 1, 2]):
         got = tensor.partial_trace(stack, keep)
         assert got.shape == (4, 2 ** len(keep), 2 ** len(keep))
@@ -174,13 +175,13 @@ def test_partial_trace_stack_matches_oracle_per_state():
 
 def test_partial_trace_keep_all_exact():
     rng = np.random.default_rng(9)
-    rho = tensor.random_density_matrix(8, rng)
+    rho = random_density_matrix(8, rng)
     assert np.array_equal(tensor.partial_trace(rho, [0, 1, 2]), rho)
 
 
 def test_partial_trace_empty_and_trace_preserved():
     rng = np.random.default_rng(13)
-    rho = tensor.random_density_matrix(8, rng)
+    rho = random_density_matrix(8, rng)
     scalar = tensor.partial_trace(rho, [])
     assert scalar.shape == (1, 1)
     assert abs(scalar[0, 0] - 1) < 1e-10
@@ -244,7 +245,7 @@ def test_expectation_conjugation_invariance():
     from ginv.groups import haar_unitary
 
     rng = np.random.default_rng(17)
-    rho = tensor.random_density_matrix(4, rng)
+    rho = random_density_matrix(4, rng)
     obs = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     obs = obs + obs.conj().T
     base = tensor.expectation(rho, obs)
@@ -261,7 +262,7 @@ def test_expectation_dimension_mismatch():
 
 def test_expectation_copies_matches_tensor_power():
     rng = np.random.default_rng(23)
-    rho = tensor.random_density_matrix(4, rng)
+    rho = random_density_matrix(4, rng)
     obs = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     obs = obs + obs.conj().T
     direct = tensor.expectation(tensor.tensor_power(rho, 2), obs)
@@ -272,7 +273,7 @@ def test_expectation_copies_matches_tensor_power():
 def test_expectation_copies_stack_matches_per_state(k):
     rng = np.random.default_rng(37)
     d = 2 if k == 3 else 4
-    rhos = np.array([tensor.random_density_matrix(d, rng) for _ in range(5)])
+    rhos = np.array([random_density_matrix(d, rng) for _ in range(5)])
     obs = rng.standard_normal((d**k, d**k)) + 1j * rng.standard_normal((d**k, d**k))
     obs = obs + obs.conj().T
     per_state = np.array([tensor.expectation_copies(r, k, obs) for r in rhos])
@@ -287,8 +288,8 @@ def test_expectation_copies_stack_matches_per_state(k):
 
 def test_expectation_factors_matches_kron():
     rng = np.random.default_rng(29)
-    a = tensor.random_density_matrix(2, rng)
-    b = tensor.random_density_matrix(4, rng)
+    a = random_density_matrix(2, rng)
+    b = random_density_matrix(4, rng)
     obs = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     obs = obs + obs.conj().T
     direct = tensor.expectation(tensor.kron(a, b), obs)
@@ -300,6 +301,6 @@ def test_state_constructors():
     assert abs(np.linalg.norm(tensor.plus_state(3)) - 1) < 1e-12
     np.testing.assert_allclose(tensor.zero_state(2), [1, 0, 0, 0])
     rng = np.random.default_rng(31)
-    tensor.check_density_matrix(tensor.random_density_matrix(8, rng))
+    check_density_matrix(random_density_matrix(8, rng))
     with pytest.raises(ValueError):
-        tensor.check_density_matrix(np.eye(2))  # trace 2
+        check_density_matrix(np.eye(2))  # trace 2

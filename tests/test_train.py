@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ginv import train
-from ginv.datasets import Graph, LabeledState, graph_dataset, graph_state
+from ginv.datasets import Dataset, Graph, graph_dataset, graph_state
 from ginv.groups import permutation_operator
 from ginv.models import ModelSpec, evaluate, qgcnn_unitary
 from ginv.observables import PAULI, swap_operator
@@ -12,9 +12,9 @@ from ginv.tensor import (
     expm_hermitian,
     kron_all,
     purity,
-    random_density_matrix,
     random_statevector,
 )
+from helpers import random_density_matrix
 from ginv.train import (
     TrainConfig,
     TrainableModel,
@@ -30,10 +30,10 @@ PATH3 = Graph(3, {(0, 1), (1, 2)})
 
 
 def representatives(t=1.0):
-    return [
-        LabeledState(graph_state(TRIANGLE, t), 0),
-        LabeledState(graph_state(PATH3, t), 1),
-    ]
+    return Dataset(np.array([graph_state(TRIANGLE, t), graph_state(PATH3, t)]), np.array([0, 1]))
+
+
+MIXED = Dataset(np.eye(2)[None] / 2, np.array([0]))
 
 
 def test_finite_diff_quadratic():
@@ -92,8 +92,8 @@ def test_optimize_graph_classifier_gap():
     grid = np.linspace(0, np.pi, 7)
     best = max(
         abs(
-            model.value_fn((a, b, c), reps[1].state)
-            - model.value_fn((a, b, c), reps[0].state)
+            model.value_fn((a, b, c), reps.inputs[1])
+            - model.value_fn((a, b, c), reps.inputs[0])
         )
         for a in grid
         for b in grid
@@ -103,8 +103,8 @@ def test_optimize_graph_classifier_gap():
     config = TrainConfig(learning_rate=0.5, iterations=60)
     result = optimize(model, reps, config)
     gap = abs(
-        model.value_fn(result.theta, reps[1].state)
-        - model.value_fn(result.theta, reps[0].state)
+        model.value_fn(result.theta, reps.inputs[1])
+        - model.value_fn(result.theta, reps.inputs[0])
     )
     assert gap > 0.05
     assert all(b <= a + 1e-15 for a, b in zip(result.loss_trace, result.loss_trace[1:]))
@@ -112,8 +112,7 @@ def test_optimize_graph_classifier_gap():
 
 def test_optimize_already_optimal_start_flat():
     model = TrainableModel(value_fn=lambda th, x: 0.0, theta0=np.zeros(2))
-    data = [LabeledState(np.eye(2) / 2, 0)]
-    result = optimize(model, data, TrainConfig(iterations=5))
+    result = optimize(model, MIXED, TrainConfig(iterations=5))
     assert all(abs(v - result.loss_trace[0]) < 1e-12 for v in result.loss_trace)
 
 
@@ -128,9 +127,8 @@ def test_optimize_seed_determinism():
 
 def test_optimize_aborts_on_non_finite_loss():
     model = TrainableModel(value_fn=lambda th, x: float("nan"), theta0=np.zeros(1))
-    data = [LabeledState(np.eye(2) / 2, 0)]
     with pytest.raises(RuntimeError):
-        optimize(model, data, TrainConfig(iterations=2))
+        optimize(model, MIXED, TrainConfig(iterations=2))
 
 
 def test_invariance_preserved_at_every_iterate():
@@ -141,9 +139,9 @@ def test_invariance_preserved_at_every_iterate():
     for theta in result.thetas[:: max(1, len(result.thetas) // 5)]:
         for perm in perms:
             p = permutation_operator(perm, target="qubits")
-            moved = p @ reps[0].state @ p.T
+            moved = p @ reps.inputs[0] @ p.T
             assert abs(
-                model.value_fn(theta, moved) - model.value_fn(theta, reps[0].state)
+                model.value_fn(theta, moved) - model.value_fn(theta, reps.inputs[0])
             ) < 1e-9
 
 
@@ -153,22 +151,22 @@ def test_two_representatives_generalize():
     reps = representatives()
     model = graph_invariant_model(3)
     result = optimize(model, reps, TrainConfig(learning_rate=0.5, iterations=60))
-    h0 = model.value_fn(result.theta, reps[0].state)
-    h1 = model.value_fn(result.theta, reps[1].state)
+    h0 = model.value_fn(result.theta, reps.inputs[0])
+    h1 = model.value_fn(result.theta, reps.inputs[1])
     assert abs(h1 - h0) > 0.05
     test_set = graph_dataset(TRIANGLE, PATH3, 30, 1.0, np.random.default_rng(5))
     midpoint = (h0 + h1) / 2
-    for item in test_set:
-        value = model.value_fn(result.theta, item.state)
+    for rho, label in zip(test_set.inputs, test_set.labels):
+        value = model.value_fn(result.theta, rho)
         pred = int(value > midpoint) if h1 >= h0 else int(value <= midpoint)
-        assert pred == item.label
+        assert pred == label
 
 
 def test_dataset_loss_kinds():
     reps = representatives()
     model = graph_invariant_model(3)
-    values = [model.value_fn(model.theta0, item.state) for item in reps]
-    expected = mse_labels(values, [item.label for item in reps])
+    values = [model.value_fn(model.theta0, rho) for rho in reps.inputs]
+    expected = mse_labels(values, reps.labels)
     assert dataset_loss(model, model.theta0, reps) == expected
 
 
