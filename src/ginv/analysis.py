@@ -9,7 +9,11 @@ Closed forms implemented here:
   its variance over Haar pure inputs:  4 (d-1) / (d^2 (d+1)^2 (d+3))
 
 Every formula has a Monte-Carlo companion (empirical_moments); the
-statistical acceptance window is four standard errors throughout.
+statistical acceptance window is four standard errors throughout. Under
+the Haar-unitary sampler a pure input template is scrambled by drawing the
+Haar state V psi directly (a normalised complex Gaussian vector), with no
+unitary formed; mixed templates and the other groups conjugate by each
+sampled element.
 """
 
 import csv
@@ -118,28 +122,41 @@ def _registered_moments(model, sampler, template):
             sym = np.real(np.vdot(psi, psi.reshape(d, d).T.ravel()))
             if abs(sym - 1.0) < 1e-9:
                 mean = haar_mean_enhanced_bell(d)
-        elif (
-            model.hclass == "H1"
-            and template is not None
-            and abs(purity(template) - 1.0) < 1e-9
-        ):
+        elif model.hclass == "H1" and _pure_state(template) is not None:
             mean = haar_mean_enhanced_bell(d)
             var = haar_var_enhanced_bell(d)
     return mean, var
 
 
+def _pure_state(template):
+    """The unit vector psi of a pure template |psi><psi| (Tr[template^2] = 1
+    to 1e-9), up to a phase; None for no template or a mixed one."""
+    if template is None or abs(purity(template) - 1.0) >= 1e-9:
+        return None
+    j = int(np.argmax(np.real(np.diagonal(template))))
+    return template[:, j] / np.sqrt(np.real(template[j, j]))
+
+
 def _h1_values(obs, sampler, template, samples):
     """Values of the H1 observable over ``samples`` draws, a chunk at a time.
 
-    A chunk holds as many draws as one sampler block, so it is conjugated
-    by one batched product and scored by one expectation call.
+    A chunk holds as many draws as one sampler block and is scored by one
+    expectation call. Under a UnitarySampler a pure template |psi><psi| is
+    scrambled to the Haar state V psi, drawn without forming V; any other
+    template is conjugated by the sampled elements in one batched product.
     """
+    psi = _pure_state(template) if isinstance(sampler, UnitarySampler) else None
     chunk = block_count(sampler.dim)
     values = np.empty(samples)
     for start in range(0, samples, chunk):
-        v = np.array([sampler.sample() for _ in range(min(chunk, samples - start))])
-        x = v @ template @ v.conj().swapaxes(-1, -2)
-        values[start : start + len(v)] = obs.expectation(x)
+        count = min(chunk, samples - start)
+        if psi is None:
+            v = np.array([sampler.sample() for _ in range(count)])
+            x = v @ template @ v.conj().swapaxes(-1, -2)
+        else:
+            s = np.array([sampler.sample(psi) for _ in range(count)])
+            x = s[:, :, None] * s[:, None, :].conj()
+        values[start : start + count] = obs.expectation(x)
     return values
 
 
@@ -147,7 +164,10 @@ def empirical_moments(model, sampler, input_template, samples):
     """Monte-Carlo mean/variance of the model over group-scrambled inputs.
 
     For H1/H3 models each draw conjugates ``input_template`` by a sampled
-    element; for H2 models the sampled element itself is the input.
+    element; for H2 models the sampled element itself is the input. An H1
+    model under a UnitarySampler with a pure template |psi><psi| draws
+    Haar states V psi (``sampler.sample(psi)``) instead, with the same
+    distribution and no QR per draw.
     Analytic fields are filled when a closed form is registered for the
     (model, sampler) combination.
     """

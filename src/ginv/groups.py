@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .observables import bell_projector, swap_operator
-from .tensor import kron_all, tensor_power
+from .tensor import kron_all, random_statevector, tensor_power
 
 
 # One stacked draw fills 64 KiB, at most 256 elements: enough to amortise the
@@ -64,8 +64,7 @@ class GroupSampler:
         self.dim = int(dim)
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
-        self._block = ()
-        self._next = 0
+        self._blocks = {}  # draw name -> (block, elements handed out)
 
     def sample(self):
         raise NotImplementedError
@@ -74,13 +73,14 @@ class GroupSampler:
         """Next element of a stacked ``draw``, refilled a block at a time.
 
         The stream is the one single draws would give, since a stack
-        consumes the normals of its elements in order.
+        consumes the normals of its elements in order. Each draw function
+        keeps its own block, so elements and states may be interleaved.
         """
-        if self._next == len(self._block):
-            self._block = draw(self.dim, self._rng, count=block_count(self.dim))
-            self._next = 0
-        self._next += 1
-        return self._block[self._next - 1]
+        block, used = self._blocks.get(draw.__name__, ((), 0))
+        if used == len(block):
+            block, used = draw(self.dim, self._rng, count=block_count(self.dim)), 0
+        self._blocks[draw.__name__] = block, used + 1
+        return block[used]
 
     def take(self, count):
         return [self.sample() for _ in range(count)]
@@ -92,8 +92,21 @@ class GroupSampler:
 class UnitarySampler(GroupSampler):
     kind = "unitary"
 
-    def sample(self):
-        return self._from_block(haar_unitary)
+    def sample(self, psi=None):
+        """The next Haar-random V; given a unit vector psi, the next Haar
+        state V psi instead.
+
+        V psi has the law of a normalised complex Gaussian vector whatever
+        psi is, so no V is formed: the states come from their own block of
+        ``random_statevector`` draws.
+        """
+        if psi is None:
+            return self._from_block(haar_unitary)
+        if np.shape(psi) != (self.dim,):
+            raise ValueError(
+                f"psi must be a vector of dimension {self.dim}, got shape {np.shape(psi)}"
+            )
+        return self._from_block(random_statevector)
 
 
 class OrthogonalSampler(GroupSampler):
@@ -167,16 +180,6 @@ def _adjacent_transpositions(n):
         p = np.arange(n)
         p[[i, i + 1]] = i + 1, i
         yield p
-
-
-def adjacent_transposition_generators(n):
-    """Matrices for the transpositions (i, i+1) on n qubits.
-
-    S_1 is trivial; its generator list is just the identity.
-    """
-    if n == 1:
-        return [np.eye(2, dtype=complex)]
-    return [permutation_operator(p, target="qubits") for p in _adjacent_transpositions(n)]
 
 
 def brauer_basis_k2(n):

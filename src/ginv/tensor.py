@@ -208,7 +208,18 @@ def bell_state(n):
     return psi
 
 
-def random_statevector(dim, rng):
-    """Haar-random pure state (normalised complex Gaussian vector)."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+def random_statevector(dim, rng, count=None):
+    """Haar-random pure state, or a (count, dim) stack of them.
+
+    A normalised complex Gaussian vector: it has the distribution of V psi
+    for Haar-random V and any unit psi (Mezzadri, math-ph/0609050). A stack
+    takes the normals of ``count`` single draws in the same order, real
+    parts then imaginary parts per state, and equals them to rounding; a
+    single draw is normalised as it always was, so it keeps its bits.
+    """
+    shape = () if count is None else (count,)
+    g = rng.standard_normal(shape + (2, dim))
+    v = g[..., 0, :] + 1j * g[..., 1, :]
+    if count is None:
+        return v / np.linalg.norm(v)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)

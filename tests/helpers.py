@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from ginv.groups import _adjacent_transpositions, permutation_operator
 from ginv.tensor import ATOL, is_hermitian
 
 
@@ -30,3 +31,13 @@ def ghz_state(n):
     psi = np.zeros(2**n, dtype=complex)
     psi[0] = psi[-1] = 1 / np.sqrt(2)
     return psi
+
+
+def adjacent_transposition_generators(n):
+    """Matrices for the transpositions (i, i+1) on n qubits.
+
+    S_1 is trivial; its generator list is just the identity.
+    """
+    if n == 1:
+        return [np.eye(2, dtype=complex)]
+    return [permutation_operator(p, target="qubits") for p in _adjacent_transpositions(n)]

@@ -5,6 +5,7 @@ import pytest
 
 from ginv import analysis
 from ginv.analysis import (
+    CONCENTRATION_FAMILIES,
     MidpointRule,
     ThresholdRule,
     cantelli_bound,
@@ -25,7 +26,7 @@ from ginv.datasets import (
 from ginv.groups import OrthogonalSampler, UnitarySampler, block_count, haar_unitary
 from ginv.models import ModelSpec, estimate_with_shots, evaluate
 from ginv.observables import Observable, bell_projector, pauli_string, swap_operator
-from ginv.tensor import bell_state, dm, purity, zero_state
+from ginv.tensor import bell_state, dm, expectation, purity, tensor_power, zero_state
 from helpers import random_density_matrix
 
 
@@ -177,6 +178,10 @@ def test_empirical_moments_match_per_draw_reference(case, size):
     sampler = UnitarySampler(d, 43)
     values = []
     for _ in range(samples):
+        if case == "h1_k1":
+            # the pure template |0><0| is scrambled to a Haar state per draw
+            values.append(evaluate(model, dm(sampler.sample(zero_state(2)))))
+            continue
         v = sampler.sample()
         values.append(evaluate(model, v if template is None else v @ template @ v.conj().T))
     values = np.array(values)
@@ -184,6 +189,56 @@ def test_empirical_moments_match_per_draw_reference(case, size):
     assert report.samples == samples
     assert report.empirical_mean == pytest.approx(values.mean(), rel=1e-12, abs=0)
     assert report.empirical_var == pytest.approx(values.var(ddof=1), rel=1e-12, abs=0)
+
+
+def _completion(s):
+    """A unitary V with V e_0 = s: the QR of [s | I], its first column's
+    phase fixed by R's first entry."""
+    q, r = np.linalg.qr(np.column_stack([s, np.eye(len(s))]))
+    v = q.copy()
+    v[:, 0] *= r[0, 0]
+    return v
+
+
+@pytest.mark.parametrize("family", sorted(CONCENTRATION_FAMILIES))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_haar_state_values_equal_the_conjugated_template(family, n):
+    # each Haar state s is V|0> for a unitary V; its value is Tr[V rho V^dag O]
+    d, obs = 2**n, CONCENTRATION_FAMILIES[family](n)
+    rho = dm(zero_state(n))
+    samples = block_count(d) + 3
+    values = analysis._h1_values(obs, UnitarySampler(d, 44), rho, samples)
+    sampler = UnitarySampler(d, 44)
+    for value in values:
+        s = sampler.sample(zero_state(n))
+        v = _completion(s)
+        np.testing.assert_allclose(v @ v.conj().T, np.eye(d), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(v[:, 0], s, rtol=0, atol=1e-14)
+        x = v @ rho @ v.conj().T
+        dense = expectation(tensor_power(x, obs.copies), obs.matrix)
+        assert abs(value - dense) < 1e-12
+
+
+def _moment_errors(values):
+    """Mean, variance and the squared standard errors of both."""
+    m, var = values.mean(), values.var(ddof=1)
+    m4 = ((values - m) ** 4).mean()
+    return m, var, var / len(values), (m4 - var**2) / len(values)
+
+
+@pytest.mark.parametrize("family", sorted(CONCENTRATION_FAMILIES))
+@pytest.mark.parametrize("n", [2, 3])
+def test_haar_states_match_the_qr_route_in_distribution(family, n):
+    # 20000 Haar states against 20000 conjugations by QR-drawn unitaries
+    d, obs, samples = 2**n, CONCENTRATION_FAMILIES[family](n), 20000
+    rho = dm(zero_state(n))
+    states = analysis._h1_values(obs, UnitarySampler(d, 45), rho, samples)
+    v = haar_unitary(d, np.random.default_rng(46), count=samples)
+    conjugated = obs.expectation(v @ rho @ v.conj().swapaxes(-1, -2))
+    m1, v1, se_m1, se_v1 = _moment_errors(states)
+    m2, v2, se_m2, se_v2 = _moment_errors(conjugated)
+    assert abs(m1 - m2) < 4 * np.sqrt(se_m1 + se_m2)
+    assert abs(v1 - v2) < 4 * np.sqrt(se_v1 + se_v2)
 
 
 def test_empirical_moments_orthogonal_inputs_constant():

@@ -10,7 +10,6 @@ from ginv.groups import (
     OrthogonalSampler,
     SymmetricSampler,
     UnitarySampler,
-    adjacent_transposition_generators,
     brauer_basis_k2,
     check_equivariance,
     check_invariance,
@@ -21,8 +20,8 @@ from ginv.groups import (
     permutation_operator,
 )
 from ginv.observables import PAULI, bell_projector, swap_operator
-from ginv.tensor import bell_state, dm, zero_state
-from helpers import random_density_matrix
+from ginv.tensor import bell_state, dm, is_unitary, random_statevector, zero_state
+from helpers import adjacent_transposition_generators, random_density_matrix
 
 
 def test_haar_unitary_d1_phase():
@@ -130,6 +129,42 @@ def test_block_sampler_equals_single_draws(sampler, draw, d):
     for x, y, z in zip(taken, singles, per_draw):
         assert np.array_equal(x, y)
         assert np.array_equal(y, z)
+
+
+@pytest.mark.parametrize("d", [2, 8, 64])
+def test_unitary_sampler_states_equal_single_draws(d):
+    # two full blocks and part of a third, each state within rounding of a
+    # single random_statevector draw from the same stream
+    m = 2 * groups.block_count(d) + 3
+    sampler = UnitarySampler(d, 22)
+    psi = zero_state(int(np.log2(d)))
+    taken = [sampler.sample(psi) for _ in range(m)]
+    rng = np.random.default_rng(22)
+    singles = [random_statevector(d, rng) for _ in range(m)]
+    for x, y in zip(taken, singles):
+        assert x.shape == (d,)
+        np.testing.assert_allclose(x, y, rtol=0, atol=1e-15)
+
+
+def test_unitary_sampler_interleaves_elements_and_states():
+    # elements and states come from separate blocks of the same stream
+    d = 4
+    sampler = UnitarySampler(d, 23)
+    psi = zero_state(2)
+    u1, s1, u2, s2 = sampler.sample(), sampler.sample(psi), sampler.sample(), sampler.sample(psi)
+    rng = np.random.default_rng(23)
+    units = haar_unitary(d, rng, count=groups.block_count(d))
+    states = random_statevector(d, rng, count=groups.block_count(d))
+    assert u1.shape == u2.shape == (d, d) and s1.shape == s2.shape == (d,)
+    assert np.array_equal(u1, units[0]) and np.array_equal(u2, units[1])
+    assert np.array_equal(s1, states[0]) and np.array_equal(s2, states[1])
+    assert is_unitary(u1) and abs(np.linalg.norm(s1) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("psi", [np.ones(3) / np.sqrt(3), np.ones(8) / np.sqrt(8), np.eye(4)])
+def test_unitary_sampler_refuses_a_state_of_the_wrong_dimension(psi):
+    with pytest.raises(ValueError, match="vector of dimension 4"):
+        UnitarySampler(4, 0).sample(psi)
 
 
 def _per_draw_reference(draw, d, rng):

@@ -88,6 +88,23 @@ def test_tensor_power_trivial():
     np.testing.assert_allclose(tensor.tensor_power(mixed, 2), np.eye(4) / 4)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 8, 64])
+def test_random_statevector_stack_equals_single_draws(dim):
+    # a single draw keeps the bits of two length-dim normal calls; a stack
+    # takes the same normals, real then imaginary per state
+    rng = np.random.default_rng(9)
+    stack = tensor.random_statevector(dim, rng, count=5)
+    rng = np.random.default_rng(9)
+    singles = [tensor.random_statevector(dim, rng) for _ in range(5)]
+    rng = np.random.default_rng(9)
+    for row, single in zip(stack, singles):
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        assert np.array_equal(single, v / np.linalg.norm(v))
+        np.testing.assert_allclose(row, single, rtol=0, atol=1e-15)
+    assert stack.shape == (5, dim)
+    np.testing.assert_allclose(np.linalg.norm(stack, axis=1), 1.0, rtol=0, atol=1e-14)
+
+
 def test_tensor_power_pure_rank():
     # oracle: eigenvalues of the doubled projector
     rng = np.random.default_rng(5)
