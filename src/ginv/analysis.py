@@ -141,22 +141,23 @@ def _h1_values(obs, sampler, template, samples):
     """Values of the H1 observable over ``samples`` draws, a chunk at a time.
 
     A chunk holds as many draws as one sampler block and is scored by one
-    expectation call. Under a UnitarySampler a pure template |psi><psi| is
-    scrambled to the Haar state V psi, drawn without forming V; any other
-    template is conjugated by the sampled elements in one batched product.
+    call. Under a UnitarySampler a pure template |psi><psi| is scrambled
+    to the Haar state V psi, drawn without forming V; the chunk stays a
+    stack of vectors, sized as a block of states, and is scored by
+    ``obs.pure_values``. Any other template is conjugated by the sampled
+    elements in one batched product and scored by ``obs.expectation``.
     """
     psi = _pure_state(template) if isinstance(sampler, UnitarySampler) else None
-    chunk = block_count(sampler.dim)
+    chunk = block_count(sampler.dim, rank=2 if psi is None else 1)
     values = np.empty(samples)
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
         if psi is None:
             v = np.array([sampler.sample() for _ in range(count)])
-            x = v @ template @ v.conj().swapaxes(-1, -2)
+            x = obs.expectation(v @ template @ v.conj().swapaxes(-1, -2))
         else:
-            s = np.array([sampler.sample(psi) for _ in range(count)])
-            x = s[:, :, None] * s[:, None, :].conj()
-        values[start : start + count] = obs.expectation(x)
+            x = obs.pure_values(np.array([sampler.sample(psi) for _ in range(count)]))
+        values[start : start + count] = x
     return values
 
 
@@ -167,7 +168,9 @@ def empirical_moments(model, sampler, input_template, samples):
     element; for H2 models the sampled element itself is the input. An H1
     model under a UnitarySampler with a pure template |psi><psi| draws
     Haar states V psi (``sampler.sample(psi)``) instead, with the same
-    distribution and no QR per draw.
+    distribution and no QR per draw, and values them as vectors
+    (``Observable.pure_values``). H1 draws are scored a chunk at a time,
+    H2 and H3 draws one ``evaluate`` call each.
     Analytic fields are filled when a closed form is registered for the
     (model, sampler) combination.
     """
@@ -177,13 +180,11 @@ def empirical_moments(model, sampler, input_template, samples):
         obs = conjugated_observable(model)
         values = _h1_values(obs, sampler, input_template, samples)
     else:
-        def value_of(v):
-            if model.hclass == "H2":
-                return evaluate(model, v)
-            return evaluate(model, v @ input_template @ v.conj().T)
-
-        draws = (value_of(sampler.sample()) for _ in range(samples))
-        values = np.fromiter(draws, float, samples)
+        values = np.empty(samples)
+        for i in range(samples):
+            v = sampler.sample()
+            x = v if model.hclass == "H2" else v @ input_template @ v.conj().T
+            values[i] = evaluate(model, x)
     mean, var = _registered_moments(model, sampler, input_template)
     std = float(values.std(ddof=1))
     return MomentReport(

@@ -22,9 +22,10 @@ BLOCK_BYTES = 64 * 1024
 MAX_BLOCK = 256
 
 
-def block_count(d):
-    """How many d x d complex matrices fill one block: 1 to MAX_BLOCK."""
-    return max(1, min(MAX_BLOCK, BLOCK_BYTES // (16 * d * d)))
+def block_count(d, rank=2):
+    """How many complex elements of 16 d^rank bytes fill one block: 1 to
+    MAX_BLOCK. Rank 2 is a d x d matrix, rank 1 a state of dimension d."""
+    return max(1, min(MAX_BLOCK, BLOCK_BYTES // (16 * d**rank)))
 
 
 def haar_unitary(d, rng, count=None):
@@ -69,8 +70,10 @@ class GroupSampler:
     def sample(self):
         raise NotImplementedError
 
-    def _from_block(self, draw):
-        """Next element of a stacked ``draw``, refilled a block at a time.
+    def _from_block(self, draw, rank=2):
+        """Next element of a stacked ``draw``, refilled a block at a time;
+        ``rank`` sizes the block as in ``block_count``: 2 for matrices, 1
+        for states.
 
         The stream is the one single draws would give, since a stack
         consumes the normals of its elements in order. Each draw function
@@ -78,7 +81,7 @@ class GroupSampler:
         """
         block, used = self._blocks.get(draw.__name__, ((), 0))
         if used == len(block):
-            block, used = draw(self.dim, self._rng, count=block_count(self.dim)), 0
+            block, used = draw(self.dim, self._rng, count=block_count(self.dim, rank)), 0
         self._blocks[draw.__name__] = block, used + 1
         return block[used]
 
@@ -98,7 +101,7 @@ class UnitarySampler(GroupSampler):
 
         V psi has the law of a normalised complex Gaussian vector whatever
         psi is, so no V is formed: the states come from their own block of
-        ``random_statevector`` draws.
+        ``random_statevector`` draws, sized by the 16 d bytes of a state.
         """
         if psi is None:
             return self._from_block(haar_unitary)
@@ -106,7 +109,7 @@ class UnitarySampler(GroupSampler):
             raise ValueError(
                 f"psi must be a vector of dimension {self.dim}, got shape {np.shape(psi)}"
             )
-        return self._from_block(random_statevector)
+        return self._from_block(random_statevector, rank=1)
 
 
 class OrthogonalSampler(GroupSampler):

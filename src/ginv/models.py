@@ -116,7 +116,7 @@ def evaluate(model, x):
         m = model.psi_in.reshape(d, d)
         if obs.kind == "bell":
             # <Phi|(W x W)|psi> = tr(W M W^T) / sqrt(d) for the Bell state Phi
-            return float(abs(np.trace(x @ m @ x.T)) ** 2 / d)
+            return float(abs((x @ m @ x.T).trace()) ** 2 / d)
         phi = (x @ m @ x.T).ravel()  # (W x W)|psi> via row-major vec
         return float(np.real(phi.conj() @ obs.matrix @ phi))
     # H3: ancilla |0><0| in front of two copies of the input state.

@@ -7,7 +7,11 @@ projector, or a dense matrix. The structured kinds are valued from the
 state itself and build their dense ``matrix`` on first access.
 
 A swap polynomial reads every reduced purity Tr[rho_a^2] from one
-Pauli-weight transform of the state (``subset_purities``). Each
+Pauli-weight transform of the state (``subset_purities``), or, when each
+of its terms acts on at most one qubit, from the entries of the one-qubit
+marginals. ``Observable.pure_values`` values a stack of pure states from
+the vectors: one product for a single-copy observable, O(d) a state for
+the Bell projector, and |s><s| for the other kinds. Each
 entanglement observable has a companion ``*_oracle`` evaluating the same
 quantity from partial traces (``subset_purity``), an independent route;
 the runner and the tests hold the two against each other.
@@ -63,6 +67,19 @@ class Observable:
     def _values(self, stack):
         return tensor.expectation_copies(stack, self.copies, self.matrix)
 
+    def pure_values(self, states):
+        """Tr[(|s><s|)^(x copies) O] per unit vector s of a (B, d) stack."""
+        states = np.asarray(states)
+        if states.ndim != 2 or states.shape[-1] != 2**self.qubits_per_copy:
+            raise ValueError(f"states shape {states.shape} is not (B, 2^{self.qubits_per_copy})")
+        return self._pure_values(states)
+
+    def _pure_values(self, states):
+        if self.copies == 1:
+            # <s|O|s> = sum_i conj(s_i) (O s)_i, one product for the stack
+            return np.real(np.einsum("bi,bi->b", states.conj(), states @ self.matrix.T))
+        return self._values(states[:, :, None] * states[:, None, :].conj())
+
     @cached_property
     def eigh(self):
         """Read-only eigenvalues and eigenvector columns of the matrix."""
@@ -103,6 +120,8 @@ class SwapPolynomial(Observable):
         if masks.tolist() == [len(self.coeffs) - 1]:
             # a lone whole-register term needs only Tr[rho^2]
             return self.coeffs[-1] * np.real(np.einsum("bij,bji->b", stack, stack))
+        if all((a & (a - 1)) == 0 for a in masks):
+            return _one_qubit_purities(stack, masks) @ self.coeffs[masks]
         return subset_purities(stack)[:, masks] @ self.coeffs[masks]
 
     def shot_distribution(self, rho):
@@ -136,6 +155,10 @@ class BellProjector(Observable):
 
     def _values(self, stack):
         return np.real(np.einsum("bij,bij->b", stack, stack)) / stack.shape[-1]
+
+    def _pure_values(self, states):
+        # <Phi|s s> = s^T s / sqrt(d)
+        return np.abs(np.einsum("bi,bi->b", states, states)) ** 2 / states.shape[-1]
 
 
 def _subsets(qubits):
@@ -256,6 +279,25 @@ def subset_purities(rho):
         squares = np.matmul(_SUPPORT, squares.reshape(2**j, 4, -1))
     purities = squares.reshape(2**n, b).T
     return purities if rho.ndim == 3 else purities[0]
+
+
+def _one_qubit_purities(stack, masks):
+    """Tr[rho_a^2] per state of a (B, d, d) stack for masks a of at most one
+    qubit, read from the entries of each one-qubit marginal in O(d): its
+    diagonal sums p0, p1 and off-diagonal sum c give p0^2 + p1^2 + 2|c|^2.
+    The empty mask gives Tr[rho]^2."""
+    x = np.arange(stack.shape[-1])
+    diag = np.real(np.diagonal(stack, axis1=1, axis2=2))
+    columns = []
+    for a in masks:
+        if a == 0:
+            columns.append(diag.sum(axis=1) ** 2)
+            continue
+        low = x[(x & a) == 0]
+        p0, p1 = diag[:, low].sum(axis=1), diag[:, low + a].sum(axis=1)
+        c = stack[:, low, low + a].sum(axis=1)
+        columns.append(p0**2 + p1**2 + 2 * (c.real**2 + c.imag**2))
+    return np.stack(columns, axis=1)
 
 
 def subset_purity(rho, subset):

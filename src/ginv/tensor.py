@@ -107,11 +107,13 @@ def is_hermitian(a, tol=None):
 
 
 def is_unitary(a, tol=1e-9):
+    """Whether a is a square matrix with ||a a^dag - 1||_F <= tol."""
     a = np.asarray(a)
-    if a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    d = a.shape[0]
-    return np.linalg.norm(a @ a.conj().T - np.eye(d)) <= tol
+    r = np.asarray(a @ a.conj().T, dtype=complex)
+    r.flat[:: len(r) + 1] -= 1.0
+    return bool(np.vdot(r, r).real <= tol * tol)
 
 
 def expm_hermitian(h, t=1.0):

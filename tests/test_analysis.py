@@ -155,11 +155,19 @@ def test_empirical_moments_deterministic():
     assert a == b
 
 
+# Pure-template cases: the state chunk differs from the matrix chunk at
+# d = 8 (256 and 64), 32 (128 and 4) and 64 (64 and 1).
+PURE_CASES = {"h1_k1": (odd_y_model, 2), "h1_k1_d8": (odd_y_model, 3),
+              "bell_d32": (lambda n: ModelSpec("H1", bell_projector(n)), 5),
+              "h1_k1_d64": (odd_y_model, 6)}
+
+
 def _chunked_case(case):
     """(model, dimension, template) of a chunked-moments case."""
     rng = np.random.default_rng(41)
-    if case == "h1_k1":
-        return odd_y_model(2), 4, dm(zero_state(2))
+    if case in PURE_CASES:
+        build, n = PURE_CASES[case]
+        return build(n), 2**n, dm(zero_state(n))
     if case == "h1_k2_mixed":
         # a dressed random two-copy observable, not swap-symmetric
         m = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
@@ -169,18 +177,19 @@ def _chunked_case(case):
     return dynamics_model(1), 2, None
 
 
-@pytest.mark.parametrize("case", ["h1_k1", "h1_k2_mixed", "h2"])
+@pytest.mark.parametrize("case", [*PURE_CASES, "h1_k2_mixed", "h2"])
 @pytest.mark.parametrize("size", ["two", "chunk_plus_one", "non_multiple"])
 def test_empirical_moments_match_per_draw_reference(case, size):
     model, d, template = _chunked_case(case)
-    chunk = block_count(d)
+    # a pure template is chunked as a block of states, any other as matrices
+    chunk = block_count(d, rank=1 if case in PURE_CASES else 2)
     samples = {"two": 2, "chunk_plus_one": chunk + 1, "non_multiple": 2 * chunk + chunk // 2 + 1}[size]
     sampler = UnitarySampler(d, 43)
     values = []
     for _ in range(samples):
-        if case == "h1_k1":
+        if case in PURE_CASES:
             # the pure template |0><0| is scrambled to a Haar state per draw
-            values.append(evaluate(model, dm(sampler.sample(zero_state(2)))))
+            values.append(evaluate(model, dm(sampler.sample(zero_state(int(np.log2(d)))))))
             continue
         v = sampler.sample()
         values.append(evaluate(model, v if template is None else v @ template @ v.conj().T))
@@ -189,6 +198,25 @@ def test_empirical_moments_match_per_draw_reference(case, size):
     assert report.samples == samples
     assert report.empirical_mean == pytest.approx(values.mean(), rel=1e-12, abs=0)
     assert report.empirical_var == pytest.approx(values.var(ddof=1), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_h1_chunks_are_one_sampler_block(n, monkeypatch):
+    # a pure template's chunks are blocks of states, a mixed one's blocks of
+    # matrices: 256 and 64 at d = 8, 128 and 4 at d = 32, 64 and 1 at d = 64
+    d, sizes = 2**n, []
+    obs = odd_y_model(n).observable
+    for name, route in (("pure_values", "pure"), ("expectation", "mixed")):
+        def record(x, route=route):
+            sizes.append((route, len(x)))
+            return np.zeros(len(x))
+        monkeypatch.setattr(obs, name, record)
+    mixed = random_density_matrix(d, np.random.default_rng(n))
+    for template, rank in ((dm(zero_state(n)), 1), (mixed, 2)):
+        sizes.clear()
+        chunk = block_count(d, rank)
+        analysis._h1_values(obs, UnitarySampler(d, 47), template, 2 * chunk + 1)
+        assert sizes == [("pure" if rank == 1 else "mixed", c) for c in (chunk, chunk, 1)]
 
 
 def _completion(s):
@@ -201,12 +229,13 @@ def _completion(s):
 
 
 @pytest.mark.parametrize("family", sorted(CONCENTRATION_FAMILIES))
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
 def test_haar_state_values_equal_the_conjugated_template(family, n):
     # each Haar state s is V|0> for a unitary V; its value is Tr[V rho V^dag O]
     d, obs = 2**n, CONCENTRATION_FAMILIES[family](n)
     rho = dm(zero_state(n))
-    samples = block_count(d) + 3
+    # one block of states and part of the next
+    samples = block_count(d, rank=1) + 3
     values = analysis._h1_values(obs, UnitarySampler(d, 44), rho, samples)
     sampler = UnitarySampler(d, 44)
     for value in values:
@@ -215,7 +244,12 @@ def test_haar_state_values_equal_the_conjugated_template(family, n):
         np.testing.assert_allclose(v @ v.conj().T, np.eye(d), rtol=0, atol=1e-13)
         np.testing.assert_allclose(v[:, 0], s, rtol=0, atol=1e-14)
         x = v @ rho @ v.conj().T
-        dense = expectation(tensor_power(x, obs.copies), obs.matrix)
+        if obs.dim > 256:
+            # the dense Bell projector takes 16 MiB at n = 5 and 256 MiB at
+            # n = 6; its value is Tr[(x (x) x) Phi] = Tr[x x^T] / d
+            dense = np.real(np.trace(x @ x.T)) / d
+        else:
+            dense = expectation(tensor_power(x, obs.copies), obs.matrix)
         assert abs(value - dense) < 1e-12
 
 

@@ -110,6 +110,9 @@ def test_sampler_seed_determinism():
 
 def test_block_count_fills_64_kib():
     assert [groups.block_count(d) for d in (1, 2, 8, 32, 64, 128)] == [256, 256, 64, 4, 1, 1]
+    # a state takes 16 d bytes
+    states = [groups.block_count(d, rank=1) for d in (1, 2, 16, 32, 64, 128, 4096, 8192)]
+    assert states == [256, 256, 256, 128, 64, 32, 1, 1]
 
 
 @pytest.mark.parametrize("d", [2, 8, 32])
@@ -135,7 +138,7 @@ def test_block_sampler_equals_single_draws(sampler, draw, d):
 def test_unitary_sampler_states_equal_single_draws(d):
     # two full blocks and part of a third, each state within rounding of a
     # single random_statevector draw from the same stream
-    m = 2 * groups.block_count(d) + 3
+    m = 2 * groups.block_count(d, rank=1) + 3
     sampler = UnitarySampler(d, 22)
     psi = zero_state(int(np.log2(d)))
     taken = [sampler.sample(psi) for _ in range(m)]
@@ -147,18 +150,26 @@ def test_unitary_sampler_states_equal_single_draws(d):
 
 
 def test_unitary_sampler_interleaves_elements_and_states():
-    # elements and states come from separate blocks of the same stream
-    d = 4
-    sampler = UnitarySampler(d, 23)
-    psi = zero_state(2)
-    u1, s1, u2, s2 = sampler.sample(), sampler.sample(psi), sampler.sample(), sampler.sample(psi)
-    rng = np.random.default_rng(23)
-    units = haar_unitary(d, rng, count=groups.block_count(d))
-    states = random_statevector(d, rng, count=groups.block_count(d))
-    assert u1.shape == u2.shape == (d, d) and s1.shape == s2.shape == (d,)
-    assert np.array_equal(u1, units[0]) and np.array_equal(u2, units[1])
-    assert np.array_equal(s1, states[0]) and np.array_equal(s2, states[1])
-    assert is_unitary(u1) and abs(np.linalg.norm(s1) - 1.0) < 1e-14
+    # elements and states come from separate blocks of the same stream, each
+    # sized by its own element: 256 of both at d = 4, 64 and 256 at d = 8
+    for d in (4, 8):
+        sampler = UnitarySampler(d, 23)
+        psi = zero_state(int(np.log2(d)))
+        u1, s1 = sampler.sample(), sampler.sample(psi)
+        u2, s2 = sampler.sample(), sampler.sample(psi)
+        rng = np.random.default_rng(23)
+        units = haar_unitary(d, rng, count=groups.block_count(d))
+        states = random_statevector(d, rng, count=groups.block_count(d, rank=1))
+        assert u1.shape == u2.shape == (d, d) and s1.shape == s2.shape == (d,)
+        assert np.array_equal(u1, units[0]) and np.array_equal(u2, units[1])
+        assert np.array_equal(s1, states[0]) and np.array_equal(s2, states[1])
+        assert is_unitary(u1) and abs(np.linalg.norm(s1) - 1.0) < 1e-14
+        # the next block of elements takes the normals after the whole
+        # state block, so it is where it is only if that block has the
+        # state count
+        later = [sampler.sample() for _ in range(len(units) - 1)]
+        assert np.array_equal(later[-2], units[-1])
+        assert np.array_equal(later[-1], haar_unitary(d, rng, count=len(units))[0])
 
 
 @pytest.mark.parametrize("psi", [np.ones(3) / np.sqrt(3), np.ones(8) / np.sqrt(8), np.eye(4)])

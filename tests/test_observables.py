@@ -11,6 +11,7 @@ from ginv.groups import (
     UnitarySampler,
     haar_unitary,
 )
+from ginv.models import ModelSpec, conjugated_observable
 from ginv.tensor import (
     dm,
     expectation_copies,
@@ -458,3 +459,80 @@ def test_stacked_oracles_equal_per_state_oracles(n):
         single = [oracle(rho) for rho in stack]
         np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-14, err_msg=measure)
         assert all(isinstance(v, float) for v in single), measure
+
+
+def _pure_value_cases(n, rng):
+    """(name, observable) of every kind that pure_values dispatches on."""
+    d = 2**n
+    dressed = ModelSpec("H1", obs.pauli_string("YX" + "Z" * (n - 2))[0],
+                        unitary=haar_unitary(d, rng))
+    cases = [("pauli_odd_y", obs.pauli_string("Y" + "I" * (n - 1))[0]),
+             ("dense_k1", obs.Observable(random_hermitian(d, rng), 1, n, "k1")),
+             ("dressed", conjugated_observable(dressed)),
+             ("dense_k2", obs.Observable(random_hermitian(d * d, rng), 2, n, "k2")),
+             ("bell", obs.bell_projector(n))]
+    return cases + [(o.tag, o) for o in structured_observables(n) if o.kind == "swap"]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pure_values_equal_the_density_matrix_route(n):
+    # oracle: expectation on |s><s|, one state at a time
+    rng = np.random.default_rng(80 + n)
+    states = np.array([random_statevector(2**n, rng) for _ in range(7)])
+    for name, observable in _pure_value_cases(n, rng):
+        got = observable.pure_values(states)
+        assert got.shape == (7,), name
+        oracle = [observable.expectation(dm(s)) for s in states]
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_pure_values_of_the_bell_projector_build_no_matrix():
+    n = 6
+    states = np.array([random_statevector(2**n, np.random.default_rng(90)) for _ in range(3)])
+    bell = obs.bell_projector(n)
+    np.testing.assert_allclose(bell.pure_values(states), [abs(s @ s) ** 2 / 2**n for s in states],
+                               rtol=0, atol=1e-15)
+    assert "matrix" not in vars(bell)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 8), (2, 4, 4)])
+def test_pure_values_refuse_anything_but_a_stack_of_states(shape):
+    for observable in (obs.pauli_string("XY")[0], obs.bell_projector(2), obs.swap_operator(2)):
+        with pytest.raises(ValueError, match="not \\(B, 2\\^2\\)"):
+            observable.pure_values(np.ones(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_one_qubit_purities_equal_the_pauli_weight_transform(n):
+    rng = np.random.default_rng(100 + n)
+    d = 2**n
+    stack = np.array([dm(random_statevector(d, rng)), random_density_matrix(d, rng),
+                      random_hermitian(d, rng), np.eye(d) / d])
+    masks = np.array([0] + [1 << (n - 1 - j) for j in range(n)])
+    full = obs.subset_purities(stack)
+    np.testing.assert_allclose(obs._one_qubit_purities(stack, masks), full[:, masks],
+                               rtol=0, atol=1e-12)
+    for observable in structured_observables(n):
+        if observable.kind != "swap":
+            continue
+        nonzero = np.flatnonzero(observable.coeffs)
+        np.testing.assert_allclose(observable.expectation(stack),
+                                   full[:, nonzero] @ observable.coeffs[nonzero],
+                                   rtol=0, atol=1e-12, err_msg=observable.tag)
+
+
+def test_one_qubit_polynomials_skip_the_transform(monkeypatch):
+    calls = []
+    transform = obs.subset_purities
+    monkeypatch.setattr(obs, "subset_purities", lambda rho: calls.append(1) or transform(rho))
+    n = 4
+    rho = random_density_matrix(2**n, np.random.default_rng(110))
+    one_qubit = [obs.impurity_observable(1, n), obs.meyer_wallach_observable(n), obs.swap_j(3, n),
+                 obs.entanglement_observable("impurity", n), obs.swap_operator(n)]
+    for observable in one_qubit:
+        observable.expectation(rho)
+    assert calls == []
+    # a polynomial with a two-qubit term, and shots, take the transform
+    obs.ntangle_observable(n).expectation(rho)
+    obs.meyer_wallach_observable(n).shot_distribution(rho)
+    assert len(calls) == 2

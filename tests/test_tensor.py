@@ -241,6 +241,27 @@ def test_expm_hermitian_unitarity():
         assert np.linalg.norm(u @ u.conj().T - np.eye(8)) < 1e-9
 
 
+def test_is_unitary_matches_the_frobenius_norm():
+    # oracle: ||a a^dag - 1||_F against tol, as np.linalg.norm gives it
+    rng = np.random.default_rng(22)
+    for d in (1, 2, 8):
+        h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        u = tensor.expm_hermitian(h + h.conj().T)
+        near = (u * (1 + 1e-11), u * (1 + 1e-8), 2 * u)
+        for a in (u, *near, np.zeros((d, d)), np.eye(d, dtype=int)):
+            expected = np.linalg.norm(a @ a.conj().T - np.eye(d)) <= 1e-9
+            assert tensor.is_unitary(a) is bool(expected)
+    a = np.eye(2)
+    tensor.is_unitary(a)
+    assert np.array_equal(a, np.eye(2))  # the input is not changed
+
+
+@pytest.mark.parametrize("a", [np.ones(4), np.ones((2, 3)), np.ones((3, 2)), np.eye(2)[None],
+                               np.array(1.0)])
+def test_is_unitary_refuses_anything_but_a_square_matrix(a):
+    assert tensor.is_unitary(a) is False
+
+
 def test_expm_hermitian_rejects_non_hermitian():
     with pytest.raises(ValueError):
         tensor.expm_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
