@@ -330,9 +330,9 @@ def run_graph(config, rng):
     trainable = graph_invariant_model(g0.n)
     train_config = TrainConfig(config["learning_rate"], config["iterations"])
     result = optimize(trainable, reps, train_config)
-    h0, h1 = (trainable.value_fn(result.theta, rho) for rho in reps.inputs)
+    h0, h1 = (float(h) for h in trainable.value_fn(result.theta, reps.inputs))
     midpoint = (h0 + h1) / 2
-    values = np.array([trainable.value_fn(result.theta, rho) for rho in test.inputs])
+    values = trainable.value_fn(result.theta, test.inputs)
     pred = values > midpoint if h1 >= h0 else values <= midpoint
     return {
         "final_loss": result.loss_trace[-1],

@@ -206,48 +206,56 @@ def is_isomorphic(g0, g1):
 
 
 @lru_cache(maxsize=2)
-def graph_state(g, t):
+def graph_vector(g, t):
     """|+>^n evolved for time t under the graph Hamiltonian, as a read-only
-    density matrix; the last two (graph, t) pairs are kept for the life of
-    the process, so a run's two reference states are built once."""
-    w = expm_hermitian(graph_hamiltonian(g).matrix, t)
-    rho = dm(w @ plus_state(g.n))
-    rho.flags.writeable = False
-    return rho
+    state vector; the last two (graph, t) pairs are kept for the life of the
+    process, so a run's two reference states are evolved once."""
+    psi = expm_hermitian(graph_hamiltonian(g).matrix, t) @ plus_state(g.n)
+    psi.flags.writeable = False
+    return psi
 
 
-def _orbit_distance(rho0, rho1, n):
-    """min_P ||rho1 - P rho0 P^T|| over qubit permutations P.
+def graph_state(g, t):
+    """The density matrix of ``graph_vector(g, t)``."""
+    return dm(graph_vector(g, t))
 
-    ||rho1 - P rho0 P^T||^2 = ||rho1||^2 + ||rho0||^2 - 2 Re <rho1, P rho0 P^T>,
-    so the nearest P has the largest overlap. Each overlap gathers rho0 at
-    the flat indices idx[a] 2^n + idx[b], about 2^20 entries at a time; the
-    norm is taken only for the nearest P.
+
+def _orbit_distance(psi0, psi1, n):
+    """min_P ||rho1 - P rho0 P^T|| over qubit permutations P, for the pure
+    states rho = |psi><psi|.
+
+    ||rho1 - P rho0 P^T||^2 = 2 - 2 |<psi1|P psi0>|^2 for unit vectors, so
+    the nearest P has the largest overlap. The index maps of the P are built
+    and gathered from psi0 about 2^20 entries at a time; the norm is taken
+    only for the nearest P, from its density matrices, since the overlap
+    form loses the small distances to cancellation.
     """
-    maps = permutation_index(list(permutations(range(n))), target="qubits")
-    flat0, conj1 = rho0.ravel(), rho1.conj().ravel()
-    overlaps = np.concatenate([
-        flat0[(block[:, :, None] << n | block[:, None, :]).reshape(len(block), -1)] @ conj1
-        for block in np.array_split(maps, max(1, len(maps) * 4**n >> 20))
-    ])
-    idx = maps[np.argmax(overlaps.real)]
-    return float(np.linalg.norm(rho1 - rho0[np.ix_(idx, idx)]))
+    perms = np.array(list(permutations(range(n))))
+    best, idx = -1.0, None
+    for block in np.array_split(perms, max(1, len(perms) * 2**n >> 20)):
+        maps = permutation_index(block, target="qubits")
+        overlaps = np.abs(psi0[maps] @ psi1.conj())
+        j = np.argmax(overlaps)
+        if overlaps[j] > best:
+            best, idx = overlaps[j], maps[j]
+    return float(np.linalg.norm(dm(psi1) - dm(psi0[idx])))
 
 
 def graph_dataset(g0, g1, count, t, rng):
     """States encoding random relabelings of two non-isomorphic graphs.
 
     Each item is the state of g0 or g1 evolved for time t, relabelled by a
-    random qubit permutation P: P rho P^T, gathered by P's index map. It
-    equals the state of the relabelled graph, since H(relabel(g)) =
-    P H(g) P^T and P |+>^n = |+>^n; the label records which reference graph.
+    random qubit permutation P: |P psi><P psi|, with P psi gathered by P's
+    index map. It equals the state of the relabelled graph, since
+    H(relabel(g)) = P H(g) P^T and P |+>^n = |+>^n; the label records which
+    reference graph.
     """
     if g0.n != g1.n:
         raise ValueError("reference graphs must have the same node count")
     if is_isomorphic(g0, g1):
         raise ValueError("reference graphs are isomorphic")
     n = g0.n
-    refs = (graph_state(g0, t), graph_state(g1, t))
+    refs = (graph_vector(g0, t), graph_vector(g1, t))
     if _orbit_distance(*refs, n) < 1e-6:
         raise ValueError(
             f"evolution time t={t} does not distinguish the reference graphs"
@@ -255,7 +263,7 @@ def graph_dataset(g0, g1, count, t, rng):
     data = _unfilled(count, 2**n, rng)
     for row, label in zip(data.inputs, data.labels):
         perm = rng.permutation(n)
-        # (P rho P^T)[idx[a], idx[b]] = rho[a, b], so gather by the inverse map
+        # (P psi)[idx[a]] = psi[a], so gather by the inverse map
         inverse = permutation_index(np.argsort(perm), target="qubits")
-        row[:] = refs[label][np.ix_(inverse, inverse)]
+        row[:] = dm(refs[label][inverse])
     return data

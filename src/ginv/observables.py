@@ -9,9 +9,11 @@ state itself and build their dense ``matrix`` on first access.
 A swap polynomial reads every reduced purity Tr[rho_a^2] from one
 Pauli-weight transform of the state (``subset_purities``), or, when each
 of its terms acts on at most one qubit, from the entries of the one-qubit
-marginals. ``Observable.pure_values`` values a stack of pure states from
-the vectors: one product for a single-copy observable, O(d) a state for
-the Bell projector, and |s><s| for the other kinds. Each
+marginals. The same transform, without the identity, gives the moments
+``xyz_moments`` that value a tensor power of a Bloch axis (a.sigma)^(x n)
+as a polynomial in a. ``Observable.pure_values`` values a stack of pure
+states from the vectors: one product for a single-copy observable, O(d) a
+state for the Bell projector, and |s><s| for the other kinds. Each
 entanglement observable has a companion ``*_oracle`` evaluating the same
 quantity from partial traces (``subset_purity``), an independent route;
 the runner and the tests hold the two against each other.
@@ -258,27 +260,81 @@ def subset_purities(rho):
     mask of a, with bit n-1-j for qubit j.
 
     Tr[rho_a^2] = 2^-|a| sum_{P supported in a} Tr[rho P]^2 over Pauli strings
-    P. The 4^n weights come from n per-qubit 4 x 4 maps, applied to the real
-    and imaginary parts at once; their squares then go through n per-qubit
-    2 x 4 support maps. No step loops over subsets.
+    P. The 4^n weights come from ``_pauli_weights``; their squares then go
+    through n per-qubit 2 x 4 support maps. No step loops over subsets.
     """
     rho = np.ascontiguousarray(rho, dtype=complex)
     d = rho.shape[-1]
     n = num_qubits(d)
-    stack = rho.reshape(-1, d, d)
-    b = len(stack)
-    # axes (r_1, c_1, ..., r_n, c_n, state, real/imaginary): one axis of 4 per qubit
-    t = stack.view(np.float64).reshape((b,) + (2,) * (2 * n + 1))
-    order = [a for j in range(n) for a in (1 + j, 1 + n + j)] + [0, 2 * n + 1]
-    x = t.transpose(order).reshape(4**n, -1)
-    for j in range(n):
-        x = np.matmul(_PAULI_WEIGHTS, x.reshape(4**j, 4, -1))
-    x = x.reshape(4**n, b, 2)
+    x = _pauli_weights(rho.reshape(-1, d, d), _PAULI_WEIGHTS)
+    b = x.shape[1]
     squares = x[..., 0] ** 2 + x[..., 1] ** 2
     for j in range(n):
         squares = np.matmul(_SUPPORT, squares.reshape(2**j, 4, -1))
     purities = squares.reshape(2**n, b).T
     return purities if rho.ndim == 3 else purities[0]
+
+
+def _pauli_weights(stack, letters):
+    """Weights of a contiguous complex (B, d, d) stack on the n-qubit Pauli
+    strings over ``letters``, rows of ``_PAULI_WEIGHTS``: shape (r^n, B, 2),
+    real and imaginary parts, with r letters and string p at the base-r
+    number of its letters, qubit 0 first. The weight is Tr[rho p] / i^(Y
+    count of p).
+
+    One per-qubit map over the qubit's axis of 4 entries per step, applied to
+    the real and imaginary parts at once; no step loops over strings.
+    """
+    b, d = len(stack), stack.shape[-1]
+    n = num_qubits(d)
+    # axes (r_1, c_1, ..., r_n, c_n, state, real/imaginary): one axis of 4 per qubit
+    t = stack.view(np.float64).reshape((b,) + (2,) * (2 * n + 1))
+    order = [a for j in range(n) for a in (1 + j, 1 + n + j)] + [0, 2 * n + 1]
+    x = t.transpose(order).reshape(4**n, -1)
+    for j in range(n):
+        x = np.matmul(letters, x.reshape(len(letters) ** j, 4, -1))
+    return x.reshape(-1, b, 2)
+
+
+def xyz_counts(n):
+    """The letter counts (kx, ky, kz), kx + ky + kz = n, of the strings in
+    {X, Y, Z}^n, in the order of ``xyz_moments``: kx, then ky, ascending.
+    Shape ((n+1)(n+2)/2, 3)."""
+    kx, ky = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    keep = kx + ky <= n
+    return np.stack([kx[keep], ky[keep], n - kx[keep] - ky[keep]], axis=1)
+
+
+def xyz_moments(rho):
+    """S_k(rho) = sum of Re Tr[rho p] over the strings p in {X, Y, Z}^n with
+    the letter counts k, for each k of ``xyz_counts(n)``, of an n-qubit rho or
+    per state of a (B, d, d) stack: shape (T,) or (B, T), T = (n+1)(n+2)/2.
+
+    A tensor power of a Bloch axis is a polynomial in it:
+    Tr[rho (a.sigma)^(x n)] = sum_k a_x^kx a_y^ky a_z^kz S_k(rho). The 3^n
+    weights come from the Pauli-weight transform without the identity.
+    """
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    d = rho.shape[-1]
+    n = num_qubits(d)
+    stack = rho.reshape(-1, d, d)
+    # letters as base-3 digits, qubit 0 first: 0 = X, 1 = Y, 2 = Z
+    digits = np.arange(3**n)[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
+    kx, ky = (digits == 0).sum(axis=1), (digits == 1).sum(axis=1)
+    # Re Tr[rho p] = Re(i^ky (w_re + i w_im)): w_re, -w_im, -w_re, w_im by ky mod 4
+    re, im = np.array([1.0, 0.0, -1.0, 0.0])[ky % 4], np.array([0.0, -1.0, 0.0, 1.0])[ky % 4]
+    # each string adds to the column of its counts: one 0/1 matrix product
+    _, column = np.unique(kx * (n + 1) + ky, return_inverse=True)
+    group = np.zeros((column.max() + 1, 3**n))
+    group[column, np.arange(3**n)] = 1.0
+    # blocks of about 2^18 entries keep the transform's copies to 4 MiB
+    step = max(1, 2**18 // (d * d))
+    blocks = []
+    for i in range(0, len(stack), step):
+        x = _pauli_weights(stack[i:i + step], _PAULI_WEIGHTS[1:])
+        blocks.append(group @ (x[..., 0] * re[:, None] + x[..., 1] * im[:, None]))
+    moments = np.concatenate(blocks, axis=1).T
+    return moments if rho.ndim == 3 else moments[0]
 
 
 def _one_qubit_purities(stack, masks):

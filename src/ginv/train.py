@@ -3,16 +3,18 @@
 Plain finite-difference gradient descent with backtracking; no adaptive
 optimizers and no random draws, so runs are reproducible bit-for-bit. The main
 client is the graph classifier, whose observable A(theta)^(x n) stays
-permutation-invariant for every theta by construction.
+permutation-invariant for every theta by construction. A model splits into
+features of the states that do not depend on theta and a read-out at theta,
+so training computes its dataset's features once; the graph classifier's
+features are the moments of its value as a polynomial in the Bloch axis of
+A(theta), and each loss evaluation is one product with the monomials.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .observables import PAULI
-from .tensor import expectation_copies, kron_all
+from .observables import xyz_counts, xyz_moments
 
 
 FD_STEP = 1e-4  # central-difference step of the gradient
@@ -30,10 +32,20 @@ class TrainConfig:
 
 @dataclass
 class TrainableModel:
-    """A parameterised scalar model value_fn(theta, state) with a start point."""
+    """A parameterised scalar model with a start point.
 
-    value_fn: object
+    ``features`` maps one state, or a (N, d, d) stack, to what the model reads
+    of it that does not depend on theta (by default the states themselves);
+    ``read(theta, features)`` values that: one value, or one per state.
+    """
+
+    read: object
     theta0: np.ndarray
+    features: object = np.asarray
+
+    def value_fn(self, theta, states):
+        """The value of one state, or the values of a stack, at theta."""
+        return self.read(theta, self.features(states))
 
 
 @dataclass
@@ -49,9 +61,9 @@ def mse_labels(values, labels):
     return float(np.mean((values - labels) ** 2))
 
 
-def dataset_loss(trainable, theta, dataset):
-    values = [trainable.value_fn(theta, rho) for rho in dataset.inputs]
-    return mse_labels(values, dataset.labels)
+def dataset_loss(trainable, theta, features, labels):
+    """Mean squared error at theta of a whole stack, given its features."""
+    return mse_labels(trainable.read(theta, features), labels)
 
 
 def finite_diff_gradient(f, theta, step):
@@ -71,11 +83,13 @@ def optimize(trainable, dataset, config):
     """Gradient descent with halving backtracking (max 20 halvings per step).
 
     The loss trace is nonincreasing; a step that cannot improve keeps the
-    current point. Non-finite losses abort with a diagnostic.
+    current point. Non-finite losses abort with a diagnostic. The dataset's
+    features are computed once, before the first loss evaluation.
     """
+    features = trainable.features(dataset.inputs)
 
     def loss_at(th):
-        value = dataset_loss(trainable, th, dataset)
+        value = dataset_loss(trainable, th, features, dataset.labels)
         if not np.isfinite(value):
             raise RuntimeError(f"non-finite loss {value} at theta={th}")
         return value
@@ -101,7 +115,8 @@ def optimize(trainable, dataset, config):
 
 
 def rotated_z(theta):
-    """A(theta) = R Z R^dag with R = exp(-i (t1 X + t2 Y + t3 Z)), as a.sigma.
+    """The Bloch axis a of A(theta) = R Z R^dag = a.sigma, with
+    R = exp(-i (t1 X + t2 Y + t3 Z)).
 
     R turns the Bloch sphere by 2|theta| about theta/|theta|, so a is the
     z axis turned so, by Rodrigues' formula; theta = 0 leaves a = z.
@@ -114,25 +129,22 @@ def rotated_z(theta):
         c, s = np.cos(2 * norm), np.sin(2 * norm)
         # a = z cos + (k x z) sin + k (k . z)(1 - cos)
         a = a * c + np.array([k[1], -k[0], 0.0]) * s + k * (k[2] * (1 - c))
-    return a[0] * PAULI["X"] + a[1] * PAULI["Y"] + a[2] * PAULI["Z"]
+    return a
 
 
 def graph_invariant_model(n, theta0=(0.3, 0.2, 0.1)):
-    """Permutation-invariant single-copy model A(theta)^(x n).
+    """Permutation-invariant single-copy model A(theta)^(x n), A = a.sigma.
 
-    A(theta) is ``rotated_z``, so the observable is a tensor power of one
-    single-qubit operator for every theta and commutes with all qubit
-    permutations. It is built once per theta: a loss evaluation scores
-    every item at the same point.
+    The observable is a tensor power of one single-qubit operator for every
+    theta, so it commutes with all qubit permutations. Its value is a degree-n
+    polynomial in the axis a = ``rotated_z(theta)``:
+    Tr[rho A^(x n)] = sum_k a_x^kx a_y^ky a_z^kz S_k(rho). The moments S_k
+    (``observables.xyz_moments``) are the features, so a stack of N states is
+    valued by one (N, T) @ (T,) product, T = (n+1)(n+2)/2.
     """
+    counts = xyz_counts(n)
 
-    @lru_cache(maxsize=1)
-    def observable(theta):
-        obs = kron_all([rotated_z(theta)] * n)
-        obs.flags.writeable = False
-        return obs
+    def read(theta, moments):
+        return moments @ np.prod(rotated_z(theta) ** counts, axis=1)
 
-    def value_fn(theta, rho):
-        return expectation_copies(rho, 1, observable(tuple(float(t) for t in theta)))
-
-    return TrainableModel(value_fn=value_fn, theta0=np.asarray(theta0, float))
+    return TrainableModel(read=read, theta0=np.asarray(theta0, float), features=xyz_moments)

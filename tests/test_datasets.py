@@ -5,13 +5,23 @@ import pytest
 
 from ginv import datasets as ds
 from ginv import observables as obs
-from ginv.groups import permutation_operator
-from ginv.tensor import dm, expectation, kron_all, plus_state, purity, zero_state
+from ginv.groups import permutation_index, permutation_operator
+from ginv.tensor import (
+    dm,
+    expectation,
+    kron_all,
+    plus_state,
+    purity,
+    random_statevector,
+    zero_state,
+)
 from helpers import ghz_state, random_density_matrix
 
 
 TRIANGLE = ds.Graph(3, {(0, 1), (1, 2), (0, 2)})
 PATH3 = ds.Graph(3, {(0, 1), (1, 2)})
+CYCLE4 = ds.Graph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
+STAR4 = ds.Graph(4, {(0, 1), (0, 2), (0, 3)})
 
 
 def test_dataset_is_one_input_stack_and_its_labels():
@@ -197,15 +207,39 @@ def test_graph_terms_equal_pauli_kronecker_sums(g):
 
 def test_orbit_distance_equals_dense_conjugation():
     rng = np.random.default_rng(14)
-    n = 4
-    perms = [permutation_operator(p, target="qubits") for p in permutations(range(n))]
-    for _ in range(3):
-        rho0, rho1 = (random_density_matrix(2**n, rng) for _ in range(2))
-        dense = min(np.linalg.norm(rho1 - p @ rho0 @ p.T) for p in perms)
-        assert abs(ds._orbit_distance(rho0, rho1, n) - dense) < 1e-12
-        # zero, not rounding, on a relabelled copy
-        p = perms[rng.integers(len(perms))]
-        assert ds._orbit_distance(rho0, p @ rho0 @ p.T, n) == 0.0
+    graphs = {3: (TRIANGLE, PATH3), 4: (CYCLE4, STAR4)}
+    for n in (3, 4):
+        perms = [permutation_operator(p, target="qubits") for p in permutations(range(n))]
+        states = [random_statevector(2**n, rng) for _ in range(7)]
+        # random pairs, a pair 1e-7 apart after a relabelling, whose distance
+        # the overlap form would lose to cancellation, and two graph states
+        near = perms[1] @ states[6] + 1e-7 * states[5]
+        pairs = [(states[0], states[1]), (states[2], states[3]), (states[4], states[5]),
+                 (states[6], near / np.linalg.norm(near)),
+                 tuple(ds.graph_vector(g, 0.7) for g in graphs[n])]
+        for psi0, psi1 in pairs:
+            rho0, rho1 = dm(psi0), dm(psi1)
+            dense = min(np.linalg.norm(rho1 - p @ rho0 @ p.T) for p in perms)
+            assert abs(ds._orbit_distance(psi0, psi1, n) - dense) < 1e-12
+        # zero, not rounding, on a relabelled copy of a state with no
+        # symmetry (a graph state's automorphisms tie its overlaps to rounding)
+        for psi in states:
+            p = perms[rng.integers(len(perms))]
+            assert ds._orbit_distance(psi, p @ psi, n) == 0.0
+
+
+def test_orbit_distance_finds_the_nearest_permutation_past_the_first_block():
+    # at n = 8 the 8! index maps go in 9 blocks; the reversal is the last
+    # permutation, so the nearest one sits in the last block
+    rng = np.random.default_rng(18)
+    n = 8
+    psi = random_statevector(2**n, rng)
+    moved = psi[permutation_index(np.arange(n)[::-1], target="qubits")]
+    near = moved + 1e-7 * random_statevector(2**n, rng)
+    near /= np.linalg.norm(near)
+    assert ds._orbit_distance(psi, moved, n) == 0.0
+    dense = np.linalg.norm(dm(near) - dm(moved))
+    assert abs(ds._orbit_distance(psi, near, n) - dense) < 1e-12
 
 
 def test_graph_validation():
@@ -227,6 +261,14 @@ def test_is_isomorphic():
 def test_graph_state_t_zero_is_fiduciary():
     state = ds.graph_state(TRIANGLE, 0.0)
     np.testing.assert_allclose(state, dm(plus_state(3)), atol=1e-12)
+
+
+def test_graph_vector_is_kept_read_only_and_gives_the_state():
+    psi = ds.graph_vector(TRIANGLE, 0.9)
+    assert ds.graph_vector(TRIANGLE, 0.9) is psi
+    with pytest.raises(ValueError, match="read-only"):
+        psi[0] = 0.0
+    np.testing.assert_array_equal(ds.graph_state(TRIANGLE, 0.9), dm(psi))
 
 
 def test_graph_dataset_rejects_indistinguishable_time():

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -426,6 +426,60 @@ def test_pauli_weight_purities_equal_partial_traces(n):
     np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
     for rho, row in zip(stack, got):
         np.testing.assert_allclose(obs.subset_purities(rho), row, rtol=0, atol=1e-12)
+
+
+def _pauli_traces(stack, word):
+    """Tr[rho p] per state of a stack for the Pauli string ``word``, dense."""
+    return np.einsum("bij,ji->b", stack, kron_all([obs.PAULI[c] for c in word]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_weights_equal_explicit_traces(n):
+    # oracle: Tr[rho p] of every string p by its Kronecker product, on
+    # matrices that are not Hermitian, so both parts of each weight count
+    rng = np.random.default_rng(60 + n)
+    d = 2**n
+    stack = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+    for letters in ("IXYZ", "XYZ"):
+        rows = obs._PAULI_WEIGHTS[["IXYZ".index(c) for c in letters]]
+        got = obs._pauli_weights(stack, rows)
+        assert got.shape == (len(letters) ** n, 3, 2)
+        for weight, word in zip(got, product(letters, repeat=n)):
+            want = _pauli_traces(stack, word) / 1j ** word.count("Y")
+            np.testing.assert_allclose(weight[:, 0] + 1j * weight[:, 1], want,
+                                       rtol=0, atol=1e-12, err_msg="".join(word))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_xyz_moments_equal_explicit_sums(n):
+    # oracle: S_k sums Re Tr[rho p] over the strings of {X, Y, Z}^n with counts k
+    rng = np.random.default_rng(70 + n)
+    d = 2**n
+    stack = np.array([random_density_matrix(d, rng), random_hermitian(d, rng),
+                      rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))])
+    counts = obs.xyz_counts(n)
+    assert len(counts) == (n + 1) * (n + 2) // 2
+    assert (counts.sum(axis=1) == n).all()
+    assert len({tuple(k) for k in counts}) == len(counts)
+    column = {tuple(k): i for i, k in enumerate(counts.tolist())}
+    want = np.zeros((3, len(counts)))
+    for word in product("XYZ", repeat=n):
+        want[:, column[tuple(word.count(c) for c in "XYZ")]] += np.real(
+            _pauli_traces(stack, word))
+    got = obs.xyz_moments(stack)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for rho, row in zip(stack, got):
+        np.testing.assert_allclose(obs.xyz_moments(rho), row, rtol=0, atol=1e-12)
+
+
+def test_xyz_moments_of_a_stack_in_blocks_equal_single_states():
+    # at n = 7 a block holds 16 states, so 20 states take two blocks
+    rng = np.random.default_rng(77)
+    stack = np.array([random_density_matrix(2**7, rng, rank=1) for _ in range(20)])
+    got = obs.xyz_moments(stack)
+    assert got.shape == (20, 36)
+    for rho, row in zip(stack, got):
+        np.testing.assert_allclose(obs.xyz_moments(rho), row, rtol=0, atol=1e-12)
 
 
 def test_swap_polynomial_values_and_shots_take_no_partial_trace(monkeypatch):

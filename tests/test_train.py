@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ginv import train
+from ginv import observables, train
 from ginv.datasets import Dataset, Graph, graph_dataset, graph_state
 from ginv.groups import permutation_operator
 from ginv.models import ModelSpec, evaluate, qgcnn_unitary
@@ -111,7 +111,7 @@ def test_optimize_graph_classifier_gap():
 
 
 def test_optimize_already_optimal_start_flat():
-    model = TrainableModel(value_fn=lambda th, x: 0.0, theta0=np.zeros(2))
+    model = TrainableModel(read=lambda th, x: 0.0, theta0=np.zeros(2))
     result = optimize(model, MIXED, TrainConfig(iterations=5))
     assert all(abs(v - result.loss_trace[0]) < 1e-12 for v in result.loss_trace)
 
@@ -126,7 +126,7 @@ def test_optimize_seed_determinism():
 
 
 def test_optimize_aborts_on_non_finite_loss():
-    model = TrainableModel(value_fn=lambda th, x: float("nan"), theta0=np.zeros(1))
+    model = TrainableModel(read=lambda th, x: float("nan"), theta0=np.zeros(1))
     with pytest.raises(RuntimeError):
         optimize(model, MIXED, TrainConfig(iterations=2))
 
@@ -167,7 +167,8 @@ def test_dataset_loss_kinds():
     model = graph_invariant_model(3)
     values = [model.value_fn(model.theta0, rho) for rho in reps.inputs]
     expected = mse_labels(values, reps.labels)
-    assert dataset_loss(model, model.theta0, reps) == expected
+    loss = dataset_loss(model, model.theta0, model.features(reps.inputs), reps.labels)
+    assert loss == expected
 
 
 def test_train_config_validation():
@@ -177,9 +178,13 @@ def test_train_config_validation():
         TrainConfig(iterations=0)
 
 
-def _graph_value_uncached(theta, rho, n):
-    """A(theta)^(x n) built afresh for each value, as before the cache."""
-    return expectation_copies(rho, 1, kron_all([train.rotated_z(theta)] * n))
+def _sigma(a):
+    return a[0] * PAULI["X"] + a[1] * PAULI["Y"] + a[2] * PAULI["Z"]
+
+
+def _dense_graph_values(theta, rho, n):
+    """Tr[rho A^(x n)], A = a.sigma, with the tensor power built densely."""
+    return expectation_copies(rho, 1, kron_all([_sigma(train.rotated_z(theta))] * n))
 
 
 def _rotated_z_by_expm(theta):
@@ -198,41 +203,68 @@ def test_rotated_z_equals_the_expm_route():
     assert np.linalg.norm(thetas[-3]) > np.pi
     for theta in thetas:
         a = train.rotated_z(theta)
-        np.testing.assert_allclose(a, _rotated_z_by_expm(theta), rtol=0, atol=1e-14)
-    assert np.array_equal(train.rotated_z((0, 0, 0)), PAULI["Z"])
+        np.testing.assert_allclose(_sigma(a), _rotated_z_by_expm(theta), rtol=0, atol=1e-14)
+    assert np.array_equal(train.rotated_z((0, 0, 0)), [0.0, 0.0, 1.0])
 
 
-def test_graph_value_fn_equals_uncached_formula():
-    rng = np.random.default_rng(19)
-    n = 3
-    model = graph_invariant_model(n)
-    states = [random_density_matrix(2**n, rng) for _ in range(3)]
-    thetas = [[0.3, -1.2, 0.7], (0.3, -1.2, 0.7), np.array([0.3, -1.2, 0.7]),
-              (1, 0, 2), np.array([2.0, 0.1, -0.4]), [0.3, -1.2, 0.7]]
-    for theta in thetas:
-        for rho in states:
-            assert model.value_fn(theta, rho) == _graph_value_uncached(theta, rho, n)
-    # a theta array changed in place is a new point, not a stale cache hit
-    theta = np.array([0.5, 0.25, -0.75])
-    for step in range(3):
-        for rho in states:
-            assert model.value_fn(theta, rho) == _graph_value_uncached(theta, rho, n)
-        theta[step] += 0.125
+def _random_hermitian(n, count, rng):
+    """A (count, 2^n, 2^n) stack of Hermitian matrices of unit Frobenius norm,
+    neither positive nor of unit trace."""
+    d = 2**n
+    g = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    h = g + g.conj().transpose(0, 2, 1)
+    return h / np.linalg.norm(h, axis=(1, 2), keepdims=True)
 
 
-def test_graph_observable_built_once_per_theta_and_read_only(monkeypatch):
-    builds, seen = [], []
-    rotated_z = train.rotated_z
-    monkeypatch.setattr(train, "rotated_z", lambda theta: builds.append(theta) or rotated_z(theta))
-    monkeypatch.setattr(train, "expectation_copies",
-                        lambda rho, k, o: seen.append(o) or expectation_copies(rho, k, o))
-    model = graph_invariant_model(2)
-    rng = np.random.default_rng(20)
-    states = [random_density_matrix(4, rng) for _ in range(4)]
-    for theta in ([0.1, 0.2, 0.3], [0.4, 0.5, 0.6]):
-        for rho in states:
-            model.value_fn(np.array(theta), rho)
-    assert len(builds) == 2
-    assert all(o is seen[0] for o in seen[:4]) and seen[4] is not seen[0]
-    with pytest.raises(ValueError, match="read-only"):
-        seen[0][0, 0] = 0.0
+def test_graph_value_fn_equals_dense_oracle():
+    for n in range(1, 6):
+        rng = np.random.default_rng(19 + n)
+        model = graph_invariant_model(n)
+        stack = np.concatenate([_random_hermitian(n, 3, rng),
+                                [random_density_matrix(2**n, rng) for _ in range(2)]])
+        # theta = 0 (a = z), random points, |theta| > pi, integer and list thetas
+        thetas = [np.zeros(3), *rng.standard_normal((3, 3)), np.array([3.0, -1.5, 1.0]),
+                  (1, 0, 2), [0.3, -1.2, 0.7]]
+        for theta in thetas:
+            want = _dense_graph_values(theta, stack, n)
+            np.testing.assert_allclose(model.value_fn(theta, stack), want, rtol=0, atol=1e-12)
+            for rho, value in zip(stack, want):
+                assert abs(model.value_fn(theta, rho) - value) < 1e-12
+        # a theta array changed in place is read afresh at each call
+        theta = np.array([0.5, 0.25, -0.75])
+        moments = model.features(stack)
+        for step in range(3):
+            want = _dense_graph_values(theta, stack, n)
+            np.testing.assert_allclose(model.read(theta, moments), want, rtol=0, atol=1e-12)
+            theta[step] += 0.125
+
+
+def test_optimize_computes_the_moments_once(monkeypatch):
+    transforms, evals = [], []
+    transform, loss = observables._pauli_weights, train.dataset_loss
+    monkeypatch.setattr(observables, "_pauli_weights",
+                        lambda *a: transforms.append(1) or transform(*a))
+    monkeypatch.setattr(train, "dataset_loss", lambda *a: evals.append(1) or loss(*a))
+    optimize(graph_invariant_model(3), representatives(), TrainConfig(0.5, 10))
+    # one transform for the stack; each iteration makes 6 gradient evaluations
+    # and at least one step
+    assert len(transforms) == 1
+    assert len(evals) >= 1 + 10 * 7
+
+
+def test_optimize_graph_equals_dense_trainable():
+    # the dense route as a trainable: A(theta)^(x n) built at every point
+    # and the stack valued by expectation_copies
+    cycle4 = Graph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
+    star4 = Graph(4, {(0, 1), (0, 2), (0, 3)})
+    reps = Dataset(np.array([graph_state(cycle4, 1.0), graph_state(star4, 1.0)]),
+                   np.array([0, 1]))
+    model = graph_invariant_model(4)
+    dense = TrainableModel(read=lambda th, stack: _dense_graph_values(th, stack, 4),
+                           theta0=model.theta0)
+    config = TrainConfig(learning_rate=0.5, iterations=60)
+    got, want = optimize(model, reps, config), optimize(dense, reps, config)
+    np.testing.assert_allclose(got.loss_trace, want.loss_trace, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got.theta, want.theta, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(model.value_fn(got.theta, reps.inputs),
+                               dense.value_fn(want.theta, reps.inputs), rtol=0, atol=1e-10)
