@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, analysis, datasets, models, observables
+from . import __version__, analysis, datasets, observables
 from .analysis import (
     MidpointRule,
     ThresholdRule,
@@ -53,9 +53,9 @@ GRAPH_PRESETS = {
 
 # Per-experiment config schema: field -> (type, default, minimum). A None
 # default is kept as null; a None minimum means no bound. Below its minimum a
-# count fails a run or reports nothing; purity and entanglement samples have
-# none, since one item names the absent class. CHOICES lists the names a
-# naming field takes.
+# count fails a run or reports nothing, and a negative eps labels no item 1;
+# purity and entanglement samples have none, since one item names the absent
+# class. CHOICES lists the names a naming field takes.
 SCHEMAS = {
     "purity": {
         "n": (int, 2, 1),
@@ -67,14 +67,14 @@ SCHEMAS = {
         "n": (int, 2, 1),
         "samples": (int, 200, 1),
         "observable": (str, "odd_y", None),
-        "eps": (float, None, None),
+        "eps": (float, None, 0),
         "mc_samples": (int, 20000, 2),
         "shots": (int, 0, 0),
     },
     "time_reversal_dynamics": {
         "n": (int, 3, 1),
         "samples": (int, 200, 1),
-        "eps": (float, 0.1, None),
+        "eps": (float, 0.1, 0),
         "mc_samples": (int, 20000, 2),
         "shots": (int, 0, 0),
     },
@@ -238,7 +238,11 @@ def _resolve_graph(name):
 
 def run_purity(config, rng):
     n = config["n"]
-    data = datasets.purity_dataset(n, config["samples"], config["b"], rng)
+    # a target purity outside [1/d, 1) is refused before any item
+    try:
+        data = datasets.purity_dataset(n, config["samples"], config["b"], rng)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     model = ModelSpec("H1", observables.swap_operator(n))
     report = classify(data, model, MidpointRule(), shots=config["shots"], rng=rng)
     return {"classification": asdict(report)}
@@ -317,8 +321,10 @@ def run_graph(config, rng):
     g0 = _resolve_graph(config["g0"])
     g1 = _resolve_graph(config["g1"])
     t = config["t"]
-    # the dataset's checks refuse the reference graphs before any training
+    # a learning rate <= 0, then the dataset's checks of the reference graphs,
+    # are refused before any training
     try:
+        train_config = TrainConfig(config["learning_rate"], config["iterations"])
         test = datasets.graph_dataset(g0, g1, config["samples"], t, rng)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -328,7 +334,6 @@ def run_graph(config, rng):
         np.array([datasets.graph_state(g0, t), datasets.graph_state(g1, t)]), np.array([0, 1])
     )
     trainable = graph_invariant_model(g0.n)
-    train_config = TrainConfig(config["learning_rate"], config["iterations"])
     result = optimize(trainable, reps, train_config)
     h0, h1 = (float(h) for h in trainable.value_fn(result.theta, reps.inputs))
     midpoint = (h0 + h1) / 2
@@ -372,11 +377,11 @@ def run_concentration(config, rng):
 
 def run_ancilla(config, rng):
     n = config["n"]
-    u = models.swap_test_unitary(n)
-    z_anc = models.ancilla_observable(observables.PAULI["Z"], n).matrix
-    z_swap = kron(observables.PAULI["Z"], observables.swap_operator(n).matrix)
-    conj_dev = float(np.abs(u.conj().T @ z_anc @ u - z_swap).max())
     model = swap_test_model(n)
+    # the paper's claim on the dense circuit, once: U^dag (Z x 1) U = Z x SWAP
+    u = model.unitary
+    z_swap = kron(observables.PAULI["Z"], observables.swap_operator(n).matrix)
+    conj_dev = float(np.abs(u.conj().T @ model.observable.matrix @ u - z_swap).max())
     purity_dev = 0.0
     for _ in range(config["samples"]):
         psi = random_statevector(2**n, rng)

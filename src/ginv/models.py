@@ -9,6 +9,9 @@ Three model families share one evaluation surface:
 A model is its observable O and an optional fixed unitary U (the identity
 when absent); the conjugated observable U^dag O U is what determines the
 model's symmetry. ``qgcnn_unitary`` builds the S_n-equivariant graph ansatz.
+``swap_test_unitary`` is the H3 swap-test circuit in closed form; an H3 value
+is Tr[(rho x rho) B] for B the ancilla-|0> block of U^dag O U, scored by the
+two-copy kernel ``expectation_copies``.
 """
 
 from dataclasses import dataclass, field
@@ -18,18 +21,7 @@ import numpy as np
 from . import tensor
 from .datasets import graph_terms
 from .observables import PAULI, Observable, swap_operator
-# expectation_copies stays bound here for bench/tracer.py, which wraps it by name
-from .tensor import (  # noqa: F401
-    basis_state,
-    dm,
-    expectation_copies,
-    expectation_factors,
-    expm_hermitian,
-    is_unitary,
-    kron,
-)
-
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+from .tensor import basis_state, dm, expectation_copies, expm_hermitian, is_unitary, kron
 
 
 @dataclass
@@ -119,39 +111,34 @@ def evaluate(model, x):
             return float(abs((x @ m @ x.T).trace()) ** 2 / d)
         phi = (x @ m @ x.T).ravel()  # (W x W)|psi> via row-major vec
         return float(np.real(phi.conj() @ obs.matrix @ phi))
-    # H3: ancilla |0><0| in front of two copies of the input state.
+    # H3: the ancilla's |0><0| in front of rho x rho keeps the top-left block
     d = x.shape[0]
     if 2 * d * d != obs.dim:
         raise ValueError(f"input dim {d} incompatible with H3 observable")
-    return expectation_factors([dm(basis_state(2, 0)), x, x], obs.matrix)
+    return expectation_copies(x, 2, obs.matrix[: d * d, : d * d])
 
 
 def swap_test_unitary(n):
-    """Hadamard / controlled-register-SWAP / Hadamard on 2n+1 qubits.
+    """The swap test (H x 1) CSWAP (H x 1) on 2n+1 qubits, in closed form:
+    [[1 + S, 1 - S], [1 - S, 1 + S]] / 2 with S the register SWAP.
 
     Conjugating Z on the ancilla by this circuit gives Z x SWAP, so an
     H3 model measuring the ancilla returns Tr[rho^2].
     """
-    d2 = 4**n
-    cswap = np.zeros((2 * d2, 2 * d2), dtype=complex)
-    cswap[:d2, :d2] = np.eye(d2)
-    cswap[d2:, d2:] = swap_operator(n).matrix
-    h_anc = kron(HADAMARD, np.eye(d2))
-    return h_anc @ cswap @ h_anc
+    s = swap_operator(n).matrix
+    one = np.eye(4**n)
+    return np.block([[one + s, one - s], [one - s, one + s]]) / 2
 
 
-def ancilla_observable(o_single, n):
+def ancilla_observable(o, n):
     """O x 1 x 1 measuring only the ancilla qubit of an H3 register."""
-    m = kron(np.asarray(o_single), np.eye(4**n))
+    m = kron(np.asarray(o), np.eye(4**n))
     return Observable(m, copies=1, qubits_per_copy=2 * n + 1, tag="ancilla")
 
 
-def swap_test_model(n, o_single=None):
+def swap_test_model(n):
     """H3 purity model: swap-test circuit with a Z ancilla measurement."""
-    o_single = PAULI["Z"] if o_single is None else np.asarray(o_single)
-    return ModelSpec(
-        "H3", ancilla_observable(o_single, n), unitary=swap_test_unitary(n)
-    )
+    return ModelSpec("H3", ancilla_observable(PAULI["Z"], n), unitary=swap_test_unitary(n))
 
 
 @dataclass

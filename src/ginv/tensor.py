@@ -158,20 +158,6 @@ def expectation_copies(rho, k, obs):
     return np.array([expectation(tensor_power(r, k), obs) for r in rho])
 
 
-def expectation_factors(factors, obs):
-    """Tr[(f_1 x f_2 x ...) obs] contracted factor by factor."""
-    obs = np.asarray(obs)
-    dims = [f.shape[0] for f in factors]
-    t = obs.reshape(dims + dims)
-    m = len(factors)
-    # obs row index i_j pairs with factor col, obs col index l_j with row.
-    operands = []
-    for j, f in enumerate(factors):
-        operands.extend([f, [m + j, j]])
-    operands.extend([t, list(range(2 * m)), []])
-    return float(np.real(np.einsum(*operands)))
-
-
 def purity(rho):
     rho = np.asarray(rho)
     return float(np.real(np.einsum("ij,ji->", rho, rho)))

@@ -221,6 +221,23 @@ def test_unattainable_entanglement_target_is_config_error(tmp_path, capsys, args
     assert f"target measure 0.5 outside attainable range {attainable}" in err
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--b", "1"], "1.0 outside [1/4, 1)"),
+        (["--b", "0.2"], "0.2 outside [1/4, 1)"),
+        (["--n", "3", "--b", "0.1"], "0.1 outside [1/8, 1)"),
+    ],
+)
+def test_unattainable_purity_target_is_config_error(tmp_path, capsys, args, message):
+    out = tmp_path / "never.json"
+    code = run_cli(["run", "--experiment", "purity", *args, "--output", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "config error" in err and f"target purity {message}" in err
+
+
 def test_report_classification_formats(tmp_path, capsys):
     out = tmp_path / "purity.json"
     run_cli(
@@ -323,6 +340,18 @@ def test_undistinguishing_time_refused_before_training(tmp_path, capsys, monkeyp
     assert not out.exists()
     assert trained == []
     assert "does not distinguish the reference graphs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", ["0", "-0.5"])
+def test_nonpositive_learning_rate_refused_before_the_dataset(tmp_path, capsys, monkeypatch, rate):
+    built = []
+    monkeypatch.setattr(cli.datasets, "graph_dataset", lambda *args: built.append(args))
+    out = tmp_path / "g.json"
+    assert run_cli(["run", "--experiment", "graph", "--learning-rate", rate, "-o", str(out)]) == 2
+    assert not out.exists()
+    assert built == []
+    err = capsys.readouterr().err
+    assert "config error" in err and "learning_rate must be > 0" in err
 
 
 @pytest.mark.parametrize(
@@ -693,8 +722,9 @@ SMALL = {
     "ancilla": {"samples": 2},
 }
 
-# The smallest count each field runs with; one less divided by zero, failed
-# inside the library or (ancilla samples) reported a vacuous deviation.
+# The smallest value each field runs with; one less divided by zero, failed
+# inside the library, (ancilla samples) reported a vacuous deviation or (eps)
+# left no item that could be labelled 1.
 MINIMUM_CASES = [
     ("purity", "n", 1),
     ("time_reversal_states", "n", 1),
@@ -718,6 +748,8 @@ MINIMUM_CASES = [
     ("time_reversal_states", "shots", 0),
     ("time_reversal_dynamics", "shots", 0),
     ("entanglement", "shots", 0),
+    ("time_reversal_states", "eps", 0),
+    ("time_reversal_dynamics", "eps", 0),
 ]
 
 

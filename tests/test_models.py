@@ -5,6 +5,7 @@ from ginv.datasets import Graph
 from ginv.groups import haar_orthogonal, haar_unitary, permutation_operator
 from ginv.models import (
     ModelSpec,
+    ancilla_observable,
     conjugated_observable,
     estimate_with_shots,
     evaluate,
@@ -14,10 +15,13 @@ from ginv.models import (
 )
 from ginv.observables import PAULI, Observable, bell_projector, swap_operator
 from ginv.tensor import (
+    basis_state,
     bell_state,
     dm,
+    expectation,
     expm_hermitian,
     kron,
+    kron_all,
     purity,
     random_statevector,
     tensor_power,
@@ -149,6 +153,20 @@ def test_evaluate_h3_swap_test_purity_conjugation_oracle():
             assert abs(evaluate(model, rho) - purity(rho)) < 1e-10
 
 
+def test_evaluate_h3_matches_dense_ancilla_oracle():
+    # oracle: Tr[(|0><0| x rho x rho) U^dag (O x 1) U] on the whole register
+    rng = np.random.default_rng(29)
+    for n in (1, 2):
+        u = swap_test_unitary(n)
+        for _ in range(5):
+            o = random_hermitian(2, rng)
+            model = ModelSpec("H3", ancilla_observable(o, n), unitary=u)
+            rho = random_density_matrix(2**n, rng)
+            dressed = u.conj().T @ kron(o, np.eye(4**n)) @ u
+            oracle = expectation(kron_all([dm(basis_state(2, 0)), rho, rho]), dressed)
+            assert abs(evaluate(model, rho) - oracle) < 1e-12
+
+
 def test_evaluate_input_kind_errors():
     model = ModelSpec("H1", swap_operator(1))
     with pytest.raises(ValueError):
@@ -175,6 +193,17 @@ def test_swap_test_unitary_conjugation_identity():
         z_anc = kron(PAULI["Z"], np.eye(4**n))
         z_swap = kron(PAULI["Z"], swap_operator(n).matrix)
         assert np.abs(u.conj().T @ z_anc @ u - z_swap).max() < 1e-10
+
+
+def test_swap_test_unitary_is_the_hadamard_cswap_product():
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    for n in (1, 2, 3):
+        d2 = 4**n
+        cswap = np.zeros((2 * d2, 2 * d2), dtype=complex)
+        cswap[:d2, :d2] = np.eye(d2)
+        cswap[d2:, d2:] = swap_operator(n).matrix
+        h_anc = kron(h, np.eye(d2))
+        assert np.abs(swap_test_unitary(n) - h_anc @ cswap @ h_anc).max() <= 1e-15
 
 
 def test_ancilla_measurement_eigenvector_condition():

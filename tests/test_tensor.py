@@ -324,16 +324,6 @@ def test_expectation_copies_stack_matches_per_state(k):
             tensor.expectation_copies(rhos, k, obs.reshape((d,) * 2 * k))
 
 
-def test_expectation_factors_matches_kron():
-    rng = np.random.default_rng(29)
-    a = random_density_matrix(2, rng)
-    b = random_density_matrix(4, rng)
-    obs = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    obs = obs + obs.conj().T
-    direct = tensor.expectation(tensor.kron(a, b), obs)
-    assert abs(tensor.expectation_factors([a, b], obs) - direct) < 1e-12
-
-
 def test_state_constructors():
     assert abs(np.linalg.norm(tensor.bell_state(2)) - 1) < 1e-12
     assert abs(np.linalg.norm(tensor.plus_state(3)) - 1) < 1e-12
