@@ -20,6 +20,7 @@ import numpy as np
 
 from . import tensor
 from .datasets import graph_terms
+from .groups import block_count
 from .observables import PAULI, Observable, swap_operator
 from .tensor import basis_state, dm, expectation_copies, expm_hermitian, is_unitary, kron
 
@@ -100,17 +101,11 @@ def evaluate(model, x):
     if model.hclass == "H1":
         return obs.expectation(x)
     if model.hclass == "H2":
-        d = x.shape[0]
-        if d * d != obs.dim:
-            raise ValueError(f"H2 expects a {int(np.sqrt(obs.dim))}-dim unitary")
-        if not is_unitary(x):
-            raise ValueError("H2 input must be unitary")
-        m = model.psi_in.reshape(d, d)
+        phi = _h2_output(model, x)
         if obs.kind == "bell":
             # <Phi|(W x W)|psi> = tr(W M W^T) / sqrt(d) for the Bell state Phi
-            return float(abs((x @ m @ x.T).trace()) ** 2 / d)
-        phi = (x @ m @ x.T).ravel()  # (W x W)|psi> via row-major vec
-        return float(np.real(phi.conj() @ obs.matrix @ phi))
+            return float(abs(phi.trace()) ** 2 / len(phi))
+        return float(np.real(phi.ravel().conj() @ obs.matrix @ phi.ravel()))
     # H3: the ancilla's |0><0| in front of rho x rho keeps the top-left block
     d = x.shape[0]
     if 2 * d * d != obs.dim:
@@ -141,10 +136,21 @@ def swap_test_model(n):
     return ModelSpec("H3", ancilla_observable(PAULI["Z"], n), unitary=swap_test_unitary(n))
 
 
+def _h2_output(model, w):
+    """(W x W)|psi_in> as the d x d matrix W M W^T (its row-major vec), with
+    M the d x d reshape of psi_in, once W is checked to be a d x d unitary."""
+    d, dim = w.shape[0], model.observable.dim
+    if d * d != dim:
+        raise ValueError(f"H2 expects a {int(np.sqrt(dim))}-dim unitary")
+    if not is_unitary(w):
+        raise ValueError("H2 input must be unitary")
+    return w @ model.psi_in.reshape(d, d) @ w.T
+
+
 @dataclass
 class ShotEstimate:
-    estimate: float
-    stderr: float
+    estimate: float | np.ndarray
+    stderr: float | np.ndarray
 
 
 def _input_state(model, x):
@@ -152,34 +158,52 @@ def _input_state(model, x):
     if model.hclass == "H1":
         return tensor.tensor_power(x, model.observable.copies)
     if model.hclass == "H2":
-        d = x.shape[0]
-        return dm((x @ model.psi_in.reshape(d, d) @ x.T).ravel())
+        return dm(_h2_output(model, x).ravel())
     return tensor.kron_all([dm(basis_state(2, 0)), x, x])
 
 
-def _shot_distribution(model, x):
-    """Levels of the dressed observable and their probabilities: 1 and 0
-    for the Bell projector, the parallel swap test for a swap polynomial on
-    two copies, else the eigenbasis of U^dag O U on the undressed input."""
-    obs = conjugated_observable(model)
+def _shot_distribution(model, obs, stack):
+    """Levels of the dressed observable obs, shared by the items of a
+    (N, d, d) stack, and their (N, L) probabilities: 1 and 0 for the Bell
+    projector (H2 values by ``evaluate``, which checks each unitary), the
+    parallel swap test for a swap polynomial on two copies, else the
+    eigenbasis of U^dag O U on each undressed input."""
     if obs.kind == "bell":
-        p = min(max(evaluate(model, x), 0.0), 1.0)
-        return np.array([1.0, 0.0]), np.array([p, 1.0 - p])
+        h2 = model.hclass == "H2"
+        p = np.clip([evaluate(model, x) for x in stack] if h2 else obs.expectation(stack), 0, 1)
+        return np.array([1.0, 0.0]), np.stack([p, 1.0 - p], axis=1)
     if obs.kind == "swap" and model.hclass == "H1":
-        return obs.shot_distribution(x)
+        return obs.shot_distribution(stack)
     w, vecs = obs.eigh
-    probs = np.real(np.sum(vecs.conj() * (_input_state(model, x) @ vecs), axis=0))
-    probs = np.clip(probs, 0.0, None)
-    return w, probs / probs.sum()
+    sigma = np.array([_input_state(model, x) for x in stack])
+    probs = np.clip(np.real(np.sum(vecs.conj() * (sigma @ vecs), axis=1)), 0.0, None)
+    return w, probs / probs.sum(axis=1, keepdims=True)
 
 
 def estimate_with_shots(model, x, shots, rng):
-    """Unbiased finite-shot estimate: ``shots`` levels of the dressed
-    observable drawn by one ``rng.choice`` call."""
+    """Unbiased finite-shot estimate of one input, or per item of a stack:
+    ``shots`` levels of the dressed observable per item, drawn by one
+    ``rng.choice`` call each, in item order. A float estimate and stderr for
+    one input, arrays for a stack.
+
+    A single input is a stack of one. The distributions are formed a chunk
+    of items at a time, one block of the largest array an item needs: its
+    undressed state on the spectral route, else the input itself.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    levels, probs = _shot_distribution(model, np.asarray(x))
-    outcomes = rng.choice(levels, size=shots, p=probs)
-    estimate = float(outcomes.mean())
-    stderr = float(outcomes.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
-    return ShotEstimate(estimate, stderr)
+    x = np.asarray(x)
+    stack = x if x.ndim == 3 else x[None]
+    obs = conjugated_observable(model)
+    spectral = obs.kind == "dense" or (obs.kind == "swap" and model.hclass != "H1")
+    chunk = block_count(obs.dim if spectral else stack.shape[-1])
+    estimate, stderr = np.empty(len(stack)), np.zeros(len(stack))
+    for start in range(0, len(stack), chunk):
+        levels, probs = _shot_distribution(model, obs, stack[start : start + chunk])
+        outcomes = np.array([rng.choice(levels, size=shots, p=row) for row in probs])
+        estimate[start : start + chunk] = outcomes.mean(axis=1)
+        if shots > 1:
+            stderr[start : start + chunk] = outcomes.std(axis=1, ddof=1) / np.sqrt(shots)
+    if x.ndim == 3:
+        return ShotEstimate(estimate, stderr)
+    return ShotEstimate(float(estimate[0]), float(stderr[0]))

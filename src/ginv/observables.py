@@ -130,10 +130,11 @@ class SwapPolynomial(Observable):
         """Levels f(z) = sum_a (-1)^{z.a} c_a and probabilities
         2^-n sum_a (-1)^{z.a} Tr[rho_a^2] of the parallel swap test outcomes
         z, projectors prod_j (1 + (-1)^{z_j} SWAP_j) / 2 (Beckey, Gigena,
-        Coles, Cerezo, arXiv:2104.06923): two Walsh-Hadamard transforms."""
+        Coles, Cerezo, arXiv:2104.06923): two Walsh-Hadamard transforms.
+        A (B, d, d) stack gets (B, 2^n) probabilities, one row per state."""
         n = self.qubits_per_copy
-        probs = np.clip(self._walsh @ subset_purities(rho) / 2**n, 0.0, None)
-        return self._walsh @ self.coeffs, probs / probs.sum()
+        probs = np.clip(subset_purities(rho) @ self._walsh / 2**n, 0.0, None)
+        return self._walsh @ self.coeffs, probs / probs.sum(axis=-1, keepdims=True)
 
     @cached_property
     def _walsh(self):

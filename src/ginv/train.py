@@ -84,7 +84,9 @@ def optimize(trainable, dataset, config):
 
     The loss trace is nonincreasing; a step that cannot improve keeps the
     current point. Non-finite losses abort with a diagnostic. The dataset's
-    features are computed once, before the first loss evaluation.
+    features are computed once, before the first loss evaluation. Once a step
+    keeps the point, every later one would repeat its (deterministic) gradient
+    and candidates and fail alike, so the loop stops and the trace stays flat.
     """
     features = trainable.features(dataset.inputs)
 
@@ -108,9 +110,13 @@ def optimize(trainable, dataset, config):
                 theta, current = cand, cand_loss
                 break
             lr /= 2
-        # on 20 failed halvings the point is kept and the trace stays flat
+        else:
+            break  # 20 failed halvings: the point is kept from here on
         trace.append(current)
         thetas.append(theta.copy())
+    flat = config.iterations + 1 - len(trace)
+    trace += [current] * flat
+    thetas += [theta.copy() for _ in range(flat)]
     return OptimizeResult(theta=theta, loss_trace=trace, thetas=thetas)
 
 

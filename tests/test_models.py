@@ -13,7 +13,14 @@ from ginv.models import (
     swap_test_model,
     swap_test_unitary,
 )
-from ginv.observables import PAULI, Observable, bell_projector, swap_operator
+from ginv.observables import (
+    PAULI,
+    Observable,
+    bell_projector,
+    meyer_wallach_observable,
+    pauli_string,
+    swap_operator,
+)
 from ginv.tensor import (
     basis_state,
     bell_state,
@@ -377,6 +384,73 @@ def test_bell_shots_draw_the_bernoulli_stream(hclass):
         est = estimate_with_shots(model, x, 300, draws)
         np.testing.assert_array_equal(draws.outcomes, old)
         assert est.estimate == old.mean()
+
+
+def _shot_case(case, n, rng):
+    """A model on n qubits per copy and the inputs it reads: density
+    matrices for H1, unitaries for H2."""
+    d = 2**n
+    if case == "pauli":
+        model = ModelSpec("H1", pauli_string("Y" + "Z" * (n - 1))[0])
+    elif case == "dressed":
+        model = ModelSpec("H1", pauli_string("X" * n)[0], unitary=random_unitary(d, rng))
+    elif case == "swap":
+        model = ModelSpec("H1", swap_operator(n))
+    elif case == "meyer_wallach":
+        model = ModelSpec("H1", meyer_wallach_observable(n))
+    elif case == "h1_bell":
+        model = ModelSpec("H1", bell_projector(n))
+    elif case == "h2_bell":
+        model = ModelSpec("H2", bell_projector(n), psi_in=bell_state(n))
+    else:
+        h2 = Observable(random_hermitian(d * d, rng), 2, n, "dense")
+        model = ModelSpec("H2", h2, psi_in=random_statevector(d * d, rng))
+    if model.hclass == "H2":
+        return model, np.array([haar_unitary(d, rng) for _ in range(40)])
+    # mixed states and pure ones, whose Bell values reach 0 and 1/d
+    mixed = [random_density_matrix(d, rng) for _ in range(30)]
+    return model, np.array(mixed + [dm(random_statevector(d, rng)) for _ in range(10)])
+
+
+@pytest.mark.parametrize(
+    "case", ["pauli", "dressed", "swap", "meyer_wallach", "h1_bell", "h2_bell", "h2_dense"]
+)
+def test_stacked_shots_equal_the_per_item_loop(case):
+    # oracle: one estimate_with_shots call per item at the same seed; 40
+    # items at d = 16 span several chunks on every route
+    model, inputs = _shot_case(case, 4, np.random.default_rng(23))
+    shots = 50
+    single, stacked = np.random.default_rng(24), np.random.default_rng(24)
+    want = [estimate_with_shots(model, x, shots, single) for x in inputs]
+    got = estimate_with_shots(model, inputs, shots, stacked)
+    np.testing.assert_array_equal(got.estimate, [e.estimate for e in want])
+    np.testing.assert_array_equal(got.stderr, [e.stderr for e in want])
+    assert stacked.bit_generator.state == single.bit_generator.state
+    assert all(isinstance(e.estimate, float) and isinstance(e.stderr, float) for e in want)
+
+
+def test_stacked_shots_draw_one_choice_per_item_in_order():
+    model, inputs = _shot_case("swap", 2, np.random.default_rng(25))
+    draws = RecordingRng(26)
+    est = estimate_with_shots(model, inputs, 7, draws)
+    outcomes = np.reshape(draws.outcomes, (len(inputs), 7))
+    np.testing.assert_array_equal(est.estimate, outcomes.mean(axis=1))
+    one = estimate_with_shots(model, inputs[:1], 1, np.random.default_rng(0))
+    assert one.estimate.shape == one.stderr.shape == (1,) and one.stderr[0] == 0.0
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_h2_shots_check_each_input(stacked):
+    # the dense route reads the inputs without evaluate: it checks them alike
+    model = ModelSpec("H2", swap_operator(1), psi_in=bell_state(1))
+    rng = np.random.default_rng(27)
+    for bad, message in ((np.diag([1.0, 2.0]), "H2 input must be unitary"),
+                         (np.eye(4), "H2 expects a 2-dim unitary")):
+        with pytest.raises(ValueError, match=message):
+            evaluate(model, bad)
+        x = np.array([np.eye(bad.shape[0]), bad]) if stacked else bad
+        with pytest.raises(ValueError, match=message):
+            estimate_with_shots(model, x, 10, rng)
 
 
 def test_shots_requires_positive():

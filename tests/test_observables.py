@@ -362,6 +362,23 @@ def test_parallel_swap_test_levels_match_eigh(n):
         assert abs(levels @ probs - observable.expectation(rho)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_parallel_swap_test_stack_matches_single_states(n):
+    rng = np.random.default_rng(40 + n)
+    d = 2**n
+    stack = np.array([random_density_matrix(d, rng) for _ in range(6)]
+                     + [dm(random_statevector(d, rng)) for _ in range(3)])
+    for observable in structured_observables(n):
+        if observable.kind != "swap":
+            continue
+        levels, probs = observable.shot_distribution(stack)
+        assert probs.shape == (len(stack), 2**n)
+        for rho, row in zip(stack, probs):
+            one_levels, one_probs = observable.shot_distribution(rho)
+            assert np.array_equal(levels, one_levels), observable.tag
+            np.testing.assert_allclose(row, one_probs, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("n", [1, 3])
 def test_walsh_matrix_is_built_once_and_read_only(n):
     # oracle: the Walsh-Hadamard entry (-1)^{popcount(z & a)}

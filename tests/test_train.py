@@ -246,8 +246,9 @@ def test_optimize_computes_the_moments_once(monkeypatch):
                         lambda *a: transforms.append(1) or transform(*a))
     monkeypatch.setattr(train, "dataset_loss", lambda *a: evals.append(1) or loss(*a))
     optimize(graph_invariant_model(3), representatives(), TrainConfig(0.5, 10))
-    # one transform for the stack; each iteration makes 6 gradient evaluations
-    # and at least one step
+    # one transform for the stack; until a step keeps the point, each
+    # iteration makes 6 gradient evaluations and at least one step (this run
+    # does not stall in 10 iterations)
     assert len(transforms) == 1
     assert len(evals) >= 1 + 10 * 7
 
@@ -268,3 +269,65 @@ def test_optimize_graph_equals_dense_trainable():
     np.testing.assert_allclose(got.theta, want.theta, rtol=0, atol=1e-10)
     np.testing.assert_allclose(model.value_fn(got.theta, reps.inputs),
                                dense.value_fn(want.theta, reps.inputs), rtol=0, atol=1e-10)
+
+
+def _optimize_without_stop(trainable, dataset, config, seen):
+    """The descent as it ran before a stalled step ended it: every iteration
+    recomputes its gradient and candidates. ``seen`` gets the theta of each
+    loss evaluation; returns the result and the evaluations made by the end
+    of the first iteration that keeps the point (all, if none does)."""
+    features = trainable.features(dataset.inputs)
+
+    def loss_at(th):
+        seen.append(np.array(th))
+        return dataset_loss(trainable, th, features, dataset.labels)
+
+    theta = np.asarray(trainable.theta0, dtype=float).copy()
+    current = loss_at(theta)
+    trace, thetas, stall = [current], [theta.copy()], None
+    for _ in range(config.iterations):
+        grad = finite_diff_gradient(loss_at, theta, train.FD_STEP)
+        lr = config.learning_rate
+        for _ in range(20):
+            cand = theta - lr * grad
+            cand_loss = loss_at(cand)
+            if cand_loss <= current:
+                theta, current = cand, cand_loss
+                break
+            lr /= 2
+        else:  # 20 failed halvings keep the point
+            stall = len(seen) if stall is None else stall
+        trace.append(current)
+        thetas.append(theta.copy())
+    return train.OptimizeResult(theta, trace, thetas), len(seen) if stall is None else stall
+
+
+CYCLE4 = Graph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
+STAR4 = Graph(4, {(0, 1), (0, 2), (0, 3)})
+
+
+@pytest.mark.parametrize("stalls", [True, False])
+def test_optimize_stops_at_a_stall_with_the_same_result(monkeypatch, stalls):
+    # cycle4/star4 as the graph runner trains it stalls well before 60
+    # iterations; triangle/path3 keeps improving through 10
+    if stalls:
+        reps = Dataset(np.array([graph_state(CYCLE4, 1.0), graph_state(STAR4, 1.0)]),
+                       np.array([0, 1]))
+        model, config = graph_invariant_model(4), TrainConfig(0.5, 60)
+    else:
+        reps, model, config = representatives(), graph_invariant_model(3), TrainConfig(0.5, 10)
+    seen = []
+    want, evals = _optimize_without_stop(model, reps, config, seen)
+    assert (evals < len(seen)) == stalls
+    calls, loss = [], train.dataset_loss
+    monkeypatch.setattr(train, "dataset_loss",
+                        lambda tr, th, *a: calls.append(np.array(th)) or loss(tr, th, *a))
+    got = optimize(model, reps, config)
+    assert got.loss_trace == want.loss_trace
+    assert np.array_equal(got.theta, want.theta)
+    assert len(got.thetas) == len(want.thetas) == config.iterations + 1
+    assert all(np.array_equal(a, b) for a, b in zip(got.thetas, want.thetas))
+    assert len({id(t) for t in got.thetas}) == len(got.thetas)
+    # the same evaluations, in order, and none after the stalled iteration
+    assert len(calls) == evals
+    assert all(np.array_equal(a, b) for a, b in zip(calls, seen))
