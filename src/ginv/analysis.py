@@ -221,8 +221,8 @@ def classify(dataset, model, rule, shots=0, rng=None):
     hclass reads them, and score a decision rule.
 
     With shots = 0 the exact expectation is used, one ``evaluate`` an item;
-    otherwise the values are finite-shot estimates drawn from ``rng`` by one
-    ``estimate_with_shots`` call over the stack. A class absent from the
+    otherwise the values are the level-count estimates that one
+    ``estimate_with_shots`` call draws from ``rng``. A class absent from the
     dataset has mean None; the midpoint rule needs both classes.
     """
     if not isinstance(rule, (ThresholdRule, MidpointRule)):
@@ -235,7 +235,7 @@ def classify(dataset, model, rule, shots=0, rng=None):
         raise ValueError(
             f"{type(rule).__name__} needs both classes; label {absent[0]} is absent"
         )
-    values = (estimate_with_shots(model, dataset.inputs, shots, rng).estimate if shots > 0
+    values = (estimate_with_shots(model, dataset.inputs, shots, rng) if shots > 0
               else np.array([evaluate(model, x) for x in dataset.inputs]))
     m0, m1 = (
         None if c in absent else float(values[labels == c].mean()) for c in (0, 1)

@@ -147,12 +147,6 @@ def _h2_output(model, w):
     return w @ model.psi_in.reshape(d, d) @ w.T
 
 
-@dataclass
-class ShotEstimate:
-    estimate: float | np.ndarray
-    stderr: float | np.ndarray
-
-
 def _input_state(model, x):
     """The undressed state sigma with model value Tr[sigma U^dag O U]."""
     if model.hclass == "H1":
@@ -181,29 +175,25 @@ def _shot_distribution(model, obs, stack):
 
 
 def estimate_with_shots(model, x, shots, rng):
-    """Unbiased finite-shot estimate of one input, or per item of a stack:
-    ``shots`` levels of the dressed observable per item, drawn by one
-    ``rng.choice`` call each, in item order. A float estimate and stderr for
-    one input, arrays for a stack.
-
-    A single input is a stack of one. The distributions are formed a chunk
-    of items at a time, one block of the largest array an item needs: its
-    undressed state on the spectral route, else the input itself.
-    """
+    """Unbiased finite-shot estimates of the items of an (N, d, d) stack:
+    the counts of ``shots`` levels per item, one ``rng.multinomial`` call per
+    chunk of items, the stream of one call per item. A chunk is one block of
+    the largest array an item needs: its undressed state on the spectral
+    route, else the input itself."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     x = np.asarray(x)
-    stack = x if x.ndim == 3 else x[None]
+    if x.ndim != 3:
+        raise ValueError(f"shots take an (N, d, d) stack of inputs, got shape {x.shape}")
     obs = conjugated_observable(model)
     spectral = obs.kind == "dense" or (obs.kind == "swap" and model.hclass != "H1")
-    chunk = block_count(obs.dim if spectral else stack.shape[-1])
-    estimate, stderr = np.empty(len(stack)), np.zeros(len(stack))
-    for start in range(0, len(stack), chunk):
-        levels, probs = _shot_distribution(model, obs, stack[start : start + chunk])
-        outcomes = np.array([rng.choice(levels, size=shots, p=row) for row in probs])
-        estimate[start : start + chunk] = outcomes.mean(axis=1)
-        if shots > 1:
-            stderr[start : start + chunk] = outcomes.std(axis=1, ddof=1) / np.sqrt(shots)
-    if x.ndim == 3:
-        return ShotEstimate(estimate, stderr)
-    return ShotEstimate(float(estimate[0]), float(stderr[0]))
+    chunk = block_count(obs.dim if spectral else x.shape[-1])
+    estimates = np.empty(len(x))
+    for start in range(0, len(x), chunk):
+        levels, probs = _shot_distribution(model, obs, x[start : start + chunk])
+        # an item must draw the same in any chunk: multinomial skips a zero
+        # level but draws for a rounding residue of zero, and a row sum, unlike
+        # a matrix product, adds in one order for any chunk
+        counts = rng.multinomial(shots, np.where(probs > 1e-12, probs, 0.0))
+        estimates[start : start + chunk] = np.sum(counts * levels, axis=1) / shots
+    return estimates

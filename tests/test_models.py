@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ginv import models
 from ginv.datasets import Graph
 from ginv.groups import haar_orthogonal, haar_unitary, permutation_operator
 from ginv.models import (
@@ -261,22 +262,28 @@ def test_qgcnn_permutation_equivariance():
             assert np.linalg.norm(u @ p - p @ u) < 1e-9
 
 
+def level_scale(levels, shots):
+    """(max - min) / (2 sqrt(shots)): the largest standard deviation a mean of
+    ``shots`` draws from these levels can have."""
+    return (np.max(levels) - np.min(levels)) / (2 * np.sqrt(shots))
+
+
 def test_shots_projector_degenerate():
     rng = np.random.default_rng(10)
     model = ModelSpec("H2", bell_projector(1), psi_in=bell_state(1))
     w = haar_orthogonal(2, rng)
     for shots in (1, 7, 100):
-        est = estimate_with_shots(model, w, shots, rng)
-        assert est.estimate == 1.0
-        assert est.stderr == 0.0
+        draws = RecordingRng(shots)
+        np.testing.assert_array_equal(estimate_with_shots(model, w[None], shots, draws), [1.0])
+        np.testing.assert_array_equal(draws.counts, [[[shots, 0]]])
 
 
 def test_shots_swap_model_maximally_mixed():
     rng = np.random.default_rng(11)
     model = ModelSpec("H1", swap_operator(1))
-    est = estimate_with_shots(model, np.eye(2) / 2, 10000, rng)
-    assert est.stderr > 0
-    assert abs(est.estimate - 0.5) < 4 * est.stderr
+    est = estimate_with_shots(model, np.eye(2)[None] / 2, 10000, rng)
+    assert est.shape == (1,)
+    assert abs(est[0] - 0.5) < 4 * level_scale([-1.0, 1.0], 10000)
 
 
 def test_shots_unbiased():
@@ -286,11 +293,8 @@ def test_shots_unbiased():
     exact = evaluate(model, rho)
     reps = 100
     shots = 200
-    estimates = np.array(
-        [estimate_with_shots(model, rho, shots, rng).estimate for _ in range(reps)]
-    )
-    combined_stderr = estimates.std(ddof=1) / np.sqrt(reps)
-    assert abs(estimates.mean() - exact) < 4 * combined_stderr
+    estimates = estimate_with_shots(model, np.repeat(rho[None], reps, axis=0), shots, rng)
+    assert abs(estimates.mean() - exact) < 4 * level_scale([-1.0, 1.0], shots) / np.sqrt(reps)
 
 
 def test_shots_variance_scaling():
@@ -298,27 +302,22 @@ def test_shots_variance_scaling():
     rng = np.random.default_rng(13)
     model = ModelSpec("H1", swap_operator(1))
     rho = random_density_matrix(2, rng)
-    reps = 300
-    var = {}
-    for shots in (128, 256):
-        vals = np.array(
-            [estimate_with_shots(model, rho, shots, rng).estimate for _ in range(reps)]
-        )
-        var[shots] = vals.var(ddof=1)
+    stack = np.repeat(rho[None], 300, axis=0)
+    var = {shots: estimate_with_shots(model, stack, shots, rng).var(ddof=1) for shots in (128, 256)}
     ratio = var[128] / var[256]
     assert 1.4 < ratio < 2.9
 
 
 class RecordingRng:
-    """A generator that keeps every batch of eigenvalue outcomes it draws."""
+    """A generator that keeps the level counts of every multinomial draw."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
-        self.outcomes = []
+        self.counts = []
 
-    def choice(self, *args, **kwargs):
-        out = self._rng.choice(*args, **kwargs)
-        self.outcomes.extend(out)
+    def multinomial(self, *args, **kwargs):
+        out = self._rng.multinomial(*args, **kwargs)
+        self.counts.append(out)
         return out
 
     def __getattr__(self, name):
@@ -337,13 +336,13 @@ def test_shots_dressed_spectral_branch(case):
     assert conjugated_observable(model).kind == "dense"
     shots = 20000
     draws = RecordingRng(17)
-    est = estimate_with_shots(model, rho, shots, draws)
-    assert len(draws.outcomes) == shots
-    assert np.mean(draws.outcomes) == est.estimate
+    est = estimate_with_shots(model, rho[None], shots, draws)
+    (counts,) = draws.counts
     eigenvalues = np.linalg.eigvalsh(model.observable.matrix)
-    gaps = np.abs(np.subtract.outer(draws.outcomes, eigenvalues)).min(axis=1)
-    assert gaps.max() < 1e-9
-    assert abs(est.estimate - evaluate(model, rho)) < 4 * est.stderr
+    assert counts.shape == (1, len(eigenvalues)) and counts.sum() == shots
+    # the levels are the eigenvalues of O, which dressing leaves unchanged
+    np.testing.assert_allclose(est, counts @ eigenvalues / shots, atol=1e-9)
+    assert abs(est[0] - evaluate(model, rho)) < 4 * level_scale(eigenvalues, shots)
 
 
 def test_dense_shots_diagonalise_the_observable_once(monkeypatch):
@@ -355,9 +354,9 @@ def test_dense_shots_diagonalise_the_observable_once(monkeypatch):
     rng = np.random.default_rng(22)
     for _ in range(5):
         rho = random_density_matrix(8, rng)
-        est = estimate_with_shots(model, rho, 4000, rng)
-        assert abs(est.estimate - evaluate(model, rho)) < 5 * est.stderr
-    assert len(calls) == 1
+        est = estimate_with_shots(model, rho[None], 4000, rng)
+        assert len(calls) == 1
+        assert abs(est[0] - evaluate(model, rho)) < 5 * level_scale(observable.eigh[0], 4000)
     w, vecs = observable.eigh
     np.testing.assert_allclose((vecs * w) @ vecs.conj().T, observable.matrix, atol=1e-12)
     for a in (w, vecs):
@@ -367,7 +366,7 @@ def test_dense_shots_diagonalise_the_observable_once(monkeypatch):
 
 @pytest.mark.parametrize("hclass", ["H1", "H2"])
 def test_bell_shots_draw_the_bernoulli_stream(hclass):
-    # oracle: outcome 1 exactly when a uniform draw falls below the value
+    # oracle: the count of outcome 1 is one binomial draw at the exact value
     rng = np.random.default_rng(18)
     n, d = 2, 4
     if hclass == "H1":
@@ -379,11 +378,11 @@ def test_bell_shots_draw_the_bernoulli_stream(hclass):
         inputs = [haar_unitary(d, rng) for _ in range(20)] + [haar_orthogonal(d, rng)]
     for seed, x in enumerate(inputs):
         p = min(max(evaluate(model, x), 0.0), 1.0)
-        old = (np.random.default_rng(seed).random(300) < p).astype(float)
+        ones = np.random.default_rng(seed).multinomial(300, [p, 1.0 - p])[0]
         draws = RecordingRng(seed)
-        est = estimate_with_shots(model, x, 300, draws)
-        np.testing.assert_array_equal(draws.outcomes, old)
-        assert est.estimate == old.mean()
+        est = estimate_with_shots(model, x[None], 300, draws)
+        np.testing.assert_array_equal(draws.counts, [[[ones, 300 - ones]]])
+        assert est[0] == ones / 300
 
 
 def _shot_case(case, n, rng):
@@ -421,22 +420,53 @@ def test_stacked_shots_equal_the_per_item_loop(case):
     model, inputs = _shot_case(case, 4, np.random.default_rng(23))
     shots = 50
     single, stacked = np.random.default_rng(24), np.random.default_rng(24)
-    want = [estimate_with_shots(model, x, shots, single) for x in inputs]
-    got = estimate_with_shots(model, inputs, shots, stacked)
-    np.testing.assert_array_equal(got.estimate, [e.estimate for e in want])
-    np.testing.assert_array_equal(got.stderr, [e.stderr for e in want])
+    want = [estimate_with_shots(model, x[None], shots, single)[0] for x in inputs]
+    np.testing.assert_array_equal(estimate_with_shots(model, inputs, shots, stacked), want)
     assert stacked.bit_generator.state == single.bit_generator.state
-    assert all(isinstance(e.estimate, float) and isinstance(e.stderr, float) for e in want)
 
 
-def test_stacked_shots_draw_one_choice_per_item_in_order():
+def test_stacked_shots_draw_one_multinomial_per_chunk_in_item_order(monkeypatch):
     model, inputs = _shot_case("swap", 2, np.random.default_rng(25))
+    levels = model.observable.shot_distribution(inputs)[0]
+    monkeypatch.setattr(models, "block_count", lambda d: 16)
     draws = RecordingRng(26)
     est = estimate_with_shots(model, inputs, 7, draws)
-    outcomes = np.reshape(draws.outcomes, (len(inputs), 7))
-    np.testing.assert_array_equal(est.estimate, outcomes.mean(axis=1))
+    assert [len(c) for c in draws.counts] == [16, 16, 8]
+    counts = np.concatenate(draws.counts)
+    assert (counts.sum(axis=1) == 7).all()
+    np.testing.assert_array_equal(est, counts @ levels / 7)
     one = estimate_with_shots(model, inputs[:1], 1, np.random.default_rng(0))
-    assert one.estimate.shape == one.stderr.shape == (1,) and one.stderr[0] == 0.0
+    assert one.shape == (1,) and one[0] in levels
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (1, 2, 2, 2)])
+def test_shots_take_a_stack_only(shape):
+    model = ModelSpec("H1", swap_operator(1))
+    with pytest.raises(ValueError, match=r"\(N, d, d\) stack .* shape \(" + str(shape[0])):
+        estimate_with_shots(model, np.zeros(shape), 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("case", ["swap", "h1_bell", "h2_bell", "pauli", "dressed", "swap_test"])
+def test_shot_estimates_follow_the_level_law(case):
+    # 2000 replicate estimates of one item: mean within four standard errors
+    # of the exact value, variance (E[l^2] - v^2) / shots within a chi-square
+    # band (Wilson-Hilferty quantiles at four standard deviations)
+    rng = np.random.default_rng(28)
+    if case == "swap_test":
+        model, x = swap_test_model(2), random_density_matrix(4, rng)
+    else:
+        model, inputs = _shot_case(case, 2, rng)
+        x = inputs[0]
+    levels, probs = models._shot_distribution(model, conjugated_observable(model), x[None])
+    v = evaluate(model, x)
+    assert abs(probs[0] @ levels - v) < 1e-10
+    reps, shots = 2000, 100
+    var = (probs[0] @ levels**2 - v**2) / shots
+    est = estimate_with_shots(model, np.repeat(x[None], reps, axis=0), shots, rng)
+    assert abs(est.mean() - v) < 4 * np.sqrt(var / reps)
+    k = reps - 1
+    lo, hi = (k * (1 - 2 / (9 * k) + z * np.sqrt(2 / (9 * k))) ** 3 for z in (-4, 4))
+    assert lo < k * est.var(ddof=1) / var < hi
 
 
 @pytest.mark.parametrize("stacked", [False, True])
@@ -448,7 +478,7 @@ def test_h2_shots_check_each_input(stacked):
                          (np.eye(4), "H2 expects a 2-dim unitary")):
         with pytest.raises(ValueError, match=message):
             evaluate(model, bad)
-        x = np.array([np.eye(bad.shape[0]), bad]) if stacked else bad
+        x = np.array([np.eye(bad.shape[0]), bad]) if stacked else bad[None]
         with pytest.raises(ValueError, match=message):
             estimate_with_shots(model, x, 10, rng)
 
@@ -456,4 +486,4 @@ def test_h2_shots_check_each_input(stacked):
 def test_shots_requires_positive():
     model = ModelSpec("H1", swap_operator(1))
     with pytest.raises(ValueError):
-        estimate_with_shots(model, np.eye(2) / 2, 0, np.random.default_rng(0))
+        estimate_with_shots(model, np.eye(2)[None] / 2, 0, np.random.default_rng(0))
