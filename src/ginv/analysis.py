@@ -149,14 +149,15 @@ def _h1_values(obs, sampler, template, samples):
     """
     psi = _pure_state(template) if isinstance(sampler, UnitarySampler) else None
     chunk = block_count(sampler.dim, rank=2 if psi is None else 1)
+    draw = sampler.sample
     values = np.empty(samples)
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
         if psi is None:
-            v = np.array([sampler.sample() for _ in range(count)])
+            v = np.array([draw() for _ in range(count)])
             x = obs.expectation(v @ template @ v.conj().swapaxes(-1, -2))
         else:
-            x = obs.pure_values(np.array([sampler.sample(psi) for _ in range(count)]))
+            x = obs.pure_values(np.array([draw(psi) for _ in range(count)]))
         values[start : start + count] = x
     return values
 
@@ -180,11 +181,10 @@ def empirical_moments(model, sampler, input_template, samples):
         obs = conjugated_observable(model)
         values = _h1_values(obs, sampler, input_template, samples)
     else:
-        values = np.empty(samples)
+        h2, values = model.hclass == "H2", np.empty(samples)
         for i in range(samples):
             v = sampler.sample()
-            x = v if model.hclass == "H2" else v @ input_template @ v.conj().T
-            values[i] = evaluate(model, x)
+            values[i] = evaluate(model, v if h2 else v @ input_template @ v.conj().T)
     mean, var = _registered_moments(model, sampler, input_template)
     std = float(values.std(ddof=1))
     return MomentReport(

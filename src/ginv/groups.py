@@ -8,6 +8,7 @@ per seed; they are not meant to be shared across threads.
 
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,7 @@ class GroupSampler:
         self.dim = int(dim)
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
-        self._blocks = {}  # draw name -> (block, elements handed out)
+        self._blocks = defaultdict(lambda: [(), 0])  # draw name -> [block, handed out]
 
     def sample(self):
         raise NotImplementedError
@@ -77,13 +78,14 @@ class GroupSampler:
 
         The stream is the one single draws would give, since a stack
         consumes the normals of its elements in order. Each draw function
-        keeps its own block, so elements and states may be interleaved.
+        keeps one mutable [block, handed out] entry, so elements and states
+        may be interleaved, and a draw only moves its entry's count.
         """
-        block, used = self._blocks.get(draw.__name__, ((), 0))
-        if used == len(block):
-            block, used = draw(self.dim, self._rng, count=block_count(self.dim, rank)), 0
-        self._blocks[draw.__name__] = block, used + 1
-        return block[used]
+        entry = self._blocks[draw.__name__]
+        if entry[1] == len(entry[0]):
+            entry[:] = draw(self.dim, self._rng, count=block_count(self.dim, rank)), 0
+        entry[1] += 1
+        return entry[0][entry[1] - 1]
 
     def take(self, count):
         return [self.sample() for _ in range(count)]
@@ -105,10 +107,9 @@ class UnitarySampler(GroupSampler):
         """
         if psi is None:
             return self._from_block(haar_unitary)
-        if np.shape(psi) != (self.dim,):
-            raise ValueError(
-                f"psi must be a vector of dimension {self.dim}, got shape {np.shape(psi)}"
-            )
+        shape = psi.shape if isinstance(psi, np.ndarray) else np.shape(psi)
+        if shape != (self.dim,):
+            raise ValueError(f"psi must be a vector of dimension {self.dim}, got shape {shape}")
         return self._from_block(random_statevector, rank=1)
 
 
@@ -120,7 +121,7 @@ class OrthogonalSampler(GroupSampler):
 
 
 class LocalUnitarySampler(GroupSampler):
-    """Products V_1 x ... x V_n of independent Haar 2x2 unitaries."""
+    """Products V_1 x ... x V_n of independent Haar 2x2 unitaries, one stack."""
 
     kind = "local_unitary"
 
@@ -129,7 +130,7 @@ class LocalUnitarySampler(GroupSampler):
         super().__init__(2**self.n, seed)
 
     def sample(self):
-        return kron_all([haar_unitary(2, self._rng) for _ in range(self.n)])
+        return kron_all(haar_unitary(2, self._rng, count=self.n))
 
 
 class SymmetricSampler(GroupSampler):

@@ -95,17 +95,18 @@ def conjugated_observable(model):
 
 
 def evaluate(model, x):
-    """Exact model value on a density matrix (H1, H3) or unitary (H2)."""
+    """Exact model value on a density matrix (H1, H3) or unitary (H2); an
+    H2 Bell value takes one d x d product, any other H2 value the dense one."""
     x = np.asarray(x)
     obs = conjugated_observable(model)
     if model.hclass == "H1":
         return obs.expectation(x)
     if model.hclass == "H2":
-        phi = _h2_output(model, x)
         if obs.kind == "bell":
-            # <Phi|(W x W)|psi> = tr(W M W^T) / sqrt(d) for the Bell state Phi
-            return float(abs(phi.trace()) ** 2 / len(phi))
-        return float(np.real(phi.ravel().conj() @ obs.matrix @ phi.ravel()))
+            # <Phi|(W x W)|psi> = tr(W M W^T) / sqrt(d), and tr(W M W^T) = sum((W M) * W)
+            return float(abs((x @ _h2_input(model, x)).ravel() @ x.ravel()) ** 2 / len(x))
+        phi = _h2_output(model, x).ravel()
+        return float(np.real(phi.conj() @ obs.matrix @ phi))
     # H3: the ancilla's |0><0| in front of rho x rho keeps the top-left block
     d = x.shape[0]
     if 2 * d * d != obs.dim:
@@ -115,12 +116,12 @@ def evaluate(model, x):
 
 def swap_test_unitary(n):
     """The swap test (H x 1) CSWAP (H x 1) on 2n+1 qubits, in closed form:
-    [[1 + S, 1 - S], [1 - S, 1 + S]] / 2 with S the register SWAP.
+    the real [[1 + S, 1 - S], [1 - S, 1 + S]] / 2, S the register SWAP.
 
     Conjugating Z on the ancilla by this circuit gives Z x SWAP, so an
     H3 model measuring the ancilla returns Tr[rho^2].
     """
-    s = swap_operator(n).matrix
+    s = swap_operator(n).matrix.real
     one = np.eye(4**n)
     return np.block([[one + s, one - s], [one - s, one + s]]) / 2
 
@@ -136,15 +137,19 @@ def swap_test_model(n):
     return ModelSpec("H3", ancilla_observable(PAULI["Z"], n), unitary=swap_test_unitary(n))
 
 
-def _h2_output(model, w):
-    """(W x W)|psi_in> as the d x d matrix W M W^T (its row-major vec), with
-    M the d x d reshape of psi_in, once W is checked to be a d x d unitary."""
+def _h2_input(model, w):
+    """M, the d x d reshape of psi_in, once W is checked to be a d x d unitary."""
     d, dim = w.shape[0], model.observable.dim
     if d * d != dim:
         raise ValueError(f"H2 expects a {int(np.sqrt(dim))}-dim unitary")
     if not is_unitary(w):
         raise ValueError("H2 input must be unitary")
-    return w @ model.psi_in.reshape(d, d) @ w.T
+    return model.psi_in.reshape(d, d)
+
+
+def _h2_output(model, w):
+    """(W x W)|psi_in> as the d x d matrix W M W^T (its row-major vec)."""
+    return w @ _h2_input(model, w) @ w.T
 
 
 def _input_state(model, x):

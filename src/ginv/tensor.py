@@ -107,12 +107,16 @@ def is_hermitian(a, tol=None):
 
 
 def is_unitary(a, tol=1e-9):
-    """Whether a is a square matrix with ||a a^dag - 1||_F <= tol."""
+    """Whether a is a square matrix with ||a a^dag - 1||_F <= tol. A real a
+    takes a real product, cast to complex (an integer a must not raise); 1
+    comes off its diagonal through a flat view. The norm is summed from that
+    residual: expanded as ||a a^dag||^2 - 2 Re tr + d it cancels past tol^2."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    r = np.asarray(a @ a.conj().T, dtype=complex)
-    r.flat[:: len(r) + 1] -= 1.0
+    r = np.asarray(np.dot(a, a.conj().T), dtype=complex)
+    diagonal = r.ravel()[:: len(r) + 1]  # a view, not a copy written back
+    diagonal -= 1.0
     return bool(np.vdot(r, r).real <= tol * tol)
 
 

@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 from math import comb, prod
 
@@ -20,7 +21,7 @@ from ginv.groups import (
     permutation_operator,
 )
 from ginv.observables import PAULI, bell_projector, swap_operator
-from ginv.tensor import bell_state, dm, is_unitary, random_statevector, zero_state
+from ginv.tensor import bell_state, dm, is_unitary, kron_all, random_statevector, zero_state
 from helpers import adjacent_transposition_generators, random_density_matrix
 
 
@@ -172,9 +173,12 @@ def test_unitary_sampler_interleaves_elements_and_states():
         assert np.array_equal(later[-1], haar_unitary(d, rng, count=len(units))[0])
 
 
-@pytest.mark.parametrize("psi", [np.ones(3) / np.sqrt(3), np.ones(8) / np.sqrt(8), np.eye(4)])
+@pytest.mark.parametrize("psi", [np.ones(3) / np.sqrt(3), np.ones(8) / np.sqrt(8), np.eye(4),
+                                 np.full((4, 1), 0.5), [0.5] * 3, 1.0, np.float64(1.0)])
 def test_unitary_sampler_refuses_a_state_of_the_wrong_dimension(psi):
-    with pytest.raises(ValueError, match="vector of dimension 4"):
+    # the message names the refused shape, an array's or np.shape's of the rest
+    message = f"psi must be a vector of dimension 4, got shape {np.shape(psi)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         UnitarySampler(4, 0).sample(psi)
 
 
@@ -188,6 +192,24 @@ def _per_draw_reference(draw, d, rng):
     s = np.sign(np.diag(r))
     s[s == 0] = 1.0
     return (q * s).astype(complex)
+
+
+@pytest.mark.parametrize("psi", [[0.5, 0.5, 0.5, 0.5], np.full(4, 0.5)])
+def test_unitary_sampler_takes_a_list_or_an_array_of_dimension_d(psi):
+    # a list's shape comes from np.shape, an array's from its own attribute:
+    # both draw the first state of the stream
+    first = random_statevector(4, np.random.default_rng(0), count=groups.block_count(4, 1))[0]
+    assert np.array_equal(UnitarySampler(4, 0).sample(psi), first)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_local_unitary_factors_are_one_stack_of_single_draws(n):
+    # the n factors of each draw are one haar_unitary stack: the same
+    # normals, in the same order, and the same bits as n single draws
+    sampler, rng = LocalUnitarySampler(n, 24), np.random.default_rng(24)
+    for _ in range(3):
+        singles = [haar_unitary(2, rng) for _ in range(n)]
+        assert np.array_equal(sampler.sample(), kron_all(singles))
 
 
 def test_local_unitary_sampler_structure():

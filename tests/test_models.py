@@ -28,6 +28,7 @@ from ginv.tensor import (
     dm,
     expectation,
     expm_hermitian,
+    is_unitary,
     kron,
     kron_all,
     purity,
@@ -130,18 +131,40 @@ def test_evaluate_h2_matches_dense_oracle():
 
 
 def test_evaluate_h2_bell_reads_no_dense_matrix():
-    # oracle: phi^H O phi for phi = (W x W)|psi_in>, O the dense Bell projector
+    # oracle: phi^H O phi for phi = (W x W)|psi_in>, O the dense Bell
+    # projector; psi_in is far from swap-symmetric (M != M^T), so the
+    # one-product trace sum((W M) * W) is tested where W M W^T is not symmetric
     rng = np.random.default_rng(41)
     for n in (1, 2, 3):
         d = 2**n
         psi_in = random_statevector(d * d, rng)
+        assert np.abs(psi_in.reshape(d, d) - psi_in.reshape(d, d).T).max() > 0.1
         model = ModelSpec("H2", bell_projector(n), psi_in=psi_in)
         dense = dm(bell_state(n))
-        for w in (haar_unitary(d, rng), haar_orthogonal(d, rng)):
+        for w in (*haar_unitary(d, rng, count=10), haar_orthogonal(d, rng)):
             phi = kron(w, w) @ psi_in
             oracle = float(np.real(phi.conj() @ dense @ phi))
             assert abs(evaluate(model, w) - oracle) < 1e-12
         assert "matrix" not in vars(model.observable)
+
+
+@pytest.mark.parametrize("obs", [bell_projector(2), swap_operator(2)])
+def test_h2_routes_check_each_input_once(obs, monkeypatch):
+    # the Bell value, the dense value and the undressed state share one
+    # shape and unitarity check, made once a call, with the same messages
+    model = ModelSpec("H2", obs, psi_in=bell_state(2))
+    checks = []
+    monkeypatch.setattr(models, "is_unitary", lambda w: checks.append(w) or is_unitary(w))
+    w = haar_unitary(4, np.random.default_rng(43))
+    evaluate(model, w)
+    models._input_state(model, w)
+    assert len(checks) == 2
+    for bad, message in ((np.diag([1.0, 1.0, 1.0, 2.0]), "H2 input must be unitary"),
+                         (np.eye(2), "H2 expects a 4-dim unitary")):
+        with pytest.raises(ValueError, match=message):
+            evaluate(model, bad)
+        with pytest.raises(ValueError, match=message):
+            models._input_state(model, bad)
 
 
 def test_evaluate_h3_swap_test_pure():
@@ -211,7 +234,11 @@ def test_swap_test_unitary_is_the_hadamard_cswap_product():
         cswap[:d2, :d2] = np.eye(d2)
         cswap[d2:, d2:] = swap_operator(n).matrix
         h_anc = kron(h, np.eye(d2))
-        assert np.abs(swap_test_unitary(n) - h_anc @ cswap @ h_anc).max() <= 1e-15
+        u = swap_test_unitary(n)
+        assert np.abs(u - h_anc @ cswap @ h_anc).max() <= 1e-15
+        # real, with entries 0, +-1/2 and 1, so ModelSpec checks it by a real product
+        assert u.dtype == np.float64
+        assert set(np.unique(u)) <= {0.0, 0.5, -0.5, 1.0}
 
 
 def test_ancilla_measurement_eigenvector_condition():

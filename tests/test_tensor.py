@@ -248,7 +248,8 @@ def test_is_unitary_matches_the_frobenius_norm():
         h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         u = tensor.expm_hermitian(h + h.conj().T)
         near = (u * (1 + 1e-11), u * (1 + 1e-8), 2 * u)
-        for a in (u, *near, np.zeros((d, d)), np.eye(d, dtype=int)):
+        o = np.linalg.qr(rng.standard_normal((d, d)))[0]  # real: a real product
+        for a in (u, *near, o, 2 * o, np.zeros((d, d)), np.eye(d, dtype=int)):
             expected = np.linalg.norm(a @ a.conj().T - np.eye(d)) <= 1e-9
             assert tensor.is_unitary(a) is bool(expected)
     a = np.eye(2)
