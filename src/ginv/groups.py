@@ -88,7 +88,21 @@ class GroupSampler:
         return entry[0][entry[1] - 1]
 
     def take(self, count):
+        """The next ``count`` elements: bit for bit those of ``count`` calls
+        of ``sample()``, after which ``sample()`` goes on with the same
+        sequence. ``count <= 0`` draws nothing."""
         return [self.sample() for _ in range(count)]
+
+    def _take_from_block(self, draw, count):
+        """``take`` for a stacked ``draw``: what is left of the block already
+        started, then exactly the rest in one stack, which equals single
+        draws."""
+        entry = self._blocks[draw.__name__]
+        taken = list(entry[0][entry[1] : entry[1] + max(count, 0)])
+        entry[1] += len(taken)
+        if count > len(taken):
+            taken.extend(draw(self.dim, self._rng, count=count - len(taken)))
+        return taken
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, seed={self.seed})"
@@ -112,12 +126,23 @@ class UnitarySampler(GroupSampler):
             raise ValueError(f"psi must be a vector of dimension {self.dim}, got shape {shape}")
         return self._from_block(random_statevector, rank=1)
 
+    def take(self, count):
+        """As ``GroupSampler.take``, for the elements only: a later
+        ``sample(psi)`` fills its block of states from the stream after
+        exactly ``count`` elements, not after the whole blocks that
+        ``count`` calls of ``sample()`` would fill, so it hands out other
+        states than after those calls."""
+        return self._take_from_block(haar_unitary, count)
+
 
 class OrthogonalSampler(GroupSampler):
     kind = "orthogonal"
 
     def sample(self):
         return self._from_block(haar_orthogonal)
+
+    def take(self, count):
+        return self._take_from_block(haar_orthogonal, count)
 
 
 class LocalUnitarySampler(GroupSampler):
@@ -131,6 +156,13 @@ class LocalUnitarySampler(GroupSampler):
 
     def sample(self):
         return kron_all(haar_unitary(2, self._rng, count=self.n))
+
+    def take(self, count):
+        """The factors of ``count`` samples drawn in one stack."""
+        if count <= 0:
+            return []
+        factors = haar_unitary(2, self._rng, count=count * self.n)
+        return [kron_all(f) for f in factors.reshape(count, self.n, 2, 2)]
 
 
 class SymmetricSampler(GroupSampler):
@@ -330,15 +362,29 @@ def commutant_analysis(group, k, n_samples=20):
     then restricts that space to the nullspace of W -> A W - W A, A the
     element's tensor power in the frame q^(x k). ``gap_ratio`` is the
     smallest ratio, over these steps, of the smallest singular value above
-    the cutoff to the largest one at or below it. Raises ValueError for an
-    element that is not normal.
+    the cutoff to the largest one at or below it. A step whose commutators
+    have a Frobenius norm within the cutoff keeps the basis unfactorised:
+    every singular value is at most that norm, so the step could only
+    rotate the basis, and it adds nothing to ``gap_ratio``.
+
+    Raises ValueError, before any element is drawn or solved, for k < 1 or
+    an explicit element that is not a square matrix of the first one's
+    dimension, and for an element that is not normal.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if isinstance(group, SymmetricSampler):
         return _orbit_count(group.n, k)
     if isinstance(group, GroupSampler):
         elements = group.take(n_samples)
     else:
         elements = [np.asarray(g) for g in group]
+        for i, g in enumerate(elements):
+            if g.ndim != 2 or g.shape[0] != g.shape[1]:
+                raise ValueError(f"group element {i} has shape {g.shape}, not a square matrix")
+            if g.shape != elements[0].shape:
+                raise ValueError(f"group element {i} has dimension {g.shape[0]}, "
+                                 f"element 0 has {elements[0].shape[0]}")
     if not elements:
         raise ValueError("need at least one group element")
     if excess := commutant_excess(math.log2(elements[0].shape[0]), k):
@@ -369,6 +415,8 @@ def commutant_analysis(group, k, n_samples=20):
         commutators = a @ basis
         commutators -= basis @ a
         commutators = commutators.reshape(len(basis), -1)
+        if np.vdot(commutators, commutators).real <= _CUTOFF**2:
+            continue  # no singular value exceeds the Frobenius norm: all null
         # R of a QR has the singular values and right vectors of the
         # commutator map and is r x r, which the SVD then handles cheaply.
         _, s, vh = np.linalg.svd(np.linalg.qr(commutators.T, mode="r"))

@@ -98,7 +98,7 @@ def evaluate(model, x):
     """Exact model value on a density matrix (H1, H3) or unitary (H2); an
     H2 Bell value takes one d x d product, any other H2 value the dense one."""
     x = np.asarray(x)
-    obs = conjugated_observable(model)
+    obs = model.observable if model.unitary is None else conjugated_observable(model)
     if model.hclass == "H1":
         return obs.expectation(x)
     if model.hclass == "H2":

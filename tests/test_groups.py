@@ -22,7 +22,7 @@ from ginv.groups import (
 )
 from ginv.observables import PAULI, bell_projector, swap_operator
 from ginv.tensor import bell_state, dm, is_unitary, kron_all, random_statevector, zero_state
-from helpers import adjacent_transposition_generators, random_density_matrix
+from helpers import adjacent_transposition_generators, commutant_every_step, random_density_matrix
 
 
 def test_haar_unitary_d1_phase():
@@ -127,10 +127,13 @@ def test_block_sampler_equals_single_draws(sampler, draw, d):
     rng = np.random.default_rng(21)
     singles = [draw(d, rng) for _ in range(m)]
     taken = sampler(d, 21).take(m)
+    s = sampler(d, 21)
+    sampled = [s.sample() for _ in range(m)]
     rng = np.random.default_rng(21)
     per_draw = [_per_draw_reference(draw, d, rng) for _ in range(m)]
-    assert len(taken) == m
-    for x, y, z in zip(taken, singles, per_draw):
+    assert len(taken) == len(sampled) == m
+    for w, x, y, z in zip(sampled, taken, singles, per_draw):
+        assert np.array_equal(w, y)
         assert np.array_equal(x, y)
         assert np.array_equal(y, z)
 
@@ -607,6 +610,121 @@ def test_commutant_refuses_non_normal_element():
     for elements in ([shear], [np.eye(2), shear]):
         with pytest.raises(ValueError, match="not normal"):
             commutant_analysis(elements, 2)
+
+
+def _count_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make,k",
+    [(UnitarySampler, 2), (OrthogonalSampler, 2), (LocalUnitarySampler, 2),
+     (UnitarySampler, 3), (UnitarySampler, 4)],
+    ids=["U(4) k=2", "O(4) k=2", "LU(2) k=2", "U(2) k=3", "U(2) k=4"],
+)
+@pytest.mark.parametrize("seed", [0, 41, 2**31 - 1])
+def test_commutant_equals_every_step_oracle(make, k, seed):
+    arg = 2 if make is LocalUnitarySampler or k > 2 else 4
+    sampler = make(arg, seed)
+    elements = [sampler.sample() for _ in range(20)]
+    assert commutant_analysis(make(arg, seed), k) == commutant_every_step(elements, k)
+
+
+def test_commutant_factorises_a_later_element_that_shrinks(monkeypatch):
+    # the identities leave the start space whole; the generic element after
+    # them must still be factorised and cut the space to the scalars
+    rng = np.random.default_rng(42)
+    diag = np.diag(np.exp(2j * np.pi * rng.random(4)))
+    elements = [diag, np.eye(4, dtype=complex), np.eye(4, dtype=complex), haar_unitary(4, rng)]
+    oracle = commutant_every_step(elements, 1)
+    calls = _count_svd(monkeypatch)
+    report = commutant_analysis(elements, 1)
+    assert len(calls) == 1
+    assert (report.dimension, report.start_dimension, report.ambiguous) == (1, 4, False)
+    assert (oracle.dimension, oracle.start_dimension, oracle.ambiguous) == (1, 4, False)
+    assert report.gap_ratio == pytest.approx(oracle.gap_ratio, rel=1e-6)
+
+
+def test_commutant_u2_k4_factorises_one_step(monkeypatch):
+    calls = _count_svd(monkeypatch)
+    report = commutant_analysis(UnitarySampler(2, 5), 4)
+    assert report.dimension == 14
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "make,arg", [(UnitarySampler, 8), (OrthogonalSampler, 8), (LocalUnitarySampler, 3)]
+)
+def test_take_continues_the_sample_stream(make, arg):
+    # 1 + 70 + 1 draws cross the 64-element block of d = 8
+    plain = make(arg, 17)
+    want = [plain.sample() for _ in range(72)]
+    sampler = make(arg, 17)
+    got = [sampler.sample(), *sampler.take(70), sampler.sample()]
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert x.tobytes() == y.tobytes()
+    for count in (0, -1):
+        assert sampler.take(count) == []
+    assert sampler.sample().tobytes() == plain.sample().tobytes()
+
+
+def test_unitary_take_moves_the_state_block_to_after_its_elements():
+    # sample(psi) after take(20) fills its states from the stream after 20
+    # elements; after 20 sample() calls, after the whole first block of 256
+    psi = zero_state(2)
+    taken = UnitarySampler(4, 31)
+    taken.take(20)
+    sampled = UnitarySampler(4, 31)
+    for _ in range(20):
+        sampled.sample()
+    rng = np.random.default_rng(31)
+    haar_unitary(4, rng, count=20)
+    after_take = random_statevector(4, rng, count=groups.block_count(4, rank=1))
+    rng = np.random.default_rng(31)
+    haar_unitary(4, rng, count=groups.block_count(4))
+    after_block = random_statevector(4, rng, count=groups.block_count(4, rank=1))
+    assert np.array_equal(taken.sample(psi), after_take[0])
+    assert np.array_equal(sampled.sample(psi), after_block[0])
+
+
+def test_commutant_needs_an_element():
+    with pytest.raises(ValueError, match="need at least one group element"):
+        commutant_analysis(UnitarySampler(2, 0), 2, n_samples=0)
+    with pytest.raises(ValueError, match="need at least one group element"):
+        commutant_analysis([], 2)
+
+
+@pytest.mark.parametrize(
+    "elements,match",
+    [
+        ([np.eye(2), np.eye(4)], "element 1 has dimension 4, element 0 has 2"),
+        ([np.eye(2), np.ones((2, 3))], r"element 1 has shape \(2, 3\), not a square"),
+        ([np.ones(2)], r"element 0 has shape \(2,\), not a square"),
+        ([np.ones((2, 2, 2))], r"element 0 has shape \(2, 2, 2\), not a square"),
+    ],
+    ids=["ragged", "non-square", "1-D", "3-D"],
+)
+def test_commutant_checks_an_element_list(elements, match):
+    with pytest.raises(ValueError, match=match):
+        commutant_analysis(elements, 2)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_commutant_refuses_k_below_one_before_drawing(k):
+    sampler = UnitarySampler(2, 3)
+    for group in (sampler, SymmetricSampler(2, 3), [np.eye(2)]):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            commutant_analysis(group, k)
+    assert sampler.sample().tobytes() == UnitarySampler(2, 3).sample().tobytes()
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2)])

@@ -252,6 +252,18 @@ def test_conjugated_observable_identity_ansatz():
     assert conjugated_observable(model) is model.observable
 
 
+def test_evaluate_dresses_only_a_model_with_a_unitary(monkeypatch):
+    calls = []
+    dress = models.conjugated_observable
+    monkeypatch.setattr(models, "conjugated_observable", lambda m: calls.append(m) or dress(m))
+    rho = random_density_matrix(2, np.random.default_rng(3))
+    assert evaluate(ModelSpec("H1", swap_operator(1)), rho) == pytest.approx(purity(rho))
+    assert calls == []
+    h3 = swap_test_model(1)
+    assert evaluate(h3, rho) == pytest.approx(purity(rho))
+    assert calls == [h3]
+
+
 def test_conjugated_observable_swap_test():
     model = swap_test_model(1)
     expected = kron(PAULI["Z"], swap_operator(1).matrix)
