@@ -297,7 +297,7 @@ class ConcentrationResult:
 # Family name -> the observable on n qubits. Each row's analytic variance is
 # the one empirical_moments registers for that observable.
 CONCENTRATION_FAMILIES = {
-    "conventional_odd_y": lambda n: pauli_string("Y" + "I" * (n - 1))[0],
+    "conventional_odd_y": lambda n: pauli_string("Y" + "I" * (n - 1)),
     "enhanced_bell": bell_projector,
 }
 

@@ -53,14 +53,14 @@ GRAPH_PRESETS = {
 
 # Per-experiment config schema: field -> (type, default, minimum). A None
 # default is kept as null; a None minimum means no bound. Below its minimum a
-# count fails a run or reports nothing, and a negative eps labels no item 1;
-# purity and entanglement samples have none, since one item names the absent
-# class. CHOICES lists the names a naming field takes.
+# count fails a run or reports nothing, and a negative eps labels no item 1.
+# One purity or entanglement sample passes the schema and fails the run on
+# its absent class. CHOICES lists the names a naming field takes.
 SCHEMAS = {
     "purity": {
         "n": (int, 2, 1),
         "b": (float, 0.5, None),
-        "samples": (int, 100, None),
+        "samples": (int, 100, 1),
         "shots": (int, 0, 0),
     },
     "time_reversal_states": {
@@ -82,7 +82,7 @@ SCHEMAS = {
         "n": (int, 3, 1),
         "b": (float, 0.5, None),
         "measure": (str, "meyer_wallach", None),
-        "samples": (int, 100, None),
+        "samples": (int, 100, 1),
         "shots": (int, 0, 0),
     },
     "graph": {
@@ -256,8 +256,7 @@ def run_time_reversal_states(config, rng):
         model = ModelSpec("H1", observables.bell_projector(n))
         c = 1.0 / d
     else:
-        obs, _ = observables.pauli_string("Y" + "I" * (n - 1))
-        model = ModelSpec("H1", obs)
+        model = ModelSpec("H1", observables.pauli_string("Y" + "I" * (n - 1)))
         c = 0.0
     eps = config["eps"]
     if eps is None:

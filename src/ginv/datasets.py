@@ -54,9 +54,6 @@ class Graph:
                 raise ValueError(f"edge ({j},{k}) out of range for n={self.n}")
         object.__setattr__(self, "edges", edges)
 
-    def relabel(self, perm):
-        return Graph(self.n, {(perm[j], perm[k]) for j, k in self.edges})
-
 
 def _balanced_labels(count, rng):
     labels = np.array([1] * ((count + 1) // 2) + [0] * (count // 2))

@@ -1,4 +1,4 @@
-"""Symmetry-group samplers and numerical invariance machinery.
+"""Symmetry-group samplers and the commutant of their tensor powers.
 
 Four group kinds are supported: the full unitary group U(d), the real
 orthogonal group O(d), products of single-qubit unitaries, and qubit
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import bell_projector, swap_operator
 from .tensor import kron_all, random_statevector, tensor_power
 
 
@@ -103,9 +102,6 @@ class GroupSampler:
         if count > len(taken):
             taken.extend(draw(self.dim, self._rng, count=count - len(taken)))
         return taken
-
-    def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim}, seed={self.seed})"
 
 
 class UnitarySampler(GroupSampler):
@@ -218,53 +214,6 @@ def _adjacent_transpositions(n):
         yield p
 
 
-def brauer_basis_k2(n):
-    """Spanning set of the k=2 commutant of O(2^n).
-
-    Returns [identity, register SWAP, Bell projector] on 2n qubits; each
-    commutes with V x V for every orthogonal V.
-    """
-    return [np.eye(4**n, dtype=complex), swap_operator(n).matrix, bell_projector(n).matrix]
-
-
-@dataclass
-class InvarianceReport:
-    max_deviation: float
-    tol: float
-    trials: int
-    passed: bool
-
-
-def check_invariance(h, sampler, probe_state, trials=50, tol=1e-9):
-    """Max deviation |h(V rho V^dag) - h(rho)| over sampled V.
-
-    ``h`` is any callable taking a density matrix.
-    """
-    probe = np.asarray(probe_state)
-    if sampler.dim != probe.shape[0]:
-        raise ValueError(
-            f"sampler degree {sampler.dim} != probe dimension {probe.shape[0]}"
-        )
-    base = h(probe)
-    worst = 0.0
-    for _ in range(trials):
-        v = sampler.sample()
-        worst = max(worst, abs(h(v @ probe @ v.conj().T) - base))
-    return InvarianceReport(worst, tol, trials, worst < tol)
-
-
-def check_equivariance(u, sampler, k, trials=50, tol=1e-9):
-    """Max Frobenius norm of [u, V^(x k)] over sampled V."""
-    u = np.asarray(u)
-    if u.shape[0] != sampler.dim**k:
-        raise ValueError(f"operator dim {u.shape[0]} != {sampler.dim}^{k}")
-    worst = 0.0
-    for _ in range(trials):
-        vk = tensor_power(sampler.sample(), k)
-        worst = max(worst, float(np.linalg.norm(u @ vk - vk @ u)))
-    return InvarianceReport(worst, tol, trials, worst < tol)
-
-
 @dataclass
 class CommutantReport:
     dimension: int
@@ -367,16 +316,18 @@ def commutant_analysis(group, k, n_samples=20):
     every singular value is at most that norm, so the step could only
     rotate the basis, and it adds nothing to ``gap_ratio``.
 
-    Raises ValueError, before any element is drawn or solved, for k < 1 or
-    an explicit element that is not a square matrix of the first one's
-    dimension, and for an element that is not normal.
+    Raises ValueError, before any element is drawn or solved, for k < 1, an
+    explicit element that is not a square matrix of the first one's
+    dimension, and a d^k over the cap; and for an element that is not
+    normal.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if isinstance(group, SymmetricSampler):
         return _orbit_count(group.n, k)
+    elements = None
     if isinstance(group, GroupSampler):
-        elements = group.take(n_samples)
+        dim = group.dim
     else:
         elements = [np.asarray(g) for g in group]
         for i, g in enumerate(elements):
@@ -385,10 +336,13 @@ def commutant_analysis(group, k, n_samples=20):
             if g.shape != elements[0].shape:
                 raise ValueError(f"group element {i} has dimension {g.shape[0]}, "
                                  f"element 0 has {elements[0].shape[0]}")
+        dim = elements[0].shape[0] if elements else 1  # an empty list is refused below
+    if excess := commutant_excess(math.log2(dim), k):
+        raise ValueError(f"system too large: {excess}")
+    if elements is None:
+        elements = group.take(n_samples)
     if not elements:
         raise ValueError("need at least one group element")
-    if excess := commutant_excess(math.log2(elements[0].shape[0]), k):
-        raise ValueError(f"system too large: {excess}")
     stack = np.array(elements)
     drift = np.linalg.norm(stack @ stack.conj().swapaxes(1, 2)
                            - stack.conj().swapaxes(1, 2) @ stack, axis=(1, 2))

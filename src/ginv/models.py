@@ -1,4 +1,4 @@
-"""Hypothesis classes, the QGCNN unitary, and finite-shot estimation.
+"""Hypothesis classes, their exact values, and finite-shot estimation.
 
 Three model families share one evaluation surface:
 
@@ -8,10 +8,9 @@ Three model families share one evaluation surface:
 
 A model is its observable O and an optional fixed unitary U (the identity
 when absent); the conjugated observable U^dag O U is what determines the
-model's symmetry. ``qgcnn_unitary`` builds the S_n-equivariant graph ansatz.
-``swap_test_unitary`` is the H3 swap-test circuit in closed form; an H3 value
-is Tr[(rho x rho) B] for B the ancilla-|0> block of U^dag O U, scored by the
-two-copy kernel ``expectation_copies``.
+model's symmetry. ``swap_test_unitary`` is the H3 swap-test circuit in
+closed form; an H3 value is Tr[(rho x rho) B] for B the ancilla-|0> block of
+U^dag O U, scored by the two-copy kernel ``expectation_copies``.
 """
 
 from dataclasses import dataclass, field
@@ -19,10 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
-from .datasets import graph_terms
 from .groups import block_count
 from .observables import PAULI, Observable, swap_operator
-from .tensor import basis_state, dm, expectation_copies, expm_hermitian, is_unitary, kron
+from .tensor import basis_state, dm, expectation_copies, is_unitary, kron
 
 
 @dataclass
@@ -52,32 +50,6 @@ class ModelSpec:
                 raise ValueError("H2 models act on two copies of the register")
             if self.psi_in is None or len(self.psi_in) != dim:
                 raise ValueError("H2 requires a 2n-qubit input state psi_in")
-
-
-def qgcnn_unitary(graph, theta, p_layers, q_generators):
-    """Graph-convolutional ansatz: P repetitions of Q tied-weight layers.
-
-    Each layer evolves under H_q = W_q sum_{(j,k) in E} Z_j Z_k
-    + B_q sum_v X_v for a time eta_pq. Tying the weights across vertices
-    makes every generator commute with the graph's automorphisms.
-    Parameters pack as [eta (P*Q, p-major), W (Q), B (Q)].
-    """
-    p, q = p_layers, q_generators
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if len(theta) != p * q + 2 * q:
-        raise ValueError(
-            f"QGCNN with P={p}, Q={q} expects {p * q + 2 * q} parameters, "
-            f"got {len(theta)}"
-        )
-    eta = theta[: p * q].reshape(p, q)
-    w = theta[p * q : p * q + q]
-    b = theta[p * q + q :]
-    zz, xs = graph_terms(graph)
-    u = np.eye(2**graph.n, dtype=complex)
-    for pi in range(p):
-        for qi in range(q):
-            u = u @ expm_hermitian(w[qi] * zz + b[qi] * xs, eta[pi, qi])
-    return u
 
 
 def conjugated_observable(model):

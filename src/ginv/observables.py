@@ -214,18 +214,12 @@ def ntangle_observable(n):
 
 
 def pauli_string(word):
-    """Tensor product of Pauli operators, e.g. "YZX".
-
-    Returns (observable, odd_y) where odd_y flags an odd number of Y
-    factors, i.e. a purely imaginary (skew-symmetric times i) operator.
-    """
+    """Tensor product of Pauli operators, e.g. "YZX", as an Observable."""
     word = word.upper()
     if not word or any(c not in PAULI for c in word):
         raise ValueError(f"invalid Pauli string {word!r}")
     m = kron_all([PAULI[c] for c in word])
-    odd_y = word.count("Y") % 2 == 1
-    obs = Observable(m, copies=1, qubits_per_copy=len(word), tag=word)
-    return obs, odd_y
+    return Observable(m, copies=1, qubits_per_copy=len(word), tag=word)
 
 
 def hermitize(a, copies=1):

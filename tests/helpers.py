@@ -1,10 +1,13 @@
-"""States and checks that only the tests use."""
+"""States, models and checks that only the tests use."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from ginv import groups
+from ginv.datasets import Graph, graph_terms
 from ginv.groups import _adjacent_transpositions, permutation_operator
-from ginv.tensor import ATOL, is_hermitian, tensor_power
+from ginv.tensor import ATOL, expm_hermitian, is_hermitian, tensor_power
 
 
 def random_density_matrix(dim, rng, rank=None):
@@ -32,6 +35,75 @@ def ghz_state(n):
     psi = np.zeros(2**n, dtype=complex)
     psi[0] = psi[-1] = 1 / np.sqrt(2)
     return psi
+
+
+def relabel(graph, perm):
+    """The graph with node j renamed perm[j]."""
+    return Graph(graph.n, {(perm[j], perm[k]) for j, k in graph.edges})
+
+
+def qgcnn_unitary(graph, theta, p_layers, q_generators):
+    """Graph-convolutional ansatz: P repetitions of Q tied-weight layers.
+
+    Each layer evolves under H_q = W_q sum_{(j,k) in E} Z_j Z_k
+    + B_q sum_v X_v for a time eta_pq. Tying the weights across vertices
+    makes every generator commute with the graph's automorphisms.
+    Parameters pack as [eta (P*Q, p-major), W (Q), B (Q)].
+    """
+    p, q = p_layers, q_generators
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if len(theta) != p * q + 2 * q:
+        raise ValueError(
+            f"QGCNN with P={p}, Q={q} expects {p * q + 2 * q} parameters, "
+            f"got {len(theta)}"
+        )
+    eta = theta[: p * q].reshape(p, q)
+    w = theta[p * q : p * q + q]
+    b = theta[p * q + q :]
+    zz, xs = graph_terms(graph)
+    u = np.eye(2**graph.n, dtype=complex)
+    for pi in range(p):
+        for qi in range(q):
+            u = u @ expm_hermitian(w[qi] * zz + b[qi] * xs, eta[pi, qi])
+    return u
+
+
+@dataclass
+class InvarianceReport:
+    max_deviation: float
+    tol: float
+    trials: int
+    passed: bool
+
+
+def check_invariance(h, sampler, probe_state, trials=50, tol=1e-9):
+    """Max deviation |h(V rho V^dag) - h(rho)| over sampled V.
+
+    ``h`` is any callable taking a density matrix.
+    """
+    probe = np.asarray(probe_state)
+    if sampler.dim != probe.shape[0]:
+        raise ValueError(
+            f"sampler degree {sampler.dim} != probe dimension {probe.shape[0]}"
+        )
+    base = h(probe)
+    worst = 0.0
+    for _ in range(trials):
+        v = sampler.sample()
+        worst = max(worst, abs(h(v @ probe @ v.conj().T) - base))
+    return InvarianceReport(worst, tol, trials, worst < tol)
+
+
+def check_equivariance(u, sampler, k, trials=50, tol=1e-9):
+    """Max Frobenius norm of [u, V^(x k)] over sampled V."""
+    u = np.asarray(u)
+    if u.shape[0] != sampler.dim**k:
+        raise ValueError(f"operator dim {u.shape[0]} != {sampler.dim}^{k}")
+    worst = 0.0
+    for _ in range(trials):
+        vk = tensor_power(sampler.sample(), k)
+        worst = max(worst, float(np.linalg.norm(u @ vk - vk @ u)))
+    return InvarianceReport(worst, tol, trials, worst < tol)
 
 
 def adjacent_transposition_generators(n):

@@ -48,7 +48,6 @@ from ginv.groups import (
     OrthogonalSampler,
     SymmetricSampler,
     UnitarySampler,
-    check_invariance,
     commutant_analysis,
     haar_orthogonal,
     haar_unitary,
@@ -56,7 +55,6 @@ from ginv.groups import (
 )
 from ginv.models import (
     ModelSpec,
-    estimate_with_shots,
     evaluate,
     swap_test_model,
     swap_test_unitary,
@@ -69,7 +67,7 @@ from ginv.tensor import (
     random_statevector,
     zero_state,
 )
-from helpers import ghz_state, random_density_matrix
+from helpers import check_invariance, ghz_state, random_density_matrix
 from ginv.train import TrainConfig, graph_invariant_model, optimize
 
 MC_SAMPLES = 20000
@@ -155,8 +153,8 @@ def test_criterion_2_no_go_average():
 
 
 def test_criterion_3_time_reversal_states():
-    y_obs, odd = obs.pauli_string("YI")
-    assert odd
+    y_obs = obs.pauli_string("YI")
+    assert np.abs(y_obs.matrix.real).max() < 1e-15  # one Y: purely imaginary
     model2 = ModelSpec("H1", y_obs)
     data = time_reversal_state_dataset(2, 200, np.random.default_rng(301))
     worst = max(
@@ -168,7 +166,7 @@ def test_criterion_3_time_reversal_states():
     details = []
     for n, seed in ((1, 302), (2, 303)):
         d = 2**n
-        model = ModelSpec("H1", obs.pauli_string("Y" + "I" * (n - 1))[0])
+        model = ModelSpec("H1", obs.pauli_string("Y" + "I" * (n - 1)))
         report = empirical_moments(
             model, UnitarySampler(d, seed), dm(zero_state(n)), MC_SAMPLES
         )
@@ -177,7 +175,7 @@ def test_criterion_3_time_reversal_states():
         details.append(f"n={n}: |var - {report.analytic_var:.4f}| = {gap:.1e}")
 
     exact_third = abs(
-        haar_var_time_reversal(obs.pauli_string("Y")[0], dm(zero_state(1)), 2) - 1 / 3
+        haar_var_time_reversal(obs.pauli_string("Y"), dm(zero_state(1)), 2) - 1 / 3
     )
     formula_ok = exact_third < 1e-14
     ok = _line(
@@ -503,7 +501,7 @@ def test_criterion_10_statistics():
     dominated = []
     for d, delta, seed in ((2, 0.2, 1002), (2, 0.5, 1003), (4, 0.3, 1004)):
         n = {2: 1, 4: 2}[d]
-        y = obs.pauli_string("Y" + "I" * (n - 1))[0].matrix
+        y = obs.pauli_string("Y" + "I" * (n - 1)).matrix
         vals = np.empty(10000)
         for i in range(10000):
             v = haar_unitary(d, np.random.default_rng(seed + i))[:, 0]

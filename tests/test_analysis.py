@@ -21,7 +21,6 @@ from ginv.datasets import (
     Dataset,
     purity_dataset,
     time_reversal_dynamics_dataset,
-    time_reversal_state_dataset,
 )
 from ginv.groups import OrthogonalSampler, UnitarySampler, block_count, haar_unitary
 from ginv.models import ModelSpec, estimate_with_shots, evaluate
@@ -31,8 +30,7 @@ from helpers import random_density_matrix
 
 
 def odd_y_model(n):
-    obs, _ = pauli_string("Y" + "I" * (n - 1))
-    return ModelSpec("H1", obs)
+    return ModelSpec("H1", pauli_string("Y" + "I" * (n - 1)))
 
 
 def dynamics_model(n):
@@ -40,7 +38,7 @@ def dynamics_model(n):
 
 
 def test_haar_mean_conventional_values():
-    assert haar_mean_conventional(pauli_string("Z")[0], 2) == 0.0
+    assert haar_mean_conventional(pauli_string("Z"), 2) == 0.0
     eye = Observable(np.eye(4), 1, 2, "identity")
     assert haar_mean_conventional(eye, 4) == 1.0
 
@@ -57,7 +55,7 @@ def test_haar_mean_conventional_monte_carlo():
 def test_haar_var_time_reversal_bloch_oracle():
     # Bloch-sphere oracle: <Y> of a Haar qubit state is uniform on [-1, 1],
     # so its second moment is exactly 1/3
-    y = pauli_string("Y")[0]
+    y = pauli_string("Y")
     got = haar_var_time_reversal(y, dm(zero_state(1)), 2)
     assert abs(got - 1 / 3) < 1e-14
 
@@ -66,7 +64,7 @@ def test_haar_var_time_reversal_pure_involution():
     # Tr[O^2] = d and a pure input collapse the formula to 1/(d+1)
     for n in (2, 3):
         d = 2**n
-        obs = pauli_string("Y" + "I" * (n - 1))[0]
+        obs = pauli_string("Y" + "I" * (n - 1))
         got = haar_var_time_reversal(obs, dm(zero_state(n)), d)
         assert abs(got - 1 / (d + 1)) < 1e-14
 
@@ -85,7 +83,7 @@ def test_haar_var_maximally_mixed_input():
     # the formula gives exactly zero at Tr[rho_in^2] = 1/d, and the MC
     # values are constant because I/d is invariant under conjugation
     n, d = 1, 2
-    obs = pauli_string("Y")[0]
+    obs = pauli_string("Y")
     assert abs(haar_var_time_reversal(obs, np.eye(d) / d, d)) < 1e-14
     model = odd_y_model(n)
     report = empirical_moments(model, UnitarySampler(d, 3), np.eye(d) / d, 2000)
@@ -310,7 +308,7 @@ def test_cantelli_dominates_empirical_tail():
     rng = np.random.default_rng(8)
     n_samples = 10000
     vals = np.empty(n_samples)
-    y = pauli_string("Y")[0].matrix
+    y = pauli_string("Y").matrix
     for i in range(n_samples):
         v = haar_unitary(2, rng)[:, 0]
         vals[i] = np.real(v.conj() @ y @ v)

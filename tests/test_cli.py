@@ -752,6 +752,10 @@ MINIMUM_CASES = [
     ("time_reversal_dynamics", "eps", 0),
 ]
 
+# Minimums that pass the schema but not the run: one purity or entanglement
+# item leaves the other class absent (exit 3).
+ONE_ITEM_CASES = [("purity", "samples", 1), ("entanglement", "samples", 1)]
+
 
 def test_minimum_cases_cover_the_table():
     table = {
@@ -760,23 +764,28 @@ def test_minimum_cases_cover_the_table():
         for f, (_, _, low) in fields.items()
         if low is not None
     }
-    assert table == {(e, f): low for e, f, low in MINIMUM_CASES}
+    assert table == {(e, f): low for e, f, low in MINIMUM_CASES + ONE_ITEM_CASES}
 
 
-@pytest.mark.parametrize("experiment,field,low", MINIMUM_CASES)
+@pytest.mark.parametrize("experiment,field,low", MINIMUM_CASES + ONE_ITEM_CASES)
 def test_counts_below_minimum_are_config_errors(tmp_path, capsys, experiment, field, low):
     config = {"experiment": experiment, **SMALL[experiment], field: low}
     if (experiment, field) == ("commutant", "n"):
         config["d"] = None
     path, out = tmp_path / "config.json", tmp_path / "r.json"
     path.write_text(json.dumps(config))
-    assert run_cli(["run", "--config", str(path), "-o", str(out)]) == 0
-    assert read_result(out)["config"][field] == low
-    out.unlink()
-    config[field] = low - 1
-    with pytest.raises(cli.ConfigError, match=f"field {field}: must be >= {low}"):
-        cli.validate_config(config)
-    path.write_text(json.dumps(config))
-    assert run_cli(["run", "--config", str(path), "-o", str(out)]) == 2
-    assert f"field {field}" in capsys.readouterr().err
-    assert not out.exists()
+    if (experiment, field, low) in ONE_ITEM_CASES:
+        assert run_cli(["run", "--config", str(path), "-o", str(out)]) == 3
+        assert "label 0 is absent" in capsys.readouterr().err
+    else:
+        assert run_cli(["run", "--config", str(path), "-o", str(out)]) == 0
+        assert read_result(out)["config"][field] == low
+        out.unlink()
+    for below in (low - 1, low - 4):
+        config[field] = below
+        with pytest.raises(cli.ConfigError, match=f"field {field}: must be >= {low}"):
+            cli.validate_config(config)
+        path.write_text(json.dumps(config))
+        assert run_cli(["run", "--config", str(path), "-o", str(out)]) == 2
+        assert f"field {field}: must be >= {low}" in capsys.readouterr().err
+        assert not out.exists()

@@ -15,7 +15,7 @@ from ginv.tensor import (
     random_statevector,
     zero_state,
 )
-from helpers import ghz_state, random_density_matrix
+from helpers import ghz_state, relabel
 
 
 TRIANGLE = ds.Graph(3, {(0, 1), (1, 2), (0, 2)})
@@ -74,8 +74,8 @@ def test_time_reversal_states_real_amplitudes():
 
 
 def test_time_reversal_states_odd_y_null():
-    y_string, flag = obs.pauli_string("YI")
-    assert flag
+    y_string = obs.pauli_string("YI")
+    assert np.abs(y_string.matrix.real).max() < 1e-15  # one Y: purely imaginary
     data = ds.time_reversal_state_dataset(2, 40, np.random.default_rng(5))
     for rho in data.inputs[data.labels == 1]:
         assert abs(expectation(rho, y_string.matrix)) < 1e-10
@@ -88,7 +88,7 @@ def test_time_reversal_states_haar_moments():
     d = 2**n
     count = 5000
     data = ds.time_reversal_state_dataset(n, 2 * count, np.random.default_rng(6))
-    y = obs.pauli_string("Y")[0]
+    y = obs.pauli_string("Y")
     vals = np.array([expectation(rho, y.matrix) for rho in data.inputs[data.labels == 0]])
     stderr = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean()) < 4 * stderr
@@ -185,7 +185,7 @@ def test_graph_hamiltonian_relabeling_conjugation():
     perm = (2, 0, 1)
     p = permutation_operator(perm, target="qubits")
     h = ds.graph_hamiltonian(PATH3).matrix
-    h_relabeled = ds.graph_hamiltonian(PATH3.relabel(perm)).matrix
+    h_relabeled = ds.graph_hamiltonian(relabel(PATH3, perm)).matrix
     np.testing.assert_allclose(h_relabeled, p @ h @ p.T, atol=1e-12)
 
 
@@ -250,7 +250,7 @@ def test_graph_validation():
 
 
 def test_is_isomorphic():
-    relabeled = TRIANGLE.relabel((2, 0, 1))
+    relabeled = relabel(TRIANGLE, (2, 0, 1))
     assert ds.is_isomorphic(TRIANGLE, relabeled)
     assert not ds.is_isomorphic(TRIANGLE, PATH3)
     c4 = ds.Graph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
@@ -278,7 +278,7 @@ def test_graph_dataset_rejects_indistinguishable_time():
 
 def test_graph_dataset_rejects_isomorphic_references():
     with pytest.raises(ValueError):
-        ds.graph_dataset(TRIANGLE, TRIANGLE.relabel((1, 2, 0)), 4, 1.0, np.random.default_rng(0))
+        ds.graph_dataset(TRIANGLE, relabel(TRIANGLE, (1, 2, 0)), 4, 1.0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("g0,g1", [
@@ -295,7 +295,7 @@ def test_graph_dataset_items_equal_relabelled_graph_states(g0, g1):
     assert set(data.labels.tolist()) == {0, 1}
     ds._balanced_labels(12, twin)
     for rho, label in zip(data.inputs, data.labels):
-        g = (g0, g1)[label].relabel(twin.permutation(g0.n))
+        g = relabel((g0, g1)[label], twin.permutation(g0.n))
         np.testing.assert_allclose(rho, ds.graph_state(g, t), rtol=0, atol=1e-12)
 
 
@@ -305,7 +305,7 @@ def test_graph_dataset_draws_labels_then_one_permutation_per_item():
     labels = ds._balanced_labels(5, twin)
     assert np.array_equal(data.labels, labels)
     for rho, label in zip(data.inputs, labels):
-        g = (TRIANGLE, PATH3)[label].relabel(twin.permutation(3))
+        g = relabel((TRIANGLE, PATH3)[label], twin.permutation(3))
         np.testing.assert_allclose(rho, ds.graph_state(g, 1.0), rtol=0, atol=1e-12)
     # the generator drew nothing else: both streams are at the same point
     assert rng.random() == twin.random()
@@ -317,7 +317,7 @@ def test_is_isomorphic_equals_relabel_brute_force():
     for _ in range(40):
         g0, g1 = (ds.Graph(4, {pairs[i] for i in rng.choice(12, size=3, replace=False)})
                   for _ in range(2))
-        oracle = any(g0.relabel(p).edges == g1.edges for p in permutations(range(4)))
+        oracle = any(relabel(g0, p).edges == g1.edges for p in permutations(range(4)))
         assert ds.is_isomorphic(g0, g1) == oracle
 
 

@@ -11,9 +11,6 @@ from ginv.groups import (
     OrthogonalSampler,
     SymmetricSampler,
     UnitarySampler,
-    brauer_basis_k2,
-    check_equivariance,
-    check_invariance,
     commutant_analysis,
     haar_orthogonal,
     haar_unitary,
@@ -21,8 +18,15 @@ from ginv.groups import (
     permutation_operator,
 )
 from ginv.observables import PAULI, bell_projector, swap_operator
-from ginv.tensor import bell_state, dm, is_unitary, kron_all, random_statevector, zero_state
-from helpers import adjacent_transposition_generators, commutant_every_step, random_density_matrix
+from ginv.tensor import bell_state, is_unitary, kron_all, random_statevector, zero_state
+from helpers import (
+    adjacent_transposition_generators,
+    check_equivariance,
+    check_invariance,
+    commutant_every_step,
+    qgcnn_unitary,
+    random_density_matrix,
+)
 
 
 def test_haar_unitary_d1_phase():
@@ -331,6 +335,12 @@ def test_permutation_tensor_relabeling():
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+def brauer_basis_k2(n):
+    """Spanning set of the k=2 commutant of O(2^n): [identity, register
+    SWAP, Bell projector] on 2n qubits."""
+    return [np.eye(4**n, dtype=complex), swap_operator(n).matrix, bell_projector(n).matrix]
+
+
 def test_brauer_elements_commute_with_orthogonal():
     rng = np.random.default_rng(9)
     for n in (1, 2):
@@ -422,7 +432,6 @@ def test_check_equivariance_qgcnn_cycle():
     # oracle: cyclic relabelings are automorphisms of C4, so the layer
     # unitary must commute with the corresponding qubit permutations
     from ginv.datasets import Graph
-    from ginv.models import qgcnn_unitary
 
     c4 = Graph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
     u = qgcnn_unitary(c4, np.array([0.7, 0.9, 0.4]), 1, 1)
@@ -710,8 +719,10 @@ def test_commutant_needs_an_element():
         ([np.eye(2), np.ones((2, 3))], r"element 1 has shape \(2, 3\), not a square"),
         ([np.ones(2)], r"element 0 has shape \(2,\), not a square"),
         ([np.ones((2, 2, 2))], r"element 0 has shape \(2, 2, 2\), not a square"),
+        # a list is validated before its size is held to the cap
+        ([np.eye(128), np.eye(2)], "element 1 has dimension 2, element 0 has 128"),
     ],
-    ids=["ragged", "non-square", "1-D", "3-D"],
+    ids=["ragged", "non-square", "1-D", "3-D", "over the cap"],
 )
 def test_commutant_checks_an_element_list(elements, match):
     with pytest.raises(ValueError, match=match):
@@ -725,6 +736,25 @@ def test_commutant_refuses_k_below_one_before_drawing(k):
         with pytest.raises(ValueError, match="k must be at least 1"):
             commutant_analysis(group, k)
     assert sampler.sample().tobytes() == UnitarySampler(2, 3).sample().tobytes()
+
+
+@pytest.mark.parametrize(
+    "make,arg", [(UnitarySampler, 16), (OrthogonalSampler, 16), (LocalUnitarySampler, 4)]
+)
+def test_commutant_refuses_over_the_cap_before_drawing(make, arg):
+    sampler = make(arg, 0)
+    with pytest.raises(ValueError, match=r"system too large: d\^k = 16\^2 exceeds 64"):
+        commutant_analysis(sampler, 2)
+    assert sampler.sample().tobytes() == make(arg, 0).sample().tobytes()
+
+
+def test_commutant_checks_the_cap_once_per_call(monkeypatch):
+    calls = []
+    excess = groups.commutant_excess
+    monkeypatch.setattr(groups, "commutant_excess", lambda *a: calls.append(a) or excess(*a))
+    commutant_analysis(UnitarySampler(2, 0), 2, n_samples=3)
+    commutant_analysis([np.eye(2), np.diag([1, -1])], 2)
+    assert calls == [(1.0, 2), (1.0, 2)]
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2)])

@@ -10,7 +10,6 @@ from ginv.models import (
     conjugated_observable,
     estimate_with_shots,
     evaluate,
-    qgcnn_unitary,
     swap_test_model,
     swap_test_unitary,
 )
@@ -35,7 +34,7 @@ from ginv.tensor import (
     random_statevector,
     tensor_power,
 )
-from helpers import random_density_matrix
+from helpers import qgcnn_unitary, random_density_matrix, relabel
 
 C4 = Graph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
 K3 = Graph(3, {(0, 1), (1, 2), (0, 2)})
@@ -295,7 +294,7 @@ def test_qgcnn_permutation_equivariance():
     ):
         u = qgcnn_unitary(graph, rng.standard_normal(2 * 2 + 2 * 2), 2, 2)
         for perm in autos:
-            relabeled = graph.relabel(perm)
+            relabeled = relabel(graph, perm)
             assert relabeled.edges == graph.edges  # sanity: really an automorphism
             p = permutation_operator(perm, target="qubits")
             assert np.linalg.norm(u @ p - p @ u) < 1e-9
@@ -429,9 +428,9 @@ def _shot_case(case, n, rng):
     matrices for H1, unitaries for H2."""
     d = 2**n
     if case == "pauli":
-        model = ModelSpec("H1", pauli_string("Y" + "Z" * (n - 1))[0])
+        model = ModelSpec("H1", pauli_string("Y" + "Z" * (n - 1)))
     elif case == "dressed":
-        model = ModelSpec("H1", pauli_string("X" * n)[0], unitary=random_unitary(d, rng))
+        model = ModelSpec("H1", pauli_string("X" * n), unitary=random_unitary(d, rng))
     elif case == "swap":
         model = ModelSpec("H1", swap_operator(n))
     elif case == "meyer_wallach":

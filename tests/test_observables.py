@@ -22,7 +22,7 @@ from ginv.tensor import (
     random_statevector,
     zero_state,
 )
-from helpers import ghz_state, random_density_matrix
+from helpers import check_invariance, ghz_state, random_density_matrix
 
 
 def product_state(n, rng):
@@ -176,14 +176,13 @@ def test_ntangle_reference_values():
 
 
 def test_pauli_string_flags():
-    y, flag = obs.pauli_string("Y")
-    assert flag
-    assert np.abs(y.matrix.real).max() < 1e-15  # purely imaginary entries
-    yy, flag = obs.pauli_string("YY")
-    assert not flag
-    assert np.abs(yy.matrix.imag).max() < 1e-15
-    yzx, flag = obs.pauli_string("YZX")
-    assert flag
+    # purely imaginary exactly when the Y count is odd, else real
+    y = obs.pauli_string("Y")
+    assert np.abs(y.matrix.real).max() < 1e-15 < np.abs(y.matrix.imag).max()
+    yy = obs.pauli_string("YY")
+    assert np.abs(yy.matrix.imag).max() < 1e-15 < np.abs(yy.matrix.real).max()
+    yzx = obs.pauli_string("YZX")
+    assert np.abs(yzx.matrix.real).max() < 1e-15 < np.abs(yzx.matrix.imag).max()
     np.testing.assert_allclose(yzx.matrix @ yzx.matrix, np.eye(8), atol=1e-14)
 
 
@@ -233,8 +232,6 @@ def test_unitary_invariance_of_swap_span():
 
 
 def test_local_unitary_invariance_all_measures():
-    from ginv.groups import check_invariance
-
     rng = np.random.default_rng(10)
     n = 2
     rho = dm(random_statevector(4, rng))
@@ -256,8 +253,6 @@ def test_local_unitary_invariance_all_measures():
 
 
 def test_orthogonal_invariance_and_unitary_witness():
-    from ginv.groups import check_invariance
-
     rng = np.random.default_rng(11)
     real_vec = rng.standard_normal(2)
     rho = dm((real_vec / np.linalg.norm(real_vec)).astype(complex))
@@ -535,9 +530,9 @@ def test_stacked_oracles_equal_per_state_oracles(n):
 def _pure_value_cases(n, rng):
     """(name, observable) of every kind that pure_values dispatches on."""
     d = 2**n
-    dressed = ModelSpec("H1", obs.pauli_string("YX" + "Z" * (n - 2))[0],
+    dressed = ModelSpec("H1", obs.pauli_string("YX" + "Z" * (n - 2)),
                         unitary=haar_unitary(d, rng))
-    cases = [("pauli_odd_y", obs.pauli_string("Y" + "I" * (n - 1))[0]),
+    cases = [("pauli_odd_y", obs.pauli_string("Y" + "I" * (n - 1))),
              ("dense_k1", obs.Observable(random_hermitian(d, rng), 1, n, "k1")),
              ("dressed", conjugated_observable(dressed)),
              ("dense_k2", obs.Observable(random_hermitian(d * d, rng), 2, n, "k2")),
@@ -568,7 +563,7 @@ def test_pure_values_of_the_bell_projector_build_no_matrix():
 
 @pytest.mark.parametrize("shape", [(4,), (2, 8), (2, 4, 4)])
 def test_pure_values_refuse_anything_but_a_stack_of_states(shape):
-    for observable in (obs.pauli_string("XY")[0], obs.bell_projector(2), obs.swap_operator(2)):
+    for observable in (obs.pauli_string("XY"), obs.bell_projector(2), obs.swap_operator(2)):
         with pytest.raises(ValueError, match="not \\(B, 2\\^2\\)"):
             observable.pure_values(np.ones(shape, dtype=complex))
 

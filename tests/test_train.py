@@ -4,7 +4,7 @@ import pytest
 from ginv import observables, train
 from ginv.datasets import Dataset, Graph, graph_dataset, graph_state
 from ginv.groups import permutation_operator
-from ginv.models import ModelSpec, evaluate, qgcnn_unitary
+from ginv.models import ModelSpec, evaluate
 from ginv.observables import PAULI, swap_operator
 from ginv.tensor import (
     dm,
@@ -14,7 +14,7 @@ from ginv.tensor import (
     purity,
     random_statevector,
 )
-from helpers import random_density_matrix
+from helpers import qgcnn_unitary, random_density_matrix
 from ginv.train import (
     TrainConfig,
     TrainableModel,
