@@ -135,6 +135,8 @@ def validate_config(raw):
     if unknown:
         raise ConfigError(f"unknown config fields for {experiment}: {sorted(unknown)}")
     config = {"experiment": experiment, "seed": _coerce("seed", int, raw.get("seed", 0))}
+    if config["seed"] < 0:
+        raise ConfigError(f"field seed: must be >= 0, got {config['seed']}")
     for name, (typ, default, low) in schema.items():
         value = raw.get(name, default)
         if value is None and default is not None and (experiment, name) not in NULLABLE:
@@ -518,14 +520,22 @@ def build_parser():
     return parser
 
 
+def _read_json(path, what):
+    """The JSON value of an input file; a file that cannot be opened or
+    parsed is a config error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} file is not valid JSON: {exc}") from exc
+
+
 def _cmd_run(args):
     raw = {}
     if args.config:
-        with open(args.config) as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        loaded = _read_json(args.config, "config")
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         raw.update(loaded)
@@ -542,11 +552,7 @@ def _cmd_run(args):
 
 
 def _cmd_report(args):
-    with open(args.result) as fh:
-        try:
-            result = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"result file is not valid JSON: {exc}") from exc
+    result = _read_json(args.result, "result")
     text = format_report(result, args.format)
     if args.output:
         with open(args.output, "w") as fh:

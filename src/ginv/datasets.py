@@ -4,10 +4,9 @@ Four generators: purity (pure vs fixed mixed purity), time-reversal
 states (real vs Haar random), time-reversal dynamics (orthogonal vs Haar
 unitaries), and multipartite entanglement (product vs fixed measure
 value). Graphs are encoded by evolving |+>^n under an Ising-plus-field
-Hamiltonian whose coupling topology is the graph.
+Hamiltonian whose coupling topology is the graph; those states stay vectors.
 
-Each generator returns one Dataset, its input stack filled row by row;
-generation is deterministic per seed.
+Each generator returns one Dataset; generation is deterministic per seed.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ from itertools import permutations
 import numpy as np
 
 from .groups import haar_orthogonal, haar_unitary, permutation_index
-from .observables import ENTANGLEMENT_MEASURES, Observable
+from .observables import ENTANGLEMENT_MEASURES
 from .tensor import (
     dm,
     expm_hermitian,
@@ -30,8 +29,9 @@ from .tensor import (
 
 @dataclass
 class Dataset:
-    """N labeled inputs: an (N, d, d) stack of density matrices, or of
-    unitaries for the time-reversal dynamics, and their int labels."""
+    """N labeled inputs and their int labels. The inputs are an (N, d, d)
+    stack of density matrices, of unitaries for the time-reversal dynamics,
+    or an (N, d) stack of pure state vectors for the graph task."""
 
     inputs: np.ndarray = field(repr=False)
     labels: np.ndarray
@@ -181,40 +181,14 @@ def graph_terms(g):
     return zz.astype(complex), xs
 
 
-def graph_hamiltonian(g):
-    """H = sum_{(j,k) in E} Z_j Z_k + sum_j X_j on the graph's n qubits."""
-    zz, xs = graph_terms(g)
-    return Observable(zz + xs, copies=1, qubits_per_copy=g.n, tag="graph_hamiltonian")
-
-
-def is_isomorphic(g0, g1):
-    """Exact brute force over all n! vertex bijections (n <= 8)."""
-    if g0.n != g1.n:
-        return False
-    if g0.n > 8:
-        raise ValueError("brute-force isomorphism limited to n <= 8")
-    if len(g0.edges) != len(g1.edges):
-        return False
-    # relabelled edge sets, sorted as Graph stores them, with no Graph built
-    return any(
-        {(min(p[j], p[k]), max(p[j], p[k])) for j, k in g0.edges} == g1.edges
-        for p in permutations(range(g0.n))
-    )
-
-
 @lru_cache(maxsize=2)
-def graph_vector(g, t):
-    """|+>^n evolved for time t under the graph Hamiltonian, as a read-only
-    state vector; the last two (graph, t) pairs are kept for the life of the
-    process, so a run's two reference states are evolved once."""
-    psi = expm_hermitian(graph_hamiltonian(g).matrix, t) @ plus_state(g.n)
+def graph_state(g, t):
+    """|+>^n evolved for time t under H = sum_{(j,k) in E} Z_j Z_k + sum_j X_j,
+    as a read-only state vector; the last two (graph, t) pairs are kept for
+    the life of the process, so a run's two reference states are evolved once."""
+    psi = expm_hermitian(sum(graph_terms(g)), t) @ plus_state(g.n)
     psi.flags.writeable = False
     return psi
-
-
-def graph_state(g, t):
-    """The density matrix of ``graph_vector(g, t)``."""
-    return dm(graph_vector(g, t))
 
 
 def _orbit_distance(psi0, psi1, n):
@@ -239,28 +213,28 @@ def _orbit_distance(psi0, psi1, n):
 
 
 def graph_dataset(g0, g1, count, t, rng):
-    """States encoding random relabelings of two non-isomorphic graphs.
+    """State vectors encoding random relabelings of two non-isomorphic graphs.
 
-    Each item is the state of g0 or g1 evolved for time t, relabelled by a
-    random qubit permutation P: |P psi><P psi|, with P psi gathered by P's
-    index map. It equals the state of the relabelled graph, since
-    H(relabel(g)) = P H(g) P^T and P |+>^n = |+>^n; the label records which
-    reference graph.
+    Each item is the state psi of g0 or g1 evolved for time t, relabelled by
+    a random qubit permutation P: P psi, gathered by P's index map. It equals
+    the state of the relabelled graph, since H(relabel(g)) = P H(g) P^T and
+    P |+>^n = |+>^n; the label records which reference graph. One scan of all
+    n! relabellings refuses a pair whose states it cannot tell apart, which
+    holds for every isomorphic pair.
     """
     if g0.n != g1.n:
         raise ValueError("reference graphs must have the same node count")
-    if is_isomorphic(g0, g1):
-        raise ValueError("reference graphs are isomorphic")
     n = g0.n
-    refs = (graph_vector(g0, t), graph_vector(g1, t))
+    if n > 8:
+        raise ValueError(f"the scan of all n! relabellings is limited to n <= 8, got n = {n}")
+    refs = np.array([graph_state(g0, t), graph_state(g1, t)])
     if _orbit_distance(*refs, n) < 1e-6:
         raise ValueError(
-            f"evolution time t={t} does not distinguish the reference graphs"
+            f"the reference graphs are isomorphic, or evolution time t={t} "
+            "does not distinguish the reference graphs"
         )
-    data = _unfilled(count, 2**n, rng)
-    for row, label in zip(data.inputs, data.labels):
-        perm = rng.permutation(n)
-        # (P psi)[idx[a]] = psi[a], so gather by the inverse map
-        inverse = permutation_index(np.argsort(perm), target="qubits")
-        row[:] = dm(refs[label][inverse])
-    return data
+    labels = _balanced_labels(count, rng)
+    perms = np.array([rng.permutation(n) for _ in range(count)])
+    # (P psi)[idx[a]] = psi[a], so gather by the inverse map
+    inverse = permutation_index(np.argsort(perms, axis=1), target="qubits")
+    return Dataset(refs[labels[:, None], inverse], labels)

@@ -10,10 +10,11 @@ A swap polynomial reads every reduced purity Tr[rho_a^2] from one
 Pauli-weight transform of the state (``subset_purities``), or, when each
 of its terms acts on at most one qubit, from the entries of the one-qubit
 marginals. The same transform, without the identity, gives the moments
-``xyz_moments`` that value a tensor power of a Bloch axis (a.sigma)^(x n)
-as a polynomial in a. ``Observable.pure_values`` values a stack of pure
-states from the vectors: one product for a single-copy observable, O(d) a
-state for the Bell projector, and |s><s| for the other kinds. Each
+``xyz_moments`` of state vectors that value a tensor power of a Bloch axis
+(a.sigma)^(x n) as a polynomial in a. ``Observable.pure_values`` values a
+stack of pure states from the vectors: one product for a single-copy
+observable, O(d) a state for the Bell projector, and |s><s| for the other
+kinds. Each
 entanglement observable has a companion ``*_oracle`` evaluating the same
 quantity from partial traces (``subset_purity``), an independent route;
 the runner and the tests hold the two against each other.
@@ -300,19 +301,21 @@ def xyz_counts(n):
     return np.stack([kx[keep], ky[keep], n - kx[keep] - ky[keep]], axis=1)
 
 
-def xyz_moments(rho):
-    """S_k(rho) = sum of Re Tr[rho p] over the strings p in {X, Y, Z}^n with
-    the letter counts k, for each k of ``xyz_counts(n)``, of an n-qubit rho or
-    per state of a (B, d, d) stack: shape (T,) or (B, T), T = (n+1)(n+2)/2.
+def xyz_moments(states):
+    """S_k(psi) = sum of Re <psi|p|psi> over the strings p in {X, Y, Z}^n
+    with the letter counts k, for each k of ``xyz_counts(n)``, of one n-qubit
+    state vector or per vector of a (B, d) stack: shape (T,) or (B, T),
+    T = (n+1)(n+2)/2.
 
     A tensor power of a Bloch axis is a polynomial in it:
-    Tr[rho (a.sigma)^(x n)] = sum_k a_x^kx a_y^ky a_z^kz S_k(rho). The 3^n
-    weights come from the Pauli-weight transform without the identity.
+    <psi|(a.sigma)^(x n)|psi> = sum_k a_x^kx a_y^ky a_z^kz S_k(psi). The 3^n
+    weights come from the Pauli-weight transform without the identity, of
+    |psi><psi| formed one block of states at a time.
     """
-    rho = np.ascontiguousarray(rho, dtype=complex)
-    d = rho.shape[-1]
+    states = np.asarray(states, dtype=complex)
+    d = states.shape[-1]
     n = num_qubits(d)
-    stack = rho.reshape(-1, d, d)
+    stack = states.reshape(-1, d)
     # letters as base-3 digits, qubit 0 first: 0 = X, 1 = Y, 2 = Z
     digits = np.arange(3**n)[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
     kx, ky = (digits == 0).sum(axis=1), (digits == 1).sum(axis=1)
@@ -322,14 +325,15 @@ def xyz_moments(rho):
     _, column = np.unique(kx * (n + 1) + ky, return_inverse=True)
     group = np.zeros((column.max() + 1, 3**n))
     group[column, np.arange(3**n)] = 1.0
-    # blocks of about 2^18 entries keep the transform's copies to 4 MiB
+    # blocks of about 2^18 entries of |s><s| keep the transform's copies to 4 MiB
     step = max(1, 2**18 // (d * d))
     blocks = []
     for i in range(0, len(stack), step):
-        x = _pauli_weights(stack[i:i + step], _PAULI_WEIGHTS[1:])
+        s = stack[i:i + step]
+        x = _pauli_weights(s[:, :, None] * s[:, None, :].conj(), _PAULI_WEIGHTS[1:])
         blocks.append(group @ (x[..., 0] * re[:, None] + x[..., 1] * im[:, None]))
     moments = np.concatenate(blocks, axis=1).T
-    return moments if rho.ndim == 3 else moments[0]
+    return moments if states.ndim == 2 else moments[0]
 
 
 def _one_qubit_purities(stack, masks):

@@ -34,9 +34,10 @@ class TrainConfig:
 class TrainableModel:
     """A parameterised scalar model with a start point.
 
-    ``features`` maps one state, or a (N, d, d) stack, to what the model reads
-    of it that does not depend on theta (by default the states themselves);
-    ``read(theta, features)`` values that: one value, or one per state.
+    ``features`` maps one state, or a stack of N states (state vectors for
+    the graph model), to what the model reads of it that does not depend on
+    theta (by default the states themselves); ``read(theta, features)``
+    values that: one value, or one per state.
     """
 
     read: object
@@ -144,9 +145,10 @@ def graph_invariant_model(n, theta0=(0.3, 0.2, 0.1)):
     The observable is a tensor power of one single-qubit operator for every
     theta, so it commutes with all qubit permutations. Its value is a degree-n
     polynomial in the axis a = ``rotated_z(theta)``:
-    Tr[rho A^(x n)] = sum_k a_x^kx a_y^ky a_z^kz S_k(rho). The moments S_k
-    (``observables.xyz_moments``) are the features, so a stack of N states is
-    valued by one (N, T) @ (T,) product, T = (n+1)(n+2)/2.
+    <psi|A^(x n)|psi> = sum_k a_x^kx a_y^ky a_z^kz S_k(psi). The moments S_k
+    (``observables.xyz_moments``) of the state vectors are the features, so a
+    stack of N states is valued by one (N, T) @ (T,) product,
+    T = (n+1)(n+2)/2.
     """
     counts = xyz_counts(n)
 

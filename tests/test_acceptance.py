@@ -451,15 +451,7 @@ def test_criterion_9_graph():
     probe = graph_state(TRIANGLE, 1.0)
     base = model.value_fn(theta, probe)
     inv_worst = max(
-        abs(
-            model.value_fn(
-                theta,
-                permutation_operator(p, target="qubits")
-                @ probe
-                @ permutation_operator(p, target="qubits").T,
-            )
-            - base
-        )
+        abs(model.value_fn(theta, permutation_operator(p, target="qubits") @ probe) - base)
         for p in permutations(range(3))
     )
     inv_ok = inv_worst < 1e-9
@@ -470,14 +462,14 @@ def test_criterion_9_graph():
         np.array([graph_state(TRIANGLE, 1.0), graph_state(PATH3, 1.0)]), np.array([0, 1])
     )
     result = optimize(model, reps, TrainConfig(learning_rate=0.5, iterations=60))
-    h0, h1 = (model.value_fn(result.theta, rho) for rho in reps.inputs)
+    h0, h1 = (model.value_fn(result.theta, psi) for psi in reps.inputs)
     test_set = graph_dataset(TRIANGLE, PATH3, 100, 1.0, np.random.default_rng(902))
     midpoint = (h0 + h1) / 2
     correct = sum(
-        (int(model.value_fn(result.theta, rho) > midpoint)
+        (int(model.value_fn(result.theta, psi) > midpoint)
          if h1 >= h0
-         else int(model.value_fn(result.theta, rho) <= midpoint)) == label
-        for rho, label in zip(test_set.inputs, test_set.labels)
+         else int(model.value_fn(result.theta, psi) <= midpoint)) == label
+        for psi, label in zip(test_set.inputs, test_set.labels)
     )
     accuracy = correct / len(test_set)
     ok = _line(

@@ -278,6 +278,18 @@ def test_report_missing_file_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_report_of_a_directory_is_config_error(tmp_path, capsys):
+    assert run_cli(["report", str(tmp_path)]) == 2
+    assert "config error: cannot read result file" in capsys.readouterr().err
+
+
+def test_config_that_is_a_directory_is_config_error(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run_cli(["run", "--config", str(tmp_path), "-o", str(out)]) == 2
+    assert "config error: cannot read config file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_config_file_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -665,6 +677,20 @@ def test_int_fields_refuse_truncation(tmp_path, capsys, field, value):
     assert not out.exists()
     assert f"field {field}" in capsys.readouterr().err
     assert cli.validate_config({"experiment": "purity", field: 2.0})[field] == 2
+
+
+@pytest.mark.parametrize("seed", [-1, -5])
+def test_negative_seed_is_config_error_before_any_work(tmp_path, capsys, monkeypatch, seed):
+    with pytest.raises(cli.ConfigError, match="field seed: must be >= 0"):
+        cli.validate_config({"experiment": "purity", "seed": seed})
+    built = []
+    monkeypatch.setattr(cli.datasets, "purity_dataset", lambda *args: built.append(args))
+    out = tmp_path / "r.json"
+    args = ["run", "--experiment", "purity", "--seed", str(seed), "-o", str(out)]
+    assert run_cli(args) == 2
+    assert f"field seed: must be >= 0, got {seed}" in capsys.readouterr().err
+    assert built == [] and not out.exists()
+    assert cli.validate_config({"experiment": "purity", "seed": 0})["seed"] == 0
 
 
 @pytest.mark.parametrize("family", ["conventional_odd_y", "enhanced_bell"])

@@ -162,30 +162,12 @@ def test_entanglement_dataset_unattainable_target():
         ds.entanglement_dataset(1, 4, 0.5, "meyer_wallach", np.random.default_rng(0))
 
 
-def test_graph_hamiltonian_empty_graph():
-    g = ds.Graph(2, set())
-    expected = kron_all([obs.PAULI["X"], obs.PAULI["I"]]) + kron_all(
-        [obs.PAULI["I"], obs.PAULI["X"]]
-    )
-    np.testing.assert_allclose(ds.graph_hamiltonian(g).matrix, expected)
-
-
-def test_graph_hamiltonian_single_edge():
-    g = ds.Graph(2, {(0, 1)})
-    expected = (
-        kron_all([obs.PAULI["Z"], obs.PAULI["Z"]])
-        + kron_all([obs.PAULI["X"], obs.PAULI["I"]])
-        + kron_all([obs.PAULI["I"], obs.PAULI["X"]])
-    )
-    np.testing.assert_allclose(ds.graph_hamiltonian(g).matrix, expected)
-
-
-def test_graph_hamiltonian_relabeling_conjugation():
-    # oracle: H(P g) = P H(g) P for the permutation matrix P
+def test_graph_terms_relabeling_conjugation():
+    # oracle: H(P g) = P H(g) P^T for the permutation matrix P
     perm = (2, 0, 1)
     p = permutation_operator(perm, target="qubits")
-    h = ds.graph_hamiltonian(PATH3).matrix
-    h_relabeled = ds.graph_hamiltonian(relabel(PATH3, perm)).matrix
+    h = sum(ds.graph_terms(PATH3))
+    h_relabeled = sum(ds.graph_terms(relabel(PATH3, perm)))
     np.testing.assert_allclose(h_relabeled, p @ h @ p.T, atol=1e-12)
 
 
@@ -198,7 +180,7 @@ def _kron_terms(g):
 
 
 @pytest.mark.parametrize("g", [TRIANGLE, PATH3, ds.Graph(4, {(0, 3), (1, 2), (0, 2)}),
-                               ds.Graph(5, set()), ds.Graph(1, set())])
+                               ds.Graph(5, set()), ds.Graph(1, set()), ds.Graph(2, {(0, 1)})])
 def test_graph_terms_equal_pauli_kronecker_sums(g):
     for got, want in zip(ds.graph_terms(g), _kron_terms(g)):
         assert got.dtype == complex
@@ -216,7 +198,7 @@ def test_orbit_distance_equals_dense_conjugation():
         near = perms[1] @ states[6] + 1e-7 * states[5]
         pairs = [(states[0], states[1]), (states[2], states[3]), (states[4], states[5]),
                  (states[6], near / np.linalg.norm(near)),
-                 tuple(ds.graph_vector(g, 0.7) for g in graphs[n])]
+                 tuple(ds.graph_state(g, 0.7) for g in graphs[n])]
         for psi0, psi1 in pairs:
             rho0, rho1 = dm(psi0), dm(psi1)
             dense = min(np.linalg.norm(rho1 - p @ rho0 @ p.T) for p in perms)
@@ -249,35 +231,34 @@ def test_graph_validation():
         ds.Graph(2, {(0, 2)})
 
 
-def test_is_isomorphic():
-    relabeled = relabel(TRIANGLE, (2, 0, 1))
-    assert ds.is_isomorphic(TRIANGLE, relabeled)
-    assert not ds.is_isomorphic(TRIANGLE, PATH3)
-    c4 = ds.Graph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
-    star4 = ds.Graph(4, {(0, 1), (0, 2), (0, 3)})
-    assert not ds.is_isomorphic(c4, star4)
-
-
 def test_graph_state_t_zero_is_fiduciary():
     state = ds.graph_state(TRIANGLE, 0.0)
-    np.testing.assert_allclose(state, dm(plus_state(3)), atol=1e-12)
+    np.testing.assert_allclose(state, plus_state(3), atol=1e-12)
 
 
-def test_graph_vector_is_kept_read_only_and_gives_the_state():
-    psi = ds.graph_vector(TRIANGLE, 0.9)
-    assert ds.graph_vector(TRIANGLE, 0.9) is psi
+def test_graph_state_is_kept_read_only_and_equals_the_taylor_series():
+    # oracle: exp(-i t H)|+>^n summed term by term, with H the Pauli
+    # Kronecker sums
+    psi = ds.graph_state(TRIANGLE, 0.9)
+    assert ds.graph_state(TRIANGLE, 0.9) is psi
+    assert psi.shape == (8,)
     with pytest.raises(ValueError, match="read-only"):
         psi[0] = 0.0
-    np.testing.assert_array_equal(ds.graph_state(TRIANGLE, 0.9), dm(psi))
+    h = sum(_kron_terms(TRIANGLE))
+    want = term = plus_state(3)
+    for k in range(1, 60):
+        term = (-0.9j / k) * (h @ term)
+        want = want + term
+    np.testing.assert_allclose(psi, want, rtol=0, atol=1e-12)
 
 
 def test_graph_dataset_rejects_indistinguishable_time():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not distinguish the reference graphs"):
         ds.graph_dataset(TRIANGLE, PATH3, 4, 0.0, np.random.default_rng(0))
 
 
 def test_graph_dataset_rejects_isomorphic_references():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="isomorphic"):
         ds.graph_dataset(TRIANGLE, relabel(TRIANGLE, (1, 2, 0)), 4, 1.0, np.random.default_rng(0))
 
 
@@ -293,10 +274,11 @@ def test_graph_dataset_items_equal_relabelled_graph_states(g0, g1):
     rng, twin = np.random.default_rng(15), np.random.default_rng(15)
     data = ds.graph_dataset(g0, g1, 12, t, rng)
     assert set(data.labels.tolist()) == {0, 1}
+    assert data.inputs.shape == (12, 2**g0.n) and data.inputs.dtype == complex
     ds._balanced_labels(12, twin)
-    for rho, label in zip(data.inputs, data.labels):
+    for psi, label in zip(data.inputs, data.labels):
         g = relabel((g0, g1)[label], twin.permutation(g0.n))
-        np.testing.assert_allclose(rho, ds.graph_state(g, t), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(psi, ds.graph_state(g, t), rtol=0, atol=1e-12)
 
 
 def test_graph_dataset_draws_labels_then_one_permutation_per_item():
@@ -304,21 +286,30 @@ def test_graph_dataset_draws_labels_then_one_permutation_per_item():
     data = ds.graph_dataset(TRIANGLE, PATH3, 5, 1.0, rng)
     labels = ds._balanced_labels(5, twin)
     assert np.array_equal(data.labels, labels)
-    for rho, label in zip(data.inputs, labels):
+    for psi, label in zip(data.inputs, labels):
         g = relabel((TRIANGLE, PATH3)[label], twin.permutation(3))
-        np.testing.assert_allclose(rho, ds.graph_state(g, 1.0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(psi, ds.graph_state(g, 1.0), rtol=0, atol=1e-12)
     # the generator drew nothing else: both streams are at the same point
     assert rng.random() == twin.random()
 
 
-def test_is_isomorphic_equals_relabel_brute_force():
+def test_graph_dataset_refuses_exactly_the_isomorphic_pairs():
+    # oracle: a relabelling that maps one edge set onto the other
     rng = np.random.default_rng(17)
     pairs = list(permutations(range(4), 2))
+    outcomes = set()
     for _ in range(40):
         g0, g1 = (ds.Graph(4, {pairs[i] for i in rng.choice(12, size=3, replace=False)})
                   for _ in range(2))
-        oracle = any(relabel(g0, p).edges == g1.edges for p in permutations(range(4)))
-        assert ds.is_isomorphic(g0, g1) == oracle
+        isomorphic = any(relabel(g0, p).edges == g1.edges for p in permutations(range(4)))
+        try:
+            ds.graph_dataset(g0, g1, 2, 1.0, np.random.default_rng(0))
+            refused = False
+        except ValueError as exc:
+            refused = "isomorphic" in str(exc)
+        assert refused == isomorphic
+        outcomes.add(refused)
+    assert outcomes == {True, False}
 
 
 def test_fiduciary_state_is_permutation_invariant():
@@ -335,15 +326,15 @@ def test_graph_dataset_invariant_model_constant_per_class():
     model = graph_invariant_model(3)
     theta = np.array([0.4, 0.8, 0.3])
     values = {0: set(), 1: set()}
-    for rho, label in zip(data.inputs, data.labels):
-        values[label].add(round(model.value_fn(theta, rho), 9))
+    for psi, label in zip(data.inputs, data.labels):
+        values[label].add(round(model.value_fn(theta, psi), 9))
     assert len(values[0]) == 1 and len(values[1]) == 1
 
 
 def test_graph_dataset_conjugation_oracle():
     # P rho P vs rho agree under any A^(x n) observable
     rng = np.random.default_rng(13)
-    rho = ds.graph_dataset(TRIANGLE, PATH3, 2, 1.0, rng).inputs[0]
+    rho = dm(ds.graph_dataset(TRIANGLE, PATH3, 2, 1.0, rng).inputs[0])
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     a = a + a.conj().T
     a3 = kron_all([a] * 3)

@@ -462,36 +462,47 @@ def test_pauli_weights_equal_explicit_traces(n):
                                        rtol=0, atol=1e-12, err_msg="".join(word))
 
 
+def _explicit_xyz_sums(states, n):
+    """S_k per state vector: Re <s|p|s> summed over the strings p of
+    {X, Y, Z}^n with counts k, each by its Kronecker product."""
+    counts = obs.xyz_counts(n)
+    column = {tuple(k): i for i, k in enumerate(counts.tolist())}
+    rhos = np.array([dm(s) for s in states])
+    want = np.zeros((len(states), len(counts)))
+    for word in product("XYZ", repeat=n):
+        want[:, column[tuple(word.count(c) for c in "XYZ")]] += np.real(
+            _pauli_traces(rhos, word))
+    return want
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_xyz_moments_equal_explicit_sums(n):
-    # oracle: S_k sums Re Tr[rho p] over the strings of {X, Y, Z}^n with counts k
+    # oracle: S_k sums Re <s|p|s> over the strings of {X, Y, Z}^n with counts k
     rng = np.random.default_rng(70 + n)
     d = 2**n
-    stack = np.array([random_density_matrix(d, rng), random_hermitian(d, rng),
-                      rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))])
+    # Haar states, a basis state and a vector of norm other than one
+    stack = np.array([random_statevector(d, rng), random_statevector(d, rng), np.eye(d)[-1],
+                      rng.standard_normal(d) + 1j * rng.standard_normal(d)])
     counts = obs.xyz_counts(n)
     assert len(counts) == (n + 1) * (n + 2) // 2
     assert (counts.sum(axis=1) == n).all()
     assert len({tuple(k) for k in counts}) == len(counts)
-    column = {tuple(k): i for i, k in enumerate(counts.tolist())}
-    want = np.zeros((3, len(counts)))
-    for word in product("XYZ", repeat=n):
-        want[:, column[tuple(word.count(c) for c in "XYZ")]] += np.real(
-            _pauli_traces(stack, word))
     got = obs.xyz_moments(stack)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    for rho, row in zip(stack, got):
-        np.testing.assert_allclose(obs.xyz_moments(rho), row, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, _explicit_xyz_sums(stack, n), rtol=0, atol=1e-12)
+    for psi, row in zip(stack, got):
+        np.testing.assert_allclose(obs.xyz_moments(psi), row, rtol=0, atol=1e-12)
 
 
 def test_xyz_moments_of_a_stack_in_blocks_equal_single_states():
-    # at n = 7 a block holds 16 states, so 20 states take two blocks
+    # at n = 6 a block holds 64 states, so 70 states take two blocks; the
+    # explicit sums hold across the boundary
     rng = np.random.default_rng(77)
-    stack = np.array([random_density_matrix(2**7, rng, rank=1) for _ in range(20)])
+    stack = np.array([random_statevector(2**6, rng) for _ in range(70)])
     got = obs.xyz_moments(stack)
-    assert got.shape == (20, 36)
-    for rho, row in zip(stack, got):
-        np.testing.assert_allclose(obs.xyz_moments(rho), row, rtol=0, atol=1e-12)
+    assert got.shape == (70, 28)
+    np.testing.assert_allclose(got, _explicit_xyz_sums(stack, 6), rtol=0, atol=1e-12)
+    for psi, row in zip(stack, got):
+        np.testing.assert_allclose(obs.xyz_moments(psi), row, rtol=0, atol=1e-12)
 
 
 def test_swap_polynomial_values_and_shots_take_no_partial_trace(monkeypatch):

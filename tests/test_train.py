@@ -14,7 +14,7 @@ from ginv.tensor import (
     purity,
     random_statevector,
 )
-from helpers import qgcnn_unitary, random_density_matrix
+from helpers import qgcnn_unitary
 from ginv.train import (
     TrainConfig,
     TrainableModel,
@@ -138,8 +138,7 @@ def test_invariance_preserved_at_every_iterate():
     perms = [(1, 0, 2), (2, 0, 1), (1, 2, 0)]
     for theta in result.thetas[:: max(1, len(result.thetas) // 5)]:
         for perm in perms:
-            p = permutation_operator(perm, target="qubits")
-            moved = p @ reps.inputs[0] @ p.T
+            moved = permutation_operator(perm, target="qubits") @ reps.inputs[0]
             assert abs(
                 model.value_fn(theta, moved) - model.value_fn(theta, reps.inputs[0])
             ) < 1e-9
@@ -156,8 +155,8 @@ def test_two_representatives_generalize():
     assert abs(h1 - h0) > 0.05
     test_set = graph_dataset(TRIANGLE, PATH3, 30, 1.0, np.random.default_rng(5))
     midpoint = (h0 + h1) / 2
-    for rho, label in zip(test_set.inputs, test_set.labels):
-        value = model.value_fn(result.theta, rho)
+    for psi, label in zip(test_set.inputs, test_set.labels):
+        value = model.value_fn(result.theta, psi)
         pred = int(value > midpoint) if h1 >= h0 else int(value <= midpoint)
         assert pred == label
 
@@ -165,7 +164,7 @@ def test_two_representatives_generalize():
 def test_dataset_loss_kinds():
     reps = representatives()
     model = graph_invariant_model(3)
-    values = [model.value_fn(model.theta0, rho) for rho in reps.inputs]
+    values = [model.value_fn(model.theta0, psi) for psi in reps.inputs]
     expected = mse_labels(values, reps.labels)
     loss = dataset_loss(model, model.theta0, model.features(reps.inputs), reps.labels)
     assert loss == expected
@@ -182,9 +181,11 @@ def _sigma(a):
     return a[0] * PAULI["X"] + a[1] * PAULI["Y"] + a[2] * PAULI["Z"]
 
 
-def _dense_graph_values(theta, rho, n):
-    """Tr[rho A^(x n)], A = a.sigma, with the tensor power built densely."""
-    return expectation_copies(rho, 1, kron_all([_sigma(train.rotated_z(theta))] * n))
+def _dense_graph_values(theta, states, n):
+    """Tr[|s><s| A^(x n)] per state vector s, A = a.sigma, with the tensor
+    power built densely."""
+    return expectation_copies(np.array([dm(s) for s in states]), 1,
+                              kron_all([_sigma(train.rotated_z(theta))] * n))
 
 
 def _rotated_z_by_expm(theta):
@@ -207,29 +208,19 @@ def test_rotated_z_equals_the_expm_route():
     assert np.array_equal(train.rotated_z((0, 0, 0)), [0.0, 0.0, 1.0])
 
 
-def _random_hermitian(n, count, rng):
-    """A (count, 2^n, 2^n) stack of Hermitian matrices of unit Frobenius norm,
-    neither positive nor of unit trace."""
-    d = 2**n
-    g = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
-    h = g + g.conj().transpose(0, 2, 1)
-    return h / np.linalg.norm(h, axis=(1, 2), keepdims=True)
-
-
 def test_graph_value_fn_equals_dense_oracle():
     for n in range(1, 6):
         rng = np.random.default_rng(19 + n)
         model = graph_invariant_model(n)
-        stack = np.concatenate([_random_hermitian(n, 3, rng),
-                                [random_density_matrix(2**n, rng) for _ in range(2)]])
+        stack = np.array([random_statevector(2**n, rng) for _ in range(5)])
         # theta = 0 (a = z), random points, |theta| > pi, integer and list thetas
         thetas = [np.zeros(3), *rng.standard_normal((3, 3)), np.array([3.0, -1.5, 1.0]),
                   (1, 0, 2), [0.3, -1.2, 0.7]]
         for theta in thetas:
             want = _dense_graph_values(theta, stack, n)
             np.testing.assert_allclose(model.value_fn(theta, stack), want, rtol=0, atol=1e-12)
-            for rho, value in zip(stack, want):
-                assert abs(model.value_fn(theta, rho) - value) < 1e-12
+            for psi, value in zip(stack, want):
+                assert abs(model.value_fn(theta, psi) - value) < 1e-12
         # a theta array changed in place is read afresh at each call
         theta = np.array([0.5, 0.25, -0.75])
         moments = model.features(stack)
