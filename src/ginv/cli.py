@@ -51,11 +51,11 @@ GRAPH_PRESETS = {
     "star4": datasets.Graph(4, {(0, 1), (0, 2), (0, 3)}),
 }
 
-# Per-experiment config schema: field -> (type, default, minimum). A None
-# default is kept as null; a None minimum means no bound. Below its minimum a
-# count fails a run or reports nothing, and a negative eps labels no item 1.
-# One purity or entanglement sample passes the schema and fails the run on
-# its absent class. CHOICES lists the names a naming field takes.
+# Per-experiment config schema: field -> (type, default, minimum), a None
+# minimum meaning no bound. Below it a count fails a run or reports nothing
+# (one commutant trial: one element's commutant), and a negative eps labels no
+# item 1. One purity or entanglement sample passes the schema and fails the
+# run on its absent class. A None default is kept as null.
 SCHEMAS = {
     "purity": {
         "n": (int, 2, 1),
@@ -98,7 +98,7 @@ SCHEMAS = {
         "n": (int, None, 1),
         "d": (int, 4, 1),  # local_unitary and symmetric record d = 2**n
         "k": (int, 2, 1),
-        "trials": (int, 20, 1),
+        "trials": (int, 20, 2),
     },
     "concentration": {
         "family": (str, "conventional_odd_y", None),
@@ -532,6 +532,12 @@ def _read_json(path, what):
         raise ConfigError(f"{what} file is not valid JSON: {exc}") from exc
 
 
+def _check_output(path):
+    """Refuse, before any work, an output that is a directory or not in one."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ConfigError(f"output {path} is a directory or its parent directory is missing")
+
+
 def _cmd_run(args):
     raw = {}
     if args.config:
@@ -545,6 +551,7 @@ def _cmd_run(args):
             raw[key] = value
     output = args.output or raw.pop("output", None) or "result.json"
     raw.pop("output", None)
+    _check_output(output)
     result = run(raw)
     write_result(result, output)
     print(f"wrote {output}")
@@ -552,6 +559,8 @@ def _cmd_run(args):
 
 
 def _cmd_report(args):
+    if args.output:
+        _check_output(args.output)
     result = _read_json(args.result, "result")
     text = format_report(result, args.format)
     if args.output:

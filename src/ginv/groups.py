@@ -314,7 +314,8 @@ def commutant_analysis(group, k, n_samples=20):
     the cutoff to the largest one at or below it. A step whose commutators
     have a Frobenius norm within the cutoff keeps the basis unfactorised:
     every singular value is at most that norm, so the step could only
-    rotate the basis, and it adds nothing to ``gap_ratio``.
+    rotate the basis, and it adds nothing to ``gap_ratio``. ``ambiguous`` and
+    a RuntimeWarning flag a straddled cutoff and O(d) draws all of det +1.
 
     Raises ValueError, before any element is drawn or solved, for k < 1, an
     explicit element that is not a square matrix of the first one's
@@ -382,15 +383,15 @@ def commutant_analysis(group, k, n_samples=20):
             if above - below < 10 * _CUTOFF:
                 straddles.append((above, below))
         basis = np.tensordot(vh[null].conj(), basis, axes=1)
-    ambiguous = bool(straddles)
-    if ambiguous:
-        above, below = straddles[0]
-        warnings.warn(
-            f"commutant rank ambiguous: singular values straddle the cutoff "
-            f"({above:.3e} vs {below:.3e})",
-            RuntimeWarning,
-        )
-    return CommutantReport(len(basis), start_dimension, gap_ratio, _CUTOFF, ambiguous)
+    problems = [f"commutant rank ambiguous: singular values straddle the cutoff "
+                f"({above:.3e} vs {below:.3e})" for above, below in straddles[:1]]
+    # elements of det +1 generate at most SO(d), whose commutant can be larger
+    if isinstance(group, OrthogonalSampler) and (np.linalg.det(stack) > 0).all():
+        problems.append(f"every O({dim}) element drawn has det +1, so the solve may have "
+                        f"found the commutant of SO({dim}); draw more trials")
+    for problem in problems:
+        warnings.warn(problem, RuntimeWarning)
+    return CommutantReport(len(basis), start_dimension, gap_ratio, _CUTOFF, bool(problems))
 
 
 def _orbit_count(n, k):

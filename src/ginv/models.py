@@ -10,17 +10,18 @@ A model is its observable O and an optional fixed unitary U (the identity
 when absent); the conjugated observable U^dag O U is what determines the
 model's symmetry. ``swap_test_unitary`` is the H3 swap-test circuit in
 closed form; an H3 value is Tr[(rho x rho) B] for B the ancilla-|0> block of
-U^dag O U, scored by the two-copy kernel ``expectation_copies``.
+U^dag O U, scored by the two-copy kernel ``expectation_copies``. Shots
+take the parallel swap test for an H1 swap polynomial, else the two levels
+of the observable at its exact value.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor
 from .groups import block_count
 from .observables import PAULI, Observable, swap_operator
-from .tensor import basis_state, dm, expectation_copies, is_unitary, kron
+from .tensor import ATOL, expectation_copies, is_unitary, kron
 
 
 @dataclass
@@ -74,10 +75,12 @@ def evaluate(model, x):
     if model.hclass == "H1":
         return obs.expectation(x)
     if model.hclass == "H2":
+        m = _h2_input(model, x)
         if obs.kind == "bell":
             # <Phi|(W x W)|psi> = tr(W M W^T) / sqrt(d), and tr(W M W^T) = sum((W M) * W)
-            return float(abs((x @ _h2_input(model, x)).ravel() @ x.ravel()) ** 2 / len(x))
-        phi = _h2_output(model, x).ravel()
+            return float(abs((x @ m).ravel() @ x.ravel()) ** 2 / len(x))
+        # (W x W)|psi_in> is the row-major vec of W M W^T
+        phi = (x @ m @ x.T).ravel()
         return float(np.real(phi.conj() @ obs.matrix @ phi))
     # H3: the ancilla's |0><0| in front of rho x rho keeps the top-left block
     d = x.shape[0]
@@ -119,52 +122,36 @@ def _h2_input(model, w):
     return model.psi_in.reshape(d, d)
 
 
-def _h2_output(model, w):
-    """(W x W)|psi_in> as the d x d matrix W M W^T (its row-major vec)."""
-    return w @ _h2_input(model, w) @ w.T
-
-
-def _input_state(model, x):
-    """The undressed state sigma with model value Tr[sigma U^dag O U]."""
-    if model.hclass == "H1":
-        return tensor.tensor_power(x, model.observable.copies)
-    if model.hclass == "H2":
-        return dm(_h2_output(model, x).ravel())
-    return tensor.kron_all([dm(basis_state(2, 0)), x, x])
-
-
 def _shot_distribution(model, obs, stack):
-    """Levels of the dressed observable obs, shared by the items of a
-    (N, d, d) stack, and their (N, L) probabilities: 1 and 0 for the Bell
-    projector (H2 values by ``evaluate``, which checks each unitary), the
-    parallel swap test for a swap polynomial on two copies, else the
-    eigenbasis of U^dag O U on each undressed input."""
-    if obs.kind == "bell":
-        h2 = model.hclass == "H2"
-        p = np.clip([evaluate(model, x) for x in stack] if h2 else obs.expectation(stack), 0, 1)
-        return np.array([1.0, 0.0]), np.stack([p, 1.0 - p], axis=1)
+    """Levels of the dressed observable obs and their (N, L) probabilities
+    on a stack: the parallel swap test for an H1 swap polynomial, else the
+    two levels hi > lo of the model's observable, hi with probability
+    (v - lo) / (hi - lo) at the exact value v: H1's stacked ``obs.expectation``,
+    else ``evaluate`` per item, which checks each H2 input."""
     if obs.kind == "swap" and model.hclass == "H1":
         return obs.shot_distribution(stack)
-    w, vecs = obs.eigh
-    sigma = np.array([_input_state(model, x) for x in stack])
-    probs = np.clip(np.real(np.sum(vecs.conj() * (sigma @ vecs), axis=1)), 0.0, None)
-    return w, probs / probs.sum(axis=1, keepdims=True)
+    if model.observable.levels is None:
+        raise ValueError(f"{model.observable.tag}: shots need an H1 swap polynomial "
+                         "or an observable with two levels, and it has more")
+    hi, lo = model.observable.levels
+    v = obs.expectation(stack) if model.hclass == "H1" else [evaluate(model, x) for x in stack]
+    p = np.clip((np.asarray(v) - lo) / (hi - lo), 0, 1) if hi - lo > ATOL else np.ones(len(v))
+    return np.array([hi, lo]), np.stack([p, 1.0 - p], axis=1)
 
 
 def estimate_with_shots(model, x, shots, rng):
     """Unbiased finite-shot estimates of the items of an (N, d, d) stack:
     the counts of ``shots`` levels per item, one ``rng.multinomial`` call per
-    chunk of items, the stream of one call per item. A chunk is one block of
-    the largest array an item needs: its undressed state on the spectral
-    route, else the input itself."""
+    chunk of ``block_count`` items of the input, the stream of one call per
+    item. Raises ValueError, before any draw, for an observable that is
+    neither an H1 swap polynomial nor two-level."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     x = np.asarray(x)
     if x.ndim != 3:
         raise ValueError(f"shots take an (N, d, d) stack of inputs, got shape {x.shape}")
     obs = conjugated_observable(model)
-    spectral = obs.kind == "dense" or (obs.kind == "swap" and model.hclass != "H1")
-    chunk = block_count(obs.dim if spectral else x.shape[-1])
+    chunk = block_count(x.shape[-1])
     estimates = np.empty(len(x))
     for start in range(0, len(x), chunk):
         levels, probs = _shot_distribution(model, obs, x[start : start + chunk])

@@ -84,12 +84,12 @@ class Observable:
         return self._values(states[:, :, None] * states[:, None, :].conj())
 
     @cached_property
-    def eigh(self):
-        """Read-only eigenvalues and eigenvector columns of the matrix."""
-        pair = np.linalg.eigh(self.matrix)
-        for a in pair:
-            a.flags.writeable = False
-        return pair
+    def levels(self):
+        """(hi, lo), the extreme eigenvalues of a matrix with at most two
+        distinct ones (to ATOL), from one eigvalsh, else None; U^dag O U keeps them."""
+        w = np.linalg.eigvalsh(self.matrix)
+        hi, lo = float(w[-1]), float(w[0])
+        return (hi, lo) if np.all(np.minimum(hi - w, w - lo) <= ATOL) else None
 
 
 class SwapPolynomial(Observable):
@@ -149,6 +149,7 @@ class BellProjector(Observable):
     """The Bell projector on 2n qubits, valued Tr[rho rho^T] / d."""
 
     kind = "bell"
+    levels = (1.0, 0.0)
 
     def __init__(self, n):
         self.copies, self.qubits_per_copy, self.tag = 2, n, "bell_projector"

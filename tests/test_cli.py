@@ -290,6 +290,26 @@ def test_config_that_is_a_directory_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "report"])
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_bad_output_path_is_config_error_before_any_work(
+    tmp_path, capsys, monkeypatch, command, where
+):
+    result = tmp_path / "r.json"
+    assert run_cli(["run", "--experiment", "ancilla", "-o", str(result)]) == 0
+    output = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+    work = []
+    monkeypatch.setattr(cli, "run", lambda raw: work.append(raw))
+    monkeypatch.setattr(cli, "_read_json", lambda *args: work.append(args))
+    args = ["run", "--experiment", "purity"] if command == "run" else ["report", str(result)]
+    capsys.readouterr()
+    assert run_cli(args + ["-o", str(output)]) == 2
+    err = capsys.readouterr().err
+    message = f"output {output} is a directory or its parent directory is missing"
+    assert err == f"config error: {message}\n"
+    assert work == [] and sorted(os.listdir(tmp_path)) == ["r.json"]
+
+
 def test_malformed_config_file_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -502,6 +522,36 @@ def test_run_flags_cover_every_schema_field():
         assert type(parsed) is typ and parsed == value, name
 
 
+# A target each entanglement measure attains at n = 2.
+ATTAINABLE = {"impurity": 0.5, "meyer_wallach": 0.5, "concentratable": 0.2, "ntangle": 0.9}
+
+
+def _shot_runs():
+    """Every experiment that takes shots, once per name its choice field takes."""
+    for experiment in sorted(e for e, schema in cli.SCHEMAS.items() if "shots" in schema):
+        fields = [f for e, f in cli.CHOICES if e == experiment]
+        if not fields:
+            yield experiment, None
+        for field in fields:
+            yield from ((experiment, choice) for choice in sorted(cli.CHOICES[experiment, field]))
+
+
+@pytest.mark.parametrize("experiment,choice", list(_shot_runs()))
+def test_every_shot_experiment_runs_with_every_choice(tmp_path, experiment, choice):
+    # every observable these runs measure is an H1 swap polynomial or has
+    # two levels, so no choice is refused
+    out = tmp_path / "r.json"
+    args = ["run", "--experiment", experiment, "--n", "2", "--samples", "20", "--shots", "50"]
+    if experiment == "entanglement":
+        args += ["--measure", choice, "--b", str(ATTAINABLE[choice])]
+    elif choice is not None:
+        args += ["--observable", choice]
+    if "mc_samples" in cli.SCHEMAS[experiment]:
+        args += ["--mc-samples", "20"]
+    assert run_cli(args + ["-o", str(out)]) == 0
+    assert read_result(out)["config"]["shots"] == 50
+
+
 def test_absent_class_with_midpoint_rule_is_an_error(tmp_path, capsys):
     out = tmp_path / "one.json"
     code = run_cli(["run", "--experiment", "purity", "--samples", "1", "-o", str(out)])
@@ -581,6 +631,25 @@ def test_commutant_n_must_agree_with_d(tmp_path, capsys):
         assert read_result(out)["dimension"] == 1
         assert run_cli(args + ["--n", "3", "--d", "8", "-o", str(out)]) == 0
         assert read_result(out)["config"]["d"] == 8
+
+
+def test_one_commutant_trial_is_config_error(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run_cli(["run", "--experiment", "commutant", "--trials", "1", "-o", str(out)]) == 2
+    assert "field trials: must be >= 2, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_orthogonal_draws_of_det_one_only_are_flagged(tmp_path):
+    # at seed 2 both O(4) elements have det +1: they find SO(4)'s commutant,
+    # dimension 4 for k = 2, where O(4)'s is 3
+    out = tmp_path / "r.json"
+    args = ["run", "--experiment", "commutant", "--group", "orthogonal", "--k", "2"]
+    with pytest.warns(RuntimeWarning, match=r"SO\(4\)"):
+        assert run_cli(args + ["--trials", "2", "--seed", "2", "-o", str(out)]) == 0
+    assert (read_result(out)["dimension"], read_result(out)["ambiguous"]) == (4, True)
+    assert run_cli(args + ["--trials", "2", "--seed", "0", "-o", str(out)]) == 0
+    assert (read_result(out)["dimension"], read_result(out)["ambiguous"]) == (3, False)
 
 
 @pytest.mark.parametrize(
@@ -765,7 +834,7 @@ MINIMUM_CASES = [
     ("commutant", "n", 1),
     ("commutant", "d", 1),
     ("commutant", "k", 1),
-    ("commutant", "trials", 1),
+    ("commutant", "trials", 2),
     ("concentration", "n_min", 1),
     ("concentration", "samples", 2),
     ("ancilla", "n", 1),

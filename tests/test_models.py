@@ -149,21 +149,21 @@ def test_evaluate_h2_bell_reads_no_dense_matrix():
 
 @pytest.mark.parametrize("obs", [bell_projector(2), swap_operator(2)])
 def test_h2_routes_check_each_input_once(obs, monkeypatch):
-    # the Bell value, the dense value and the undressed state share one
-    # shape and unitarity check, made once a call, with the same messages
+    # the Bell value and the dense value share one shape and unitarity
+    # check, made once a call, with the same messages; shots read each
+    # item's value through evaluate, so they check each item once too
     model = ModelSpec("H2", obs, psi_in=bell_state(2))
     checks = []
     monkeypatch.setattr(models, "is_unitary", lambda w: checks.append(w) or is_unitary(w))
     w = haar_unitary(4, np.random.default_rng(43))
     evaluate(model, w)
-    models._input_state(model, w)
-    assert len(checks) == 2
+    assert len(checks) == 1
+    estimate_with_shots(model, np.array([w, w]), 10, np.random.default_rng(0))
+    assert len(checks) == 3
     for bad, message in ((np.diag([1.0, 1.0, 1.0, 2.0]), "H2 input must be unitary"),
                          (np.eye(2), "H2 expects a 4-dim unitary")):
         with pytest.raises(ValueError, match=message):
             evaluate(model, bad)
-        with pytest.raises(ValueError, match=message):
-            models._input_state(model, bad)
 
 
 def test_evaluate_h3_swap_test_pure():
@@ -370,36 +370,61 @@ def test_shots_dressed_spectral_branch(case):
     else:
         model = swap_test_model(1)
     rho = random_density_matrix(2, rng)
-    # a dressed observable is dense: eigenvalue sampling
+    # a dressed observable is dense, and keeps the spectrum of O: two levels
     assert conjugated_observable(model).kind == "dense"
+    eigenvalues = np.linalg.eigvalsh(model.observable.matrix)
+    assert set(np.round(eigenvalues, 12)) == {-1.0, 1.0}
     shots = 20000
     draws = RecordingRng(17)
     est = estimate_with_shots(model, rho[None], shots, draws)
     (counts,) = draws.counts
-    eigenvalues = np.linalg.eigvalsh(model.observable.matrix)
-    assert counts.shape == (1, len(eigenvalues)) and counts.sum() == shots
-    # the levels are the eigenvalues of O, which dressing leaves unchanged
-    np.testing.assert_allclose(est, counts @ eigenvalues / shots, atol=1e-9)
+    assert counts.shape == (1, 2) and counts.sum() == shots
+    np.testing.assert_allclose(est, counts @ [1.0, -1.0] / shots, atol=1e-12)
     assert abs(est[0] - evaluate(model, rho)) < 4 * level_scale(eigenvalues, shots)
 
 
 def test_dense_shots_diagonalise_the_observable_once(monkeypatch):
+    # the levels come from one eigvalsh, cached on the observable, whether
+    # it has two levels (read) or more (refused on every call)
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
-    observable = Observable(random_hermitian(8, np.random.default_rng(21)), 1, 3, "dense")
-    model = ModelSpec("H1", observable)
-    rng = np.random.default_rng(22)
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+    rng = np.random.default_rng(21)
+    u = random_unitary(8, rng)
+    two = Observable(u @ np.diag([1.0] * 3 + [-2.0] * 5) @ u.conj().T, 1, 3, "two")
+    model = ModelSpec("H1", two)
     for _ in range(5):
         rho = random_density_matrix(8, rng)
         est = estimate_with_shots(model, rho[None], 4000, rng)
-        assert len(calls) == 1
-        assert abs(est[0] - evaluate(model, rho)) < 5 * level_scale(observable.eigh[0], 4000)
-    w, vecs = observable.eigh
-    np.testing.assert_allclose((vecs * w) @ vecs.conj().T, observable.matrix, atol=1e-12)
-    for a in (w, vecs):
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = 0.0
+        assert abs(est[0] - evaluate(model, rho)) < 5 * level_scale([1.0, -2.0], 4000)
+    assert len(calls) == 1
+    np.testing.assert_allclose(two.levels, (1.0, -2.0), atol=1e-12)
+    three = ModelSpec("H1", Observable(random_hermitian(8, rng), 1, 3, "three"))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="three: shots need"):
+            estimate_with_shots(three, rho[None], 10, rng)
+    assert len(calls) == 2 and three.observable.levels is None
+
+
+@pytest.mark.parametrize("case", ["h1_dense", "h2_dense"])
+def test_shots_refuse_more_than_two_levels(case):
+    # a dense observable with three or more levels has no two-level law:
+    # refused before any value or draw, the generator untouched
+    model, inputs = _shot_case(case, 2, np.random.default_rng(19))
+    assert len(np.unique(np.round(np.linalg.eigvalsh(model.observable.matrix), 6))) > 2
+    rng = np.random.default_rng(20)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="dense: shots need an H1 swap polynomial or an "
+                                         "observable with two levels"):
+        estimate_with_shots(model, inputs, 10, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_shots_of_a_constant_observable_read_its_level():
+    model = ModelSpec("H1", Observable(0.5 * np.eye(4), 1, 2, "constant"))
+    rho = random_density_matrix(4, np.random.default_rng(30))
+    est = estimate_with_shots(model, np.array([rho, rho]), 9, np.random.default_rng(0))
+    np.testing.assert_array_equal(est, [0.5, 0.5])
 
 
 @pytest.mark.parametrize("hclass", ["H1", "H2"])
@@ -439,6 +464,8 @@ def _shot_case(case, n, rng):
         model = ModelSpec("H1", bell_projector(n))
     elif case == "h2_bell":
         model = ModelSpec("H2", bell_projector(n), psi_in=bell_state(n))
+    elif case == "h1_dense":
+        model = ModelSpec("H1", Observable(random_hermitian(d, rng), 1, n, "dense"))
     else:
         h2 = Observable(random_hermitian(d * d, rng), 2, n, "dense")
         model = ModelSpec("H2", h2, psi_in=random_statevector(d * d, rng))
@@ -450,7 +477,7 @@ def _shot_case(case, n, rng):
 
 
 @pytest.mark.parametrize(
-    "case", ["pauli", "dressed", "swap", "meyer_wallach", "h1_bell", "h2_bell", "h2_dense"]
+    "case", ["pauli", "dressed", "swap", "meyer_wallach", "h1_bell", "h2_bell"]
 )
 def test_stacked_shots_equal_the_per_item_loop(case):
     # oracle: one estimate_with_shots call per item at the same seed; 40
@@ -505,6 +532,42 @@ def test_shot_estimates_follow_the_level_law(case):
     k = reps - 1
     lo, hi = (k * (1 - 2 / (9 * k) + z * np.sqrt(2 / (9 * k))) ** 3 for z in (-4, 4))
     assert lo < k * est.var(ddof=1) / var < hi
+
+
+def _undressed_state(model, x):
+    """The state sigma with model value Tr[sigma U^dag O U], formed dense:
+    rho^(x k) for H1, (W x W)|psi_in> for H2, |0><0| x rho x rho for H3."""
+    if model.hclass == "H1":
+        return tensor_power(x, model.observable.copies)
+    if model.hclass == "H2":
+        return dm(kron(x, x) @ model.psi_in)
+    return kron_all([dm(basis_state(2, 0)), x, x])
+
+
+@pytest.mark.parametrize(
+    "case", ["pauli", "dressed", "layered_swap", "swap_test", "h1_bell", "h2_bell"]
+)
+def test_two_level_law_equals_the_born_weights(case):
+    # oracle: the Born weights <v|sigma|v> over the eigenvectors v of the
+    # dressed matrix U^dag O U on the undressed state sigma, summed per level
+    rng = np.random.default_rng(31)
+    if case in ("layered_swap", "swap_test"):
+        model = (ModelSpec("H1", swap_operator(2), unitary=random_unitary(16, rng))
+                 if case == "layered_swap" else swap_test_model(2))
+        inputs = np.array([random_density_matrix(4, rng) for _ in range(10)]
+                          + [dm(random_statevector(4, rng)) for _ in range(5)])
+    else:
+        model, inputs = _shot_case(case, 2, rng)
+    levels, probs = models._shot_distribution(model, conjugated_observable(model), inputs)
+    u = np.eye(model.observable.dim) if model.unitary is None else model.unitary
+    w, vecs = np.linalg.eigh(u.conj().T @ model.observable.matrix @ u)
+    level_of = np.abs(w[:, None] - levels[None, :]).argmin(axis=1)
+    np.testing.assert_allclose(levels[level_of], w, atol=1e-10)
+    assert len(levels) == 2 and levels[0] > levels[1]
+    for x, p in zip(inputs, probs):
+        born = np.real(np.sum(vecs.conj() * (_undressed_state(model, x) @ vecs), axis=0))
+        np.testing.assert_allclose(np.bincount(level_of, born, minlength=2), p, rtol=0,
+                                   atol=1e-12)
 
 
 @pytest.mark.parametrize("stacked", [False, True])
