@@ -53,14 +53,14 @@ GRAPH_PRESETS = {
 
 # Per-experiment config schema: field -> (type, default, minimum), a None
 # minimum meaning no bound. Below it a count fails a run or reports nothing
-# (one commutant trial: one element's commutant), and a negative eps labels no
-# item 1. One purity or entanglement sample passes the schema and fails the
-# run on its absent class. A None default is kept as null.
+# (one purity or entanglement sample: an absent class; one commutant trial:
+# one element's commutant), and a negative eps labels no item 1. A None
+# default is kept as null, except the commutant d, derived from n.
 SCHEMAS = {
     "purity": {
         "n": (int, 2, 1),
         "b": (float, 0.5, None),
-        "samples": (int, 100, 1),
+        "samples": (int, 100, 2),
         "shots": (int, 0, 0),
     },
     "time_reversal_states": {
@@ -82,7 +82,7 @@ SCHEMAS = {
         "n": (int, 3, 1),
         "b": (float, 0.5, None),
         "measure": (str, "meyer_wallach", None),
-        "samples": (int, 100, 1),
+        "samples": (int, 100, 2),
         "shots": (int, 0, 0),
     },
     "graph": {
@@ -96,7 +96,7 @@ SCHEMAS = {
     "commutant": {
         "group": (str, "unitary", None),
         "n": (int, None, 1),
-        "d": (int, 4, 1),  # local_unitary and symmetric record d = 2**n
+        "d": (int, None, 1),
         "k": (int, 2, 1),
         "trials": (int, 20, 2),
     },
@@ -110,10 +110,6 @@ SCHEMAS = {
 }
 
 COMMON_FIELDS = {"experiment", "seed", "output"}
-
-# Fields that take an explicit null besides those whose default is null:
-# a null commutant d means d = 2**n.
-NULLABLE = {("commutant", "d")}
 
 # Every field `ginv run` takes as a flag, with its type.
 RUN_FIELDS = {"seed": int} | {
@@ -139,7 +135,7 @@ def validate_config(raw):
         raise ConfigError(f"field seed: must be >= 0, got {config['seed']}")
     for name, (typ, default, low) in schema.items():
         value = raw.get(name, default)
-        if value is None and default is not None and (experiment, name) not in NULLABLE:
+        if value is None and default is not None:
             raise ConfigError(f"field {name}: expected a value, got null")
         config[name] = None if value is None else _coerce(name, typ, value)
         if low is not None and config[name] is not None and config[name] < low:
@@ -154,18 +150,18 @@ def validate_config(raw):
             f"need n_min <= n_max, got n_min={config['n_min']}, n_max={config['n_max']}"
         )
     if experiment == "commutant":
-        group, n, k = config["group"], config["n"], config["k"]
-        orbits = group == "symmetric"
-        # the cap is checked once, on log2 d: from --n before 2**n is formed
-        if n is not None and (excess := commutant_excess(n, k, orbits)):
+        group, n, d, k = config["group"], config["n"], config["d"], config["k"]
+        if SAMPLERS[group][1] == "n" and n is None:
+            raise ConfigError(f"{group} group needs --n")
+        # the cap is checked on log2 d, from --n before 2**n is formed
+        bits = n if n is not None else math.log2(d or 4)
+        if excess := commutant_excess(bits, k, group == "symmetric"):
             raise ConfigError(f"commutant too large: {excess}")
-        qubits = SAMPLERS[group][1] == "n"
-        # the qubit groups act on, and record, d = 2**n; a d given must agree
-        d = _group_degree(group, n, None if qubits and "d" not in raw else config["d"])
-        if qubits:
-            config["d"] = d
-        if n is None and (excess := commutant_excess(math.log2(d), k, orbits)):
-            raise ConfigError(f"commutant too large: {excess}")
+        if n is not None and d is not None and d != 2**n:
+            raise ConfigError(
+                f"{group} group: --n {n} means d = {2**n}, but d = {d}; pass --d {2**n}"
+            )
+        config["d"] = d or (4 if n is None else 2**n)
     return config
 
 
@@ -186,8 +182,8 @@ def _coerce(name, typ, value):
     return value
 
 
-# Group name -> (sampler, size field). U(d) and O(d) act on d dimensions,
-# 2**n when d is null; local unitaries and permutations act on n qubits.
+# Group name -> (sampler, size field). U(d) and O(d) act on d dimensions;
+# local unitaries and permutations act on n qubits, d = 2**n.
 SAMPLERS = {
     "unitary": (UnitarySampler, "d"),
     "orthogonal": (OrthogonalSampler, "d"),
@@ -203,19 +199,6 @@ CHOICES = {
     ("commutant", "group"): SAMPLERS,
     ("concentration", "family"): analysis.CONCENTRATION_FAMILIES,
 }
-
-
-def _group_degree(group, n, d):
-    """Dimension the group's elements act on, from --n and --d."""
-    if SAMPLERS[group][1] == "n" and n is None:
-        raise ConfigError(f"{group} group needs --n")
-    if n is not None and d is not None and d != 2**n:
-        raise ConfigError(
-            f"{group} group: --n {n} means d = {2**n}, but d = {d}; pass --d {2**n}"
-        )
-    if d is None and not n:
-        raise ConfigError(f"{group} group needs --d or --n")
-    return 2**n if d is None else d
 
 
 def _resolve_graph(name):
@@ -351,11 +334,9 @@ def run_graph(config, rng):
 
 
 def run_commutant(config, rng):
-    group, n = config["group"], config["n"]
-    sampler, size = SAMPLERS[group]
-    degree = n if size == "n" else _group_degree(group, n, config["d"])
+    sampler, size = SAMPLERS[config["group"]]
     report = commutant_analysis(
-        sampler(degree, config["seed"]), config["k"], n_samples=config["trials"]
+        sampler(config[size], config["seed"]), config["k"], n_samples=config["trials"]
     )
     return {
         "dimension": report.dimension,
@@ -413,7 +394,7 @@ def run(config):
     result = {
         "schema": 1,
         "version": __version__,
-        "config": {k: v for k, v in config.items() if k != "output"},
+        "config": config,
     }
     result.update(payload)
     result["wall_time_s"] = elapsed
@@ -447,8 +428,19 @@ def _md_table(headers, rows):
 
 
 def format_report(result, fmt):
-    if not isinstance(result, dict) or "schema" not in result:
-        raise ConfigError("result file is not a ginv result")
+    """The report of a result; a file without the fields that a ginv result
+    of its kind has is a config error."""
+    try:
+        if "schema" not in result:
+            raise KeyError("schema")
+        return _report(result, fmt)
+    except (LookupError, TypeError, AttributeError) as exc:
+        raise ConfigError(
+            f"result file is not a ginv result: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _report(result, fmt):
     if "concentration" in result:
         conc = result["concentration"]
         if fmt == "csv":

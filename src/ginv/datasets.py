@@ -27,7 +27,7 @@ from .tensor import (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """N labeled inputs and their int labels. The inputs are an (N, d, d)
     stack of density matrices, of unitaries for the time-reversal dynamics,

@@ -24,7 +24,7 @@ from .observables import PAULI, Observable, swap_operator
 from .tensor import ATOL, expectation_copies, is_unitary, kron
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelSpec:
     """A hypothesis-class model: a measurement, optionally dressed by a
     fixed unitary U acting before it."""

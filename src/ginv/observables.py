@@ -37,7 +37,8 @@ PAULI = {
 }
 
 
-@dataclass
+# eq=False: == is identity, not a comparison of (first built) dense matrices
+@dataclass(eq=False)
 class Observable:
     """A Hermitian operator on k copies of an n-qubit register, held dense."""
 

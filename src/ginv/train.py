@@ -30,7 +30,7 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0; iterations >= 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainableModel:
     """A parameterised scalar model with a start point.
 
@@ -49,7 +49,7 @@ class TrainableModel:
         return self.read(theta, self.features(states))
 
 
-@dataclass
+@dataclass(eq=False)
 class OptimizeResult:
     theta: np.ndarray
     loss_trace: list

@@ -184,20 +184,16 @@ def test_config_file_with_flag_override(tmp_path):
     assert result["config"]["b"] == 0.6
 
 
-def test_runtime_error_leaves_no_partial_file(tmp_path, capsys):
+def test_runtime_error_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
+    def fail(config, rng):
+        raise RuntimeError("the runner failed")
+
+    monkeypatch.setitem(cli.RUNNERS, "purity", fail)
     out = tmp_path / "never.json"
-    code = run_cli(
-        [
-            "run",
-            "--experiment", "purity",
-            "--samples", "1",  # one item: the midpoint rule lacks a class
-            "--output", str(out),
-        ]
-    )
-    assert code == 3
-    assert not out.exists()
+    assert run_cli(["run", "--experiment", "purity", "--output", str(out)]) == 3
+    assert os.listdir(tmp_path) == []
     err = capsys.readouterr().err
-    assert "runtime error" in err and "label 0 is absent" in err
+    assert "runtime error: RuntimeError: the runner failed" in err
 
 
 @pytest.mark.parametrize(
@@ -439,7 +435,7 @@ def test_qubit_groups_record_d_as_two_to_the_n(tmp_path, capsys, group):
     assert run_cli(args + ["-o", str(out)]) == 0
     assert read_result(out)["config"]["d"] == 8
     out.unlink()
-    # an explicit d must agree with n, as for U(d) and O(d); the default 4 need not
+    # an explicit d must agree with n, as for U(d) and O(d)
     assert run_cli(args + ["--d", "8", "-o", str(out)]) == 0
     assert read_result(out)["config"]["d"] == 8
     out.unlink()
@@ -461,12 +457,24 @@ def test_every_result_can_be_reported(tmp_path, capsys, experiment, fmt):
     assert capsys.readouterr().out
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", "3", '{"dimension": 4}'])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        "3",
+        '{"dimension": 4}',
+        '{"schema": 1, "classification": {}}',
+        '{"schema": 1, "concentration": {"rows": [{"n": 1}]}}',
+        '{"schema": 1, "concentration": 5}',
+    ],
+)
 def test_report_refuses_files_that_are_not_results(tmp_path, capsys, text):
-    path = tmp_path / "r.json"
+    path, out = tmp_path / "r.json", tmp_path / "report.txt"
     path.write_text(text)
-    assert run_cli(["report", str(path)]) == 2
-    assert "not a ginv result" in capsys.readouterr().err
+    for fmt in ("csv", "md"):
+        assert run_cli(["report", str(path), "--format", fmt, "-o", str(out)]) == 2
+        assert "config error: result file is not a ginv result" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -552,12 +560,17 @@ def test_every_shot_experiment_runs_with_every_choice(tmp_path, experiment, choi
     assert read_result(out)["config"]["shots"] == 50
 
 
-def test_absent_class_with_midpoint_rule_is_an_error(tmp_path, capsys):
+def test_absent_class_with_midpoint_rule_is_an_error(tmp_path, capsys, monkeypatch):
+    # one item leaves a class absent: refused before the dataset is drawn
+    drawn = []
     out = tmp_path / "one.json"
-    code = run_cli(["run", "--experiment", "purity", "--samples", "1", "-o", str(out)])
-    assert code == 3
-    assert "label 0 is absent" in capsys.readouterr().err
-    assert not out.exists()
+    for experiment in ("purity", "entanglement"):
+        monkeypatch.setattr(cli.datasets, f"{experiment}_dataset",
+                            lambda *args: drawn.append(args))
+        code = run_cli(["run", "--experiment", experiment, "--samples", "1", "-o", str(out)])
+        assert code == 2
+        assert "field samples: must be >= 2, got 1" in capsys.readouterr().err
+    assert drawn == [] and not out.exists()
 
 
 def test_time_reversal_states_bell_observable(tmp_path):
@@ -622,15 +635,31 @@ def test_commutant_n_must_agree_with_d(tmp_path, capsys):
     for group in ("unitary", "orthogonal"):
         out = tmp_path / f"{group}.json"
         args = ["run", "--experiment", "commutant", "--group", group, "--k", "1"]
-        assert run_cli(args + ["--n", "3", "-o", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "--n 3" in err and "d = 4" in err and "--d 8" in err
-        assert not out.exists()
-        # the default d = 4 agrees with n = 2, and --d 8 with n = 3
-        assert run_cli(args + ["--n", "2", "-o", str(out)]) == 0
-        assert read_result(out)["dimension"] == 1
+        # --n alone gives d = 2**n, as for the qubit groups
+        assert run_cli(args + ["--n", "3", "-o", str(out)]) == 0
+        assert (read_result(out)["config"]["d"], read_result(out)["dimension"]) == (8, 1)
         assert run_cli(args + ["--n", "3", "--d", "8", "-o", str(out)]) == 0
         assert read_result(out)["config"]["d"] == 8
+        out.unlink()
+        assert run_cli(args + ["--n", "3", "--d", "4", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{group} group: --n 3 means d = 8, but d = 4; pass --d 8" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("group", sorted(cli.SAMPLERS))
+def test_commutant_null_d_is_derived(tmp_path, capsys, group):
+    config = {"experiment": "commutant", "group": group, "d": None}
+    assert cli.validate_config(dict(config, n=2))["d"] == 4
+    if cli.SAMPLERS[group][1] == "d":
+        assert cli.validate_config(config)["d"] == 4
+        return
+    with pytest.raises(cli.ConfigError, match=f"{group} group needs --n"):
+        cli.validate_config(config)
+    out = tmp_path / "r.json"
+    assert run_cli(["run", "--experiment", "commutant", "--group", group, "-o", str(out)]) == 2
+    assert f"config error: {group} group needs --n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_one_commutant_trial_is_config_error(tmp_path, capsys):
@@ -790,8 +819,9 @@ def test_null_field_is_config_error(tmp_path, capsys, experiment, field):
 
 def test_null_is_kept_where_it_means_something():
     assert cli.validate_config({"experiment": "time_reversal_states", "eps": None})["eps"] is None
+    # a null commutant d is derived, not kept
     config = cli.validate_config({"experiment": "commutant", "n": 2, "d": None})
-    assert (config["n"], config["d"]) == (2, None)
+    assert (config["n"], config["d"]) == (2, 4)
 
 
 def test_single_n_concentration_reports_no_slope(tmp_path, capsys):
@@ -818,10 +848,12 @@ SMALL = {
 }
 
 # The smallest value each field runs with; one less divided by zero, failed
-# inside the library, (ancilla samples) reported a vacuous deviation or (eps)
-# left no item that could be labelled 1.
+# inside the library, (purity and entanglement samples) left a class absent,
+# (ancilla samples) reported a vacuous deviation or (eps) left no item that
+# could be labelled 1.
 MINIMUM_CASES = [
     ("purity", "n", 1),
+    ("purity", "samples", 2),
     ("time_reversal_states", "n", 1),
     ("time_reversal_states", "samples", 1),
     ("time_reversal_states", "mc_samples", 2),
@@ -829,6 +861,7 @@ MINIMUM_CASES = [
     ("time_reversal_dynamics", "samples", 1),
     ("time_reversal_dynamics", "mc_samples", 2),
     ("entanglement", "n", 1),
+    ("entanglement", "samples", 2),
     ("graph", "samples", 1),
     ("graph", "iterations", 1),
     ("commutant", "n", 1),
@@ -847,10 +880,6 @@ MINIMUM_CASES = [
     ("time_reversal_dynamics", "eps", 0),
 ]
 
-# Minimums that pass the schema but not the run: one purity or entanglement
-# item leaves the other class absent (exit 3).
-ONE_ITEM_CASES = [("purity", "samples", 1), ("entanglement", "samples", 1)]
-
 
 def test_minimum_cases_cover_the_table():
     table = {
@@ -859,23 +888,17 @@ def test_minimum_cases_cover_the_table():
         for f, (_, _, low) in fields.items()
         if low is not None
     }
-    assert table == {(e, f): low for e, f, low in MINIMUM_CASES + ONE_ITEM_CASES}
+    assert table == {(e, f): low for e, f, low in MINIMUM_CASES}
 
 
-@pytest.mark.parametrize("experiment,field,low", MINIMUM_CASES + ONE_ITEM_CASES)
+@pytest.mark.parametrize("experiment,field,low", MINIMUM_CASES)
 def test_counts_below_minimum_are_config_errors(tmp_path, capsys, experiment, field, low):
     config = {"experiment": experiment, **SMALL[experiment], field: low}
-    if (experiment, field) == ("commutant", "n"):
-        config["d"] = None
     path, out = tmp_path / "config.json", tmp_path / "r.json"
     path.write_text(json.dumps(config))
-    if (experiment, field, low) in ONE_ITEM_CASES:
-        assert run_cli(["run", "--config", str(path), "-o", str(out)]) == 3
-        assert "label 0 is absent" in capsys.readouterr().err
-    else:
-        assert run_cli(["run", "--config", str(path), "-o", str(out)]) == 0
-        assert read_result(out)["config"][field] == low
-        out.unlink()
+    assert run_cli(["run", "--config", str(path), "-o", str(out)]) == 0
+    assert read_result(out)["config"][field] == low
+    out.unlink()
     for below in (low - 1, low - 4):
         config[field] = below
         with pytest.raises(cli.ConfigError, match=f"field {field}: must be >= {low}"):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ginv import models
-from ginv.datasets import Graph
+from ginv.datasets import Dataset, Graph
 from ginv.groups import haar_orthogonal, haar_unitary, permutation_operator
 from ginv.models import (
     ModelSpec,
@@ -34,6 +34,7 @@ from ginv.tensor import (
     random_statevector,
     tensor_power,
 )
+from ginv.train import OptimizeResult, TrainableModel
 from helpers import qgcnn_unitary, random_density_matrix, relabel
 
 C4 = Graph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
@@ -588,3 +589,25 @@ def test_shots_requires_positive():
     model = ModelSpec("H1", swap_operator(1))
     with pytest.raises(ValueError):
         estimate_with_shots(model, np.eye(2)[None] / 2, 0, np.random.default_rng(0))
+
+
+# Two equal builds of each kind; n = 2, so that a dense comparison is small.
+EQUAL_BUILDS = {
+    "swap": lambda: swap_operator(2),
+    "pauli": lambda: pauli_string("YI"),
+    "swap_test": lambda: swap_test_model(1),
+    "dataset": lambda: Dataset(np.eye(2)[None] / 2, np.array([1])),
+    "trainable": lambda: TrainableModel(np.dot, np.zeros(2)),
+    "optimize_result": lambda: OptimizeResult(np.zeros(2), [0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUAL_BUILDS))
+def test_equality_is_identity(case):
+    # == compares identities: no element-wise truth test of an array field,
+    # and a structured observable builds no dense matrix to compare
+    x, y = EQUAL_BUILDS[case](), EQUAL_BUILDS[case]()
+    assert x == x and not x != x
+    assert (x == y) is False and x != y
+    if case == "swap":
+        assert "matrix" not in vars(x) and "matrix" not in vars(y)
