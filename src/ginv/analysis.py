@@ -9,15 +9,14 @@ Closed forms implemented here:
   its variance over Haar pure inputs:  4 (d-1) / (d^2 (d+1)^2 (d+3))
 
 Every formula has a Monte-Carlo companion (empirical_moments); the
-statistical acceptance window is four standard errors throughout. Under
-the Haar-unitary sampler a pure input template is scrambled by drawing the
-Haar state V psi directly (a normalised complex Gaussian vector), with no
-unitary formed; mixed templates and the other groups conjugate by each
-sampled element.
+statistical acceptance window is four standard errors throughout. A pure
+input is passed as its unit vector psi, a mixed one as its density matrix.
+Under the Haar-unitary sampler a vector is scrambled by drawing the Haar
+state V psi directly (a normalised complex Gaussian vector), with no
+unitary formed; a density matrix, and any input under the other groups, is
+conjugated by each sampled element.
 """
 
-import csv
-import io
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -59,12 +58,13 @@ def haar_mean_conventional(obs, d):
 
 
 def haar_var_time_reversal(obs, rho_in, d):
-    """Variance of a traceless single-copy model over Haar-scrambled rho_in."""
+    """Variance of a traceless single-copy model over Haar-scrambled rho_in,
+    a density matrix or the vector of a pure input (purity 1)."""
     tr_o = np.real(np.trace(obs.matrix))
     if abs(tr_o) > 1e-10:
         raise ValueError(f"observable must be traceless, Tr[O] = {tr_o}")
     tr_o2 = float(np.real(np.trace(obs.matrix @ obs.matrix)))
-    p_in = purity(rho_in)
+    p_in = 1.0 if np.ndim(rho_in) == 1 else purity(rho_in)
     return tr_o2 * (p_in / (d**2 - 1) - 1.0 / (d * (d**2 - 1)))
 
 
@@ -92,7 +92,7 @@ def cantelli_bound(variance, delta):
     return variance / (variance + delta**2)
 
 
-def _registered_moments(model, sampler, template):
+def _registered_moments(model, sampler, input_state):
     """Closed-form moments for recognised (model, sampler) pairs, else Nones.
 
     Conjugation keeps Tr[O] and Tr[O^2], so the single-copy forms read the
@@ -108,68 +108,67 @@ def _registered_moments(model, sampler, template):
         mean = haar_mean_conventional(obs, d)
         if (
             sampler.kind == "unitary"
-            and template is not None
+            and input_state is not None
             and abs(np.real(np.trace(obs.matrix))) < 1e-10
         ):
-            var = haar_var_time_reversal(obs, template, d)
+            var = haar_var_time_reversal(obs, input_state, d)
     elif sampler.kind == "unitary" and obs.kind == "bell" and model.unitary is None:
         # twirling the Bell projector over W x W gives (1 + SWAP)/(d(d+1)),
         # so the closed-form mean needs a symmetric-subspace input: a
-        # swap-symmetric psi_in for H2, or any pure template for H1 (psi x
-        # psi is automatically symmetric)
+        # swap-symmetric psi_in for H2, or any pure input for H1 (psi x
+        # psi is automatically symmetric): a vector, or a density matrix
+        # of purity 1 to 1e-9
         if model.hclass == "H2":
             psi = model.psi_in
             sym = np.real(np.vdot(psi, psi.reshape(d, d).T.ravel()))
             if abs(sym - 1.0) < 1e-9:
                 mean = haar_mean_enhanced_bell(d)
-        elif model.hclass == "H1" and _pure_state(template) is not None:
+        elif model.hclass == "H1" and input_state is not None and (
+            np.ndim(input_state) == 1 or abs(purity(input_state) - 1.0) < 1e-9
+        ):
             mean = haar_mean_enhanced_bell(d)
             var = haar_var_enhanced_bell(d)
     return mean, var
 
 
-def _pure_state(template):
-    """The unit vector psi of a pure template |psi><psi| (Tr[template^2] = 1
-    to 1e-9), up to a phase; None for no template or a mixed one."""
-    if template is None or abs(purity(template) - 1.0) >= 1e-9:
-        return None
-    j = int(np.argmax(np.real(np.diagonal(template))))
-    return template[:, j] / np.sqrt(np.real(template[j, j]))
-
-
-def _h1_values(obs, sampler, template, samples):
+def _h1_values(obs, sampler, input_state, samples):
     """Values of the H1 observable over ``samples`` draws, a chunk at a time.
 
     A chunk holds as many draws as one sampler block and is scored by one
-    call. Under a UnitarySampler a pure template |psi><psi| is scrambled
-    to the Haar state V psi, drawn without forming V; the chunk stays a
-    stack of vectors, sized as a block of states, and is scored by
-    ``obs.pure_values``. Any other template is conjugated by the sampled
-    elements in one batched product and scored by ``obs.expectation``.
+    call. Under a UnitarySampler a pure input, passed as its vector psi, is
+    scrambled to the Haar state V psi, drawn without forming V; the chunk
+    stays a stack of vectors, sized as a block of states, and is scored by
+    ``obs.pure_values``. Anything else is conjugated by the sampled
+    elements in one batched product and scored by ``obs.expectation``: a
+    density matrix as it is, a vector under another sampler as |psi><psi|.
     """
-    psi = _pure_state(template) if isinstance(sampler, UnitarySampler) else None
-    chunk = block_count(sampler.dim, rank=2 if psi is None else 1)
+    pure = np.ndim(input_state) == 1
+    haar_states = pure and isinstance(sampler, UnitarySampler)
+    rho = dm(input_state) if pure else input_state
+    chunk = block_count(sampler.dim, rank=1 if haar_states else 2)
     draw = sampler.sample
     values = np.empty(samples)
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
-        if psi is None:
-            v = np.array([draw() for _ in range(count)])
-            x = obs.expectation(v @ template @ v.conj().swapaxes(-1, -2))
+        if haar_states:
+            x = obs.pure_values(np.array([draw(input_state) for _ in range(count)]))
         else:
-            x = obs.pure_values(np.array([draw(psi) for _ in range(count)]))
+            v = np.array([draw() for _ in range(count)])
+            x = obs.expectation(v @ rho @ v.conj().swapaxes(-1, -2))
         values[start : start + count] = x
     return values
 
 
-def empirical_moments(model, sampler, input_template, samples):
+def empirical_moments(model, sampler, input_state, samples):
     """Monte-Carlo mean/variance of the model over group-scrambled inputs.
 
-    For H1/H3 models each draw conjugates ``input_template`` by a sampled
-    element; for H2 models the sampled element itself is the input. An H1
-    model under a UnitarySampler with a pure template |psi><psi| draws
-    Haar states V psi (``sampler.sample(psi)``) instead, with the same
-    distribution and no QR per draw, and values them as vectors
+    ``input_state`` is held as the caller holds it: the unit vector psi of
+    a pure input, the (d, d) density matrix of a mixed one, or None for H2,
+    where the sampled element itself is the input. H1 and H3 draws
+    conjugate the input (a vector as |psi><psi|) by a sampled element,
+    except that an H1 model under a UnitarySampler with a vector input
+    draws Haar states V psi (``sampler.sample(psi)``) instead, with the
+    same distribution and no QR per draw, and values them as vectors
     (``Observable.pure_values``). H1 draws are scored a chunk at a time,
     H2 and H3 draws one ``evaluate`` call each.
     Analytic fields are filled when a closed form is registered for the
@@ -179,13 +178,14 @@ def empirical_moments(model, sampler, input_template, samples):
         raise ValueError("need at least 2 samples")
     if model.hclass == "H1":
         obs = conjugated_observable(model)
-        values = _h1_values(obs, sampler, input_template, samples)
+        values = _h1_values(obs, sampler, input_state, samples)
     else:
         h2, values = model.hclass == "H2", np.empty(samples)
+        rho = dm(input_state) if np.ndim(input_state) == 1 else input_state
         for i in range(samples):
             v = sampler.sample()
-            values[i] = evaluate(model, v if h2 else v @ input_template @ v.conj().T)
-    mean, var = _registered_moments(model, sampler, input_template)
+            values[i] = evaluate(model, v if h2 else v @ rho @ v.conj().T)
+    mean, var = _registered_moments(model, sampler, input_state)
     std = float(values.std(ddof=1))
     return MomentReport(
         analytic_mean=mean,
@@ -303,10 +303,11 @@ CONCENTRATION_FAMILIES = {
 
 
 def concentration_experiment(family, n_range, samples, seed=0):
-    """Per-n model variance over Haar-scrambled |0><0|, with log2 slope.
+    """Per-n model variance over Haar-scrambled |0>, with log2 slope.
 
     ``family`` is a name from CONCENTRATION_FAMILIES; the draws at n come
-    from a UnitarySampler seeded seed + n.
+    from a UnitarySampler seeded seed + n. The pure input |0> is passed as
+    its vector, so each draw is a Haar state, with no unitary formed.
     """
     builder = CONCENTRATION_FAMILIES.get(family)
     if builder is None:
@@ -315,24 +316,10 @@ def concentration_experiment(family, n_range, samples, seed=0):
     for n in n_range:
         model = ModelSpec("H1", builder(n))
         sampler = UnitarySampler(2**n, seed + n)
-        report = empirical_moments(model, sampler, dm(zero_state(n)), samples)
+        report = empirical_moments(model, sampler, zero_state(n), samples)
         rows.append(ConcentrationRow(n, report.empirical_var, report.analytic_var))
     ns = np.array([r.n for r in rows], dtype=float)
     evs = np.array([max(r.empirical_var, 1e-300) for r in rows])
     slope = float(np.polyfit(ns, np.log2(evs), 1)[0]) if len(rows) > 1 else None
     return ConcentrationResult(family=family, rows=rows, slope=slope, samples=samples)
 
-
-# ---------------------------------------------------------------------------
-# Report serialization
-
-
-def concentration_to_csv(result):
-    """One row per n from a ConcentrationResult in its asdict form."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "empirical_var", "analytic_var"])
-    for row in result["rows"]:
-        av = row["analytic_var"]
-        writer.writerow([row["n"], repr(row["empirical_var"]), "" if av is None else repr(av)])
-    return buf.getvalue()

@@ -251,7 +251,7 @@ def run_time_reversal_states(config, rng):
     moments = empirical_moments(
         model,
         UnitarySampler(d, config["seed"] + 1),
-        dm(zero_state(n)),
+        zero_state(n),
         config["mc_samples"],
     )
     return {
@@ -444,7 +444,11 @@ def _report(result, fmt):
     if "concentration" in result:
         conc = result["concentration"]
         if fmt == "csv":
-            return analysis.concentration_to_csv(conc)
+            lines = ["n,empirical_var,analytic_var"]
+            for r in conc["rows"]:
+                av = "" if r["analytic_var"] is None else repr(r["analytic_var"])
+                lines.append(f"{r['n']},{r['empirical_var']!r},{av}")
+            return "\n".join(lines) + "\n"
         rows = [(r["n"], r["empirical_var"], r["analytic_var"]) for r in conc["rows"]]
         body = _md_table(["n", "empirical_var", "analytic_var"], rows)
         slope = "none (one n, nothing to fit)" if conc["slope"] is None else repr(conc["slope"])

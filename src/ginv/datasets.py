@@ -227,6 +227,9 @@ def graph_dataset(g0, g1, count, t, rng):
     n = g0.n
     if n > 8:
         raise ValueError(f"the scan of all n! relabellings is limited to n <= 8, got n = {n}")
+    # t (|E| + n) bounds t ||H||; past the float range exp(-i t H) is NaN
+    if not all(np.isfinite(t * (len(g.edges) + g.n)) for g in (g0, g1)):
+        raise ValueError(f"evolution time t={t} overflows t ||H|| for these graphs")
     refs = np.array([graph_state(g0, t), graph_state(g1, t)])
     if _orbit_distance(*refs, n) < 1e-6:
         raise ValueError(

@@ -82,7 +82,7 @@ class Observable:
         if self.copies == 1:
             # <s|O|s> = sum_i conj(s_i) (O s)_i, one product for the stack
             return np.real(np.einsum("bi,bi->b", states.conj(), states @ self.matrix.T))
-        return self._values(states[:, :, None] * states[:, None, :].conj())
+        return self._values(dm(states))
 
     @cached_property
     def levels(self):
@@ -332,7 +332,7 @@ def xyz_moments(states):
     blocks = []
     for i in range(0, len(stack), step):
         s = stack[i:i + step]
-        x = _pauli_weights(s[:, :, None] * s[:, None, :].conj(), _PAULI_WEIGHTS[1:])
+        x = _pauli_weights(dm(s), _PAULI_WEIGHTS[1:])
         blocks.append(group @ (x[..., 0] * re[:, None] + x[..., 1] * im[:, None]))
     moments = np.concatenate(blocks, axis=1).T
     return moments if states.ndim == 2 else moments[0]

@@ -168,9 +168,10 @@ def purity(rho):
 
 
 def dm(psi):
-    """Rank-1 density matrix |psi><psi|."""
+    """Rank-1 density matrix |psi><psi| of a pure state, held as its vector,
+    or one per vector of a stack: (..., d) -> (..., d, d)."""
     psi = np.asarray(psi)
-    return np.outer(psi, psi.conj())
+    return psi[..., :, None] * psi[..., None, :].conj()
 
 
 def basis_state(dim, index):

@@ -167,9 +167,7 @@ def test_criterion_3_time_reversal_states():
     for n, seed in ((1, 302), (2, 303)):
         d = 2**n
         model = ModelSpec("H1", obs.pauli_string("Y" + "I" * (n - 1)))
-        report = empirical_moments(
-            model, UnitarySampler(d, seed), dm(zero_state(n)), MC_SAMPLES
-        )
+        report = empirical_moments(model, UnitarySampler(d, seed), zero_state(n), MC_SAMPLES)
         gap = abs(report.empirical_var - report.analytic_var)
         var_ok &= gap < 4 * report.stderr
         details.append(f"n={n}: |var - {report.analytic_var:.4f}| = {gap:.1e}")

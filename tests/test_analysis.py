@@ -3,7 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from ginv import analysis
+from ginv import analysis, groups
 from ginv.analysis import (
     CONCENTRATION_FAMILIES,
     MidpointRule,
@@ -14,18 +14,28 @@ from ginv.analysis import (
     empirical_moments,
     haar_mean_conventional,
     haar_mean_enhanced_bell,
+    haar_var_enhanced_bell,
     haar_var_time_reversal,
     misclassification_probability,
 )
+from ginv.cli import format_report
 from ginv.datasets import (
     Dataset,
     purity_dataset,
     time_reversal_dynamics_dataset,
 )
 from ginv.groups import OrthogonalSampler, UnitarySampler, block_count, haar_unitary
-from ginv.models import ModelSpec, estimate_with_shots, evaluate
+from ginv.models import ModelSpec, estimate_with_shots, evaluate, swap_test_model
 from ginv.observables import Observable, bell_projector, pauli_string, swap_operator
-from ginv.tensor import bell_state, dm, expectation, purity, tensor_power, zero_state
+from ginv.tensor import (
+    bell_state,
+    dm,
+    expectation,
+    purity,
+    random_statevector,
+    tensor_power,
+    zero_state,
+)
 from helpers import random_density_matrix
 
 
@@ -45,9 +55,7 @@ def test_haar_mean_conventional_values():
 
 def test_haar_mean_conventional_monte_carlo():
     model = odd_y_model(1)
-    report = empirical_moments(
-        model, UnitarySampler(2, 0), dm(zero_state(1)), 20000
-    )
+    report = empirical_moments(model, UnitarySampler(2, 0), zero_state(1), 20000)
     assert report.analytic_mean == 0.0
     assert abs(report.empirical_mean - report.analytic_mean) < 4 * report.stderr
 
@@ -109,12 +117,10 @@ def test_haar_mean_enhanced_bell_monte_carlo():
 
 
 def test_haar_mean_enhanced_bell_state_task_registered():
-    # two copies of a pure template live in the symmetric subspace, so the
+    # two copies of a pure input live in the symmetric subspace, so the
     # closed form applies to the state task as well
     model = ModelSpec("H1", bell_projector(1))
-    report = empirical_moments(
-        model, UnitarySampler(2, 15), dm(zero_state(1)), 20000
-    )
+    report = empirical_moments(model, UnitarySampler(2, 15), zero_state(1), 20000)
     assert report.analytic_mean == haar_mean_enhanced_bell(2)
     assert abs(report.empirical_mean - report.analytic_mean) < 4 * report.stderr
 
@@ -149,12 +155,12 @@ def test_two_copy_model_never_gets_the_single_copy_form():
 
 def test_empirical_moments_deterministic():
     model = odd_y_model(1)
-    a = empirical_moments(model, UnitarySampler(2, 5), dm(zero_state(1)), 500)
-    b = empirical_moments(model, UnitarySampler(2, 5), dm(zero_state(1)), 500)
+    a = empirical_moments(model, UnitarySampler(2, 5), zero_state(1), 500)
+    b = empirical_moments(model, UnitarySampler(2, 5), zero_state(1), 500)
     assert a == b
 
 
-# Pure-template cases: the state chunk differs from the matrix chunk at
+# Pure-input cases, passed as the vector |0>: the state chunk differs from the matrix chunk at
 # d = 8 (256 and 64), 32 (128 and 4) and 64 (64 and 1).
 PURE_CASES = {"h1_k1": (odd_y_model, 2), "h1_k1_d8": (odd_y_model, 3),
               "bell_d32": (lambda n: ModelSpec("H1", bell_projector(n)), 5),
@@ -162,11 +168,11 @@ PURE_CASES = {"h1_k1": (odd_y_model, 2), "h1_k1_d8": (odd_y_model, 3),
 
 
 def _chunked_case(case):
-    """(model, dimension, template) of a chunked-moments case."""
+    """(model, dimension, input state) of a chunked-moments case."""
     rng = np.random.default_rng(41)
     if case in PURE_CASES:
         build, n = PURE_CASES[case]
-        return build(n), 2**n, dm(zero_state(n))
+        return build(n), 2**n, zero_state(n)
     if case == "h1_k2_mixed":
         # a dressed random two-copy observable, not swap-symmetric
         m = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
@@ -180,15 +186,15 @@ def _chunked_case(case):
 @pytest.mark.parametrize("size", ["two", "chunk_plus_one", "non_multiple"])
 def test_empirical_moments_match_per_draw_reference(case, size):
     model, d, template = _chunked_case(case)
-    # a pure template is chunked as a block of states, any other as matrices
+    # a pure input is chunked as a block of states, any other as matrices
     chunk = block_count(d, rank=1 if case in PURE_CASES else 2)
     samples = {"two": 2, "chunk_plus_one": chunk + 1, "non_multiple": 2 * chunk + chunk // 2 + 1}[size]
     sampler = UnitarySampler(d, 43)
     values = []
     for _ in range(samples):
         if case in PURE_CASES:
-            # the pure template |0><0| is scrambled to a Haar state per draw
-            values.append(evaluate(model, dm(sampler.sample(zero_state(int(np.log2(d)))))))
+            # the pure input |0> is scrambled to a Haar state per draw
+            values.append(evaluate(model, dm(sampler.sample(template))))
             continue
         v = sampler.sample()
         values.append(evaluate(model, v if template is None else v @ template @ v.conj().T))
@@ -201,7 +207,7 @@ def test_empirical_moments_match_per_draw_reference(case, size):
 
 @pytest.mark.parametrize("n", [3, 5, 6])
 def test_h1_chunks_are_one_sampler_block(n, monkeypatch):
-    # a pure template's chunks are blocks of states, a mixed one's blocks of
+    # a pure input's chunks are blocks of states, a mixed one's blocks of
     # matrices: 256 and 64 at d = 8, 128 and 4 at d = 32, 64 and 1 at d = 64
     d, sizes = 2**n, []
     obs = odd_y_model(n).observable
@@ -211,11 +217,65 @@ def test_h1_chunks_are_one_sampler_block(n, monkeypatch):
             return np.zeros(len(x))
         monkeypatch.setattr(obs, name, record)
     mixed = random_density_matrix(d, np.random.default_rng(n))
-    for template, rank in ((dm(zero_state(n)), 1), (mixed, 2)):
+    for template, rank in ((zero_state(n), 1), (mixed, 2)):
         sizes.clear()
         chunk = block_count(d, rank)
         analysis._h1_values(obs, UnitarySampler(d, 47), template, 2 * chunk + 1)
         assert sizes == [("pure" if rank == 1 else "mixed", c) for c in (chunk, chunk, 1)]
+
+
+@pytest.mark.parametrize("family", sorted(CONCENTRATION_FAMILIES))
+@pytest.mark.parametrize("n", [2, 3])
+def test_vector_input_draws_haar_states_and_no_unitary(family, n, monkeypatch):
+    # a pure input held as a vector is never conjugated: no unitary is drawn
+    def no_unitary(*args, **kwargs):
+        raise AssertionError("a vector input drew a Haar unitary")
+
+    monkeypatch.setattr(groups, "haar_unitary", no_unitary)
+    d, model = 2**n, ModelSpec("H1", CONCENTRATION_FAMILIES[family](n))
+    psi = random_statevector(d, np.random.default_rng(n))
+    samples = block_count(d, rank=1) + 5
+    values = analysis._h1_values(model.observable, UnitarySampler(d, 48), psi, samples)
+    sampler = UnitarySampler(d, 48)
+    reference = [evaluate(model, dm(sampler.sample(psi))) for _ in range(samples)]
+    np.testing.assert_allclose(values, reference, rtol=0, atol=1e-12)
+    report = empirical_moments(model, UnitarySampler(d, 48), psi, samples)
+    assert report.empirical_mean == pytest.approx(np.mean(reference), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pure_density_matrix_is_conjugated_and_keeps_the_bell_forms(n):
+    # |psi><psi| is conjugated by QR-drawn unitaries; its purity of 1 still
+    # registers the Bell closed forms, which a mixed input does not get
+    d, model = 2**n, ModelSpec("H1", bell_projector(n))
+    rho = dm(random_statevector(d, np.random.default_rng(n)))
+    report = empirical_moments(model, UnitarySampler(d, 49), rho, 4000)
+    sampler = UnitarySampler(d, 49)
+    reference = []
+    for _ in range(4000):
+        v = sampler.sample()
+        reference.append(evaluate(model, v @ rho @ v.conj().T))
+    assert report.empirical_mean == pytest.approx(np.mean(reference), rel=1e-12, abs=0)
+    assert report.empirical_var == pytest.approx(np.var(reference, ddof=1), rel=1e-12, abs=0)
+    assert report.analytic_mean == haar_mean_enhanced_bell(d)
+    assert report.analytic_var == haar_var_enhanced_bell(d)
+    assert abs(report.empirical_mean - report.analytic_mean) < 4 * report.stderr
+    mixed = random_density_matrix(d, np.random.default_rng(n))
+    report = empirical_moments(model, UnitarySampler(d, 49), mixed, 2)
+    assert report.analytic_mean is None and report.analytic_var is None
+
+
+def test_vector_off_the_haar_state_route_is_conjugated_as_its_density_matrix():
+    # H1 under another group, and H3 under any, read psi as |psi><psi|
+    psi = random_statevector(4, np.random.default_rng(3))
+    for model in (odd_y_model(2), ModelSpec("H1", bell_projector(2))):
+        a = empirical_moments(model, OrthogonalSampler(4, 7), psi, 300)
+        b = empirical_moments(model, OrthogonalSampler(4, 7), dm(psi), 300)
+        assert a == b
+    psi = psi[:2] / np.linalg.norm(psi[:2])
+    a = empirical_moments(swap_test_model(1), UnitarySampler(2, 7), psi, 50)
+    b = empirical_moments(swap_test_model(1), UnitarySampler(2, 7), dm(psi), 50)
+    assert a == b and abs(a.empirical_mean - 1.0) < 1e-12
 
 
 def _completion(s):
@@ -235,7 +295,7 @@ def test_haar_state_values_equal_the_conjugated_template(family, n):
     rho = dm(zero_state(n))
     # one block of states and part of the next
     samples = block_count(d, rank=1) + 3
-    values = analysis._h1_values(obs, UnitarySampler(d, 44), rho, samples)
+    values = analysis._h1_values(obs, UnitarySampler(d, 44), zero_state(n), samples)
     sampler = UnitarySampler(d, 44)
     for value in values:
         s = sampler.sample(zero_state(n))
@@ -265,7 +325,7 @@ def test_haar_states_match_the_qr_route_in_distribution(family, n):
     # 20000 Haar states against 20000 conjugations by QR-drawn unitaries
     d, obs, samples = 2**n, CONCENTRATION_FAMILIES[family](n), 20000
     rho = dm(zero_state(n))
-    states = analysis._h1_values(obs, UnitarySampler(d, 45), rho, samples)
+    states = analysis._h1_values(obs, UnitarySampler(d, 45), zero_state(n), samples)
     v = haar_unitary(d, np.random.default_rng(46), count=samples)
     conjugated = obs.expectation(v @ rho @ v.conj().swapaxes(-1, -2))
     m1, v1, se_m1, se_v1 = _moment_errors(states)
@@ -432,7 +492,7 @@ def test_concentration_unknown_family():
 
 def test_report_serialization():
     result = concentration_experiment("conventional_odd_y", range(1, 3), 200, seed=2)
-    csv_text = analysis.concentration_to_csv(asdict(result))
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == "n,empirical_var,analytic_var"
-    assert len(lines) == 3
+    csv_text = format_report({"schema": 1, "concentration": asdict(result)}, "csv")
+    rows = [f"{r.n},{r.empirical_var!r},{r.analytic_var!r}\n" for r in result.rows]
+    assert csv_text == "n,empirical_var,analytic_var\n" + "".join(rows)
+    assert len(rows) == 2

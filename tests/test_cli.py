@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -5,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ginv
-from ginv import analysis, cli, observables
+from ginv import cli, observables
 
 
 def run_cli(argv):
@@ -370,6 +373,18 @@ def test_undistinguishing_time_refused_before_training(tmp_path, capsys, monkeyp
     assert "does not distinguish the reference graphs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t", ["1e308", "-1e308"])
+def test_overflowing_time_refused_before_any_state(tmp_path, capsys, monkeypatch, t):
+    # t (|E| + n) bounds t ||H||; past the float range the states would be NaN
+    evolved = []
+    monkeypatch.setattr(cli.datasets, "expm_hermitian", lambda *args: evolved.append(args))
+    out = tmp_path / "g.json"
+    assert run_cli(["run", "--experiment", "graph", f"--t={t}", "-o", str(out)]) == 2
+    assert not out.exists()
+    assert evolved == []
+    assert "evolution time t=" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("rate", ["0", "-0.5"])
 def test_nonpositive_learning_rate_refused_before_the_dataset(tmp_path, capsys, monkeypatch, rate):
     built = []
@@ -594,6 +609,23 @@ def test_time_reversal_states_bell_observable(tmp_path):
     assert result["moments"]["analytic_mean"] == 0.1  # 2/(d(d+1))
 
 
+@pytest.mark.parametrize("shots", [0, 200])
+@pytest.mark.parametrize("n", [1, 3])
+def test_time_reversal_states_bell_class_means_match_theory(n, shots):
+    # label 1, real states: <Phi|psi psi> = |psi^T psi|^2 / d = 1/d exactly;
+    # label 0, Haar states: the twirl of the Bell projector, mean 2/(d(d+1))
+    config = {"experiment": "time_reversal_states", "observable": "bell", "n": n,
+              "shots": shots, "mc_samples": 50}
+    rep = cli.run(config)["classification"]
+    values, labels, d = np.array(rep["values"]), np.array(rep["labels"]), 2**n
+    x0, x1 = values[labels == 0], values[labels == 1]
+    assert abs(x0.mean() - 2 / (d * (d + 1))) < 4 * x0.std(ddof=1) / np.sqrt(len(x0))
+    if shots == 0:
+        np.testing.assert_allclose(x1, 1 / d, rtol=0, atol=1e-12)
+    else:
+        assert abs(x1.mean() - 1 / d) < 4 * x1.std(ddof=1) / np.sqrt(len(x1))
+
+
 def test_graph_inline_json(tmp_path):
     out = tmp_path / "g.json"
     g0 = json.dumps({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]})
@@ -800,7 +832,14 @@ def test_report_concentration_csv_has_one_writer(tmp_path, capsys, family):
     capsys.readouterr()
     assert run_cli(["report", str(out), "--format", "csv"]) == 0
     text = capsys.readouterr().out
-    assert text == analysis.concentration_to_csv(read_result(out)["concentration"])
+    # the text csv.writer makes of the rows: repr of each float, "" for null
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["n", "empirical_var", "analytic_var"])
+    for row in read_result(out)["concentration"]["rows"]:
+        av = row["analytic_var"]
+        writer.writerow([row["n"], repr(row["empirical_var"]), "" if av is None else repr(av)])
+    assert text == expected.getvalue()
     assert "\r" not in text and text.count("\n") == 3
 
 
