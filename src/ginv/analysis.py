@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .groups import UnitarySampler, block_count
+from .groups import LocalUnitarySampler, UnitarySampler, block_count
 from .models import ModelSpec, conjugated_observable, estimate_with_shots, evaluate
 from .observables import bell_projector, pauli_string
 
@@ -101,18 +101,18 @@ def _registered_moments(model, sampler, input_state):
     mean = var = None
     d = sampler.dim
     obs = model.observable
-    if model.hclass == "H1" and obs.copies == 1 and sampler.kind in (
-        "unitary",
-        "local_unitary",
+    unitary = isinstance(sampler, UnitarySampler)
+    if model.hclass == "H1" and obs.copies == 1 and (
+        unitary or isinstance(sampler, LocalUnitarySampler)
     ):
         mean = haar_mean_conventional(obs, d)
         if (
-            sampler.kind == "unitary"
+            unitary
             and input_state is not None
             and abs(np.real(np.trace(obs.matrix))) < 1e-10
         ):
             var = haar_var_time_reversal(obs, input_state, d)
-    elif sampler.kind == "unitary" and obs.kind == "bell" and model.unitary is None:
+    elif unitary and obs.kind == "bell" and model.unitary is None:
         # twirling the Bell projector over W x W gives (1 + SWAP)/(d(d+1)),
         # so the closed-form mean needs a symmetric-subspace input: a
         # swap-symmetric psi_in for H2, or any pure input for H1 (psi x
@@ -172,10 +172,13 @@ def empirical_moments(model, sampler, input_state, samples):
     (``Observable.pure_values``). H1 draws are scored a chunk at a time,
     H2 and H3 draws one ``evaluate`` call each.
     Analytic fields are filled when a closed form is registered for the
-    (model, sampler) combination.
+    (model, sampler) combination. A vector input whose norm is not 1 to
+    1e-9 is a ValueError, raised before any draw.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    if np.ndim(input_state) == 1 and abs((norm := np.linalg.norm(input_state)) - 1.0) > 1e-9:
+        raise ValueError(f"a pure input must be a unit vector, got norm {norm:.12g}")
     if model.hclass == "H1":
         obs = conjugated_observable(model)
         values = _h1_values(obs, sampler, input_state, samples)

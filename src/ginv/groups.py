@@ -1,14 +1,14 @@
 """Symmetry-group samplers and the commutant of their tensor powers.
 
-Four group kinds are supported: the full unitary group U(d), the real
+Four groups are supported: the full unitary group U(d), the real
 orthogonal group O(d), products of single-qubit unitaries, and qubit
-permutations. Samplers own a seeded random stream and are deterministic
-per seed; they are not meant to be shared across threads.
+permutations. Each sampler draws a stack of elements at once
+(``draw(count)``) from a seeded random stream, deterministic per seed; it
+is not meant to be shared across threads.
 """
 
 import math
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,121 +57,91 @@ def haar_orthogonal(d, rng, count=None):
 
 
 class GroupSampler:
-    """Base class: a seeded source of group elements of fixed degree."""
+    """Base class: a seeded source of group elements of fixed degree.
 
-    kind = "abstract"
+    A subclass defines ``draw(count)``: the next ``count`` elements of the
+    stream as a (count, d, d) stack, equal bit for bit to ``count`` single
+    draws. ``sample()`` hands them out one at a time, a block of ``draw`` at
+    a time; a ``draw`` after it starts after that whole block.
+    """
 
     def __init__(self, dim, seed=0):
         self.dim = int(dim)
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
-        self._blocks = defaultdict(lambda: [(), 0])  # draw name -> [block, handed out]
+        self._blocks = {2: [(), 0], 1: [(), 0]}  # rank -> [block, handed out]
 
     def sample(self):
-        raise NotImplementedError
+        return self._from_block(self.draw)
 
     def _from_block(self, draw, rank=2):
-        """Next element of a stacked ``draw``, refilled a block at a time;
+        """Next element of ``draw(count)``, refilled a block at a time;
         ``rank`` sizes the block as in ``block_count``: 2 for matrices, 1
         for states.
 
         The stream is the one single draws would give, since a stack
-        consumes the normals of its elements in order. Each draw function
-        keeps one mutable [block, handed out] entry, so elements and states
-        may be interleaved, and a draw only moves its entry's count.
+        consumes the randomness of its elements in order. Elements and
+        states keep one [block, handed out] entry each, so they may be
+        interleaved, and a draw only moves its own entry's count.
         """
-        entry = self._blocks[draw.__name__]
+        entry = self._blocks[rank]
         if entry[1] == len(entry[0]):
-            entry[:] = draw(self.dim, self._rng, count=block_count(self.dim, rank)), 0
+            entry[:] = draw(block_count(self.dim, rank)), 0
         entry[1] += 1
         return entry[0][entry[1] - 1]
 
-    def take(self, count):
-        """The next ``count`` elements: bit for bit those of ``count`` calls
-        of ``sample()``, after which ``sample()`` goes on with the same
-        sequence. ``count <= 0`` draws nothing."""
-        return [self.sample() for _ in range(count)]
-
-    def _take_from_block(self, draw, count):
-        """``take`` for a stacked ``draw``: what is left of the block already
-        started, then exactly the rest in one stack, which equals single
-        draws."""
-        entry = self._blocks[draw.__name__]
-        taken = list(entry[0][entry[1] : entry[1] + max(count, 0)])
-        entry[1] += len(taken)
-        if count > len(taken):
-            taken.extend(draw(self.dim, self._rng, count=count - len(taken)))
-        return taken
-
 
 class UnitarySampler(GroupSampler):
-    kind = "unitary"
+    def draw(self, count):
+        return haar_unitary(self.dim, self._rng, count)
 
     def sample(self, psi=None):
-        """The next Haar-random V; given a unit vector psi, the next Haar
-        state V psi instead.
+        """The next Haar-random V from a block of ``draw``; given a unit
+        vector psi, the next Haar state V psi instead.
 
         V psi has the law of a normalised complex Gaussian vector whatever
         psi is, so no V is formed: the states come from their own block of
         ``random_statevector`` draws, sized by the 16 d bytes of a state.
         """
         if psi is None:
-            return self._from_block(haar_unitary)
+            return self._from_block(self.draw)
         shape = psi.shape if isinstance(psi, np.ndarray) else np.shape(psi)
         if shape != (self.dim,):
             raise ValueError(f"psi must be a vector of dimension {self.dim}, got shape {shape}")
-        return self._from_block(random_statevector, rank=1)
+        return self._from_block(self._states, 1)
 
-    def take(self, count):
-        """As ``GroupSampler.take``, for the elements only: a later
-        ``sample(psi)`` fills its block of states from the stream after
-        exactly ``count`` elements, not after the whole blocks that
-        ``count`` calls of ``sample()`` would fill, so it hands out other
-        states than after those calls."""
-        return self._take_from_block(haar_unitary, count)
+    def _states(self, count):
+        return random_statevector(self.dim, self._rng, count)
 
 
 class OrthogonalSampler(GroupSampler):
-    kind = "orthogonal"
-
-    def sample(self):
-        return self._from_block(haar_orthogonal)
-
-    def take(self, count):
-        return self._take_from_block(haar_orthogonal, count)
+    def draw(self, count):
+        return haar_orthogonal(self.dim, self._rng, count)
 
 
 class LocalUnitarySampler(GroupSampler):
-    """Products V_1 x ... x V_n of independent Haar 2x2 unitaries, one stack."""
-
-    kind = "local_unitary"
+    """Products V_1 x ... x V_n of independent Haar 2x2 unitaries."""
 
     def __init__(self, n, seed=0):
         self.n = int(n)
         super().__init__(2**self.n, seed)
 
-    def sample(self):
-        return kron_all(haar_unitary(2, self._rng, count=self.n))
-
-    def take(self, count):
-        """The factors of ``count`` samples drawn in one stack."""
-        if count <= 0:
-            return []
-        factors = haar_unitary(2, self._rng, count=count * self.n)
-        return [kron_all(f) for f in factors.reshape(count, self.n, 2, 2)]
+    def draw(self, count):
+        """All ``count * n`` factors in one stack, one product per element."""
+        factors = haar_unitary(2, self._rng, count * self.n).reshape(count, self.n, 2, 2)
+        return np.array([kron_all(f) for f in factors]).reshape(count, self.dim, self.dim)
 
 
 class SymmetricSampler(GroupSampler):
     """Uniformly random qubit permutations of n qubits."""
 
-    kind = "symmetric"
-
     def __init__(self, n, seed=0):
         self.n = int(n)
         super().__init__(2**self.n, seed)
 
-    def sample(self):
-        return permutation_operator(self._rng.permutation(self.n), target="qubits")
+    def draw(self, count):
+        perms = [self._rng.permutation(self.n) for _ in range(count)]
+        return permutation_operator(np.reshape(perms, (count, self.n)), target="qubits")
 
 
 def permutation_index(perm, target="copies", qubits_per_copy=1):
@@ -195,14 +165,15 @@ def permutation_index(perm, target="copies", qubits_per_copy=1):
 
 
 def permutation_operator(perm, target="copies", qubits_per_copy=1):
-    """Dense operator permuting tensor factors.
+    """Dense operator permuting tensor factors, or a (..., q^m, q^m) stack
+    of them for a stack of permutations.
 
     Factor i is moved to slot perm[i], so P (psi_0 x ... x psi_{m-1})
     places psi_{perm^-1(j)} at slot j; see ``permutation_index``.
     """
     idx = permutation_index(perm, target, qubits_per_copy)
-    matrix = np.zeros((len(idx), len(idx)), dtype=complex)
-    matrix[idx, np.arange(len(idx))] = 1.0
+    matrix = np.zeros(idx.shape + idx.shape[-1:], dtype=complex)
+    np.put_along_axis(matrix, idx[..., None, :], 1.0, axis=-2)
     return matrix
 
 
@@ -300,9 +271,10 @@ def _start_basis(labels):
 def commutant_analysis(group, k, n_samples=20):
     """Dimension of {W : [W, V^(x k)] = 0 for all V} with rank diagnostics.
 
-    ``group`` is a GroupSampler or an explicit list of unitary group-element
-    matrices. For a SymmetricSampler the dimension is counted exactly, as
-    the number of orbits on index pairs (``_orbit_count``).
+    ``group`` is a GroupSampler, whose ``draw(n_samples)`` gives the
+    elements, or an explicit list of unitary group-element matrices. For a
+    SymmetricSampler the dimension is counted exactly, as the number of
+    orbits on index pairs (``_orbit_count``), and nothing is drawn.
 
     The solve works in an eigenframe q of one element V_0, the first that
     has one, where the commutant of V_0^(x k) lies in the block-diagonal
@@ -341,10 +313,10 @@ def commutant_analysis(group, k, n_samples=20):
     if excess := commutant_excess(math.log2(dim), k):
         raise ValueError(f"system too large: {excess}")
     if elements is None:
-        elements = group.take(n_samples)
-    if not elements:
+        elements = group.draw(max(n_samples, 0))
+    if not len(elements):
         raise ValueError("need at least one group element")
-    stack = np.array(elements)
+    stack = np.asarray(elements)
     drift = np.linalg.norm(stack @ stack.conj().swapaxes(1, 2)
                            - stack.conj().swapaxes(1, 2) @ stack, axis=(1, 2))
     if drift.max() > _FRAME_TOL:

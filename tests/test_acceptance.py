@@ -142,7 +142,7 @@ def test_criterion_2_no_go_average():
             report = empirical_moments(model, sampler, template, MC_SAMPLES)
             target = float(np.real(np.trace(observable.matrix))) / d
             if abs(report.empirical_mean - target) >= 4 * report.stderr:
-                failures.append((d, sampler.kind))
+                failures.append((d, type(sampler).__name__))
     ok = _line(
         "2 no-go average",
         not failures,
@@ -398,7 +398,7 @@ def test_criterion_7b_commutant_u2_k3_as_stated():
     perms = [permutation_operator(p, target="copies") for p in permutations(range(k))]
     span_rank = int(np.linalg.matrix_rank(np.array([p.ravel() for p in perms])))
     worst_commutator = 0.0
-    for v in UnitarySampler(d, seed).take(20):
+    for v in UnitarySampler(d, seed).draw(20):
         vk = np.kron(np.kron(v, v), v)
         for p in perms:
             worst_commutator = max(worst_commutator, float(np.abs(p @ vk - vk @ p).max()))

@@ -278,6 +278,25 @@ def test_vector_off_the_haar_state_route_is_conjugated_as_its_density_matrix():
     assert a == b and abs(a.empirical_mean - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("make", [UnitarySampler, OrthogonalSampler])
+@pytest.mark.parametrize("scale", [2.0, 1 - 1e-8, 1e-3])
+def test_pure_input_off_the_unit_sphere_is_refused_before_any_draw(make, scale):
+    # 2|0> would be valued as the Haar states of |0> under U(d), scaled by
+    # scale^2 under O(d), and given the purity-1 closed forms under both
+    sampler = make(2, 8)
+    for model in (odd_y_model(1), ModelSpec("H1", bell_projector(1))):
+        with pytest.raises(ValueError, match=f"unit vector, got norm {scale:.12g}"):
+            empirical_moments(model, sampler, scale * zero_state(1), 100)
+    assert sampler.sample().tobytes() == make(2, 8).sample().tobytes()
+
+
+def test_pure_input_within_rounding_of_unit_norm_is_taken():
+    psi = (1 + 1e-12) * zero_state(2)
+    a = empirical_moments(odd_y_model(2), UnitarySampler(4, 9), psi, 50)
+    b = empirical_moments(odd_y_model(2), UnitarySampler(4, 9), zero_state(2), 50)
+    assert a == b
+
+
 def _completion(s):
     """A unitary V with V e_0 = s: the QR of [s | I], its first column's
     phase fixed by R's first entry."""

@@ -100,17 +100,25 @@ def test_haar_orthogonal_det_split():
     assert abs((dets > 0).mean() - 0.5) < 0.02
 
 
+SAMPLERS = [(UnitarySampler, 4), (OrthogonalSampler, 4), (LocalUnitarySampler, 2),
+            (SymmetricSampler, 3)]
+
+
 def test_sampler_seed_determinism():
-    for cls, arg in (
-        (UnitarySampler, 4),
-        (OrthogonalSampler, 4),
-        (LocalUnitarySampler, 2),
-        (SymmetricSampler, 3),
-    ):
-        a = cls(arg, seed=99).take(5)
-        b = cls(arg, seed=99).take(5)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+    for cls, arg in SAMPLERS:
+        sampler = cls(arg, seed=99)
+        a = sampler.draw(5)
+        assert a.shape == (5, sampler.dim, sampler.dim)
+        assert np.array_equal(a, cls(arg, seed=99).draw(5))
+
+
+@pytest.mark.parametrize("cls,arg", SAMPLERS)
+def test_draw_of_no_elements_is_an_empty_stack(cls, arg):
+    sampler = cls(arg, seed=99)
+    empty = sampler.draw(0)
+    assert empty.shape == (0, sampler.dim, sampler.dim)
+    # nothing was taken from the stream
+    assert np.array_equal(sampler.draw(2), cls(arg, seed=99).draw(2))
 
 
 def test_block_count_fills_64_kib():
@@ -120,26 +128,39 @@ def test_block_count_fills_64_kib():
     assert states == [256, 256, 256, 128, 64, 32, 1, 1]
 
 
+def local_unitary(d, rng):
+    """One product of log2 d single 2 x 2 Haar draws."""
+    return kron_all([haar_unitary(2, rng) for _ in range(int(np.log2(d)))])
+
+
+def qubit_permutation(d, rng):
+    """One single rng.permutation draw of log2 d qubits, as a matrix."""
+    return permutation_operator(rng.permutation(int(np.log2(d))), target="qubits")
+
+
 @pytest.mark.parametrize("d", [2, 8, 32])
 @pytest.mark.parametrize(
     "sampler,draw",
-    [(UnitarySampler, haar_unitary), (OrthogonalSampler, haar_orthogonal)],
+    [(UnitarySampler, haar_unitary), (OrthogonalSampler, haar_orthogonal),
+     (LocalUnitarySampler, local_unitary), (SymmetricSampler, qubit_permutation)],
 )
 def test_block_sampler_equals_single_draws(sampler, draw, d):
     # two full blocks and part of a third
     m = 2 * groups.block_count(d) + 3
+    arg = d if sampler in (UnitarySampler, OrthogonalSampler) else int(np.log2(d))
     rng = np.random.default_rng(21)
     singles = [draw(d, rng) for _ in range(m)]
-    taken = sampler(d, 21).take(m)
-    s = sampler(d, 21)
+    drawn = sampler(arg, 21).draw(m)
+    s = sampler(arg, 21)
     sampled = [s.sample() for _ in range(m)]
-    rng = np.random.default_rng(21)
-    per_draw = [_per_draw_reference(draw, d, rng) for _ in range(m)]
-    assert len(taken) == len(sampled) == m
-    for w, x, y, z in zip(sampled, taken, singles, per_draw):
+    assert drawn.shape == (m, d, d) and len(sampled) == m
+    for w, x, y in zip(sampled, drawn, singles):
         assert np.array_equal(w, y)
         assert np.array_equal(x, y)
-        assert np.array_equal(y, z)
+    if draw in (haar_unitary, haar_orthogonal):
+        rng = np.random.default_rng(21)
+        for y in singles:
+            assert np.array_equal(y, _per_draw_reference(draw, d, rng))
 
 
 @pytest.mark.parametrize("d", [2, 8, 64])
@@ -277,8 +298,19 @@ def test_permutation_operator_from_index_map():
 def test_symmetric_sampler_stream():
     # the same rng.permutation draws as before, and the same matrices
     rng = np.random.default_rng(22)
-    for v in SymmetricSampler(4, seed=22).take(10):
+    for v in SymmetricSampler(4, seed=22).draw(10):
         np.testing.assert_array_equal(v, _per_digit_matrix(rng.permutation(4)))
+
+
+def test_permutation_operator_of_a_stack():
+    perms = np.array(list(permutations(range(3))))
+    for target, qubits_per_copy in (("qubits", 1), ("copies", 2)):
+        stacked = permutation_operator(perms, target, qubits_per_copy)
+        singles = [permutation_operator(p, target, qubits_per_copy) for p in perms]
+        assert stacked.shape == (6,) + singles[0].shape
+        np.testing.assert_array_equal(stacked, singles)
+    grid = permutation_operator(perms.reshape(2, 3, 3), target="qubits")
+    np.testing.assert_array_equal(grid.reshape(6, 8, 8), permutation_operator(perms, "qubits"))
 
 
 def test_permutation_operator_identity():
@@ -524,10 +556,10 @@ def _brauer_count(d, k):
     ids=["U(2) k=5", "U(4) k=3", "O(4) k=3", "LU(2) k=3", "LU(3) k=2"],
 )
 def test_commutant_dimension_up_to_the_cap(sampler, k, oracle):
-    if sampler.kind == "orthogonal":
+    if isinstance(sampler, OrthogonalSampler):
         # SO(4)^(x 3) has more invariants (the Levi-Civita tensor): the
         # draws must leave SO(4) for the Brauer count to hold
-        dets = np.linalg.det(OrthogonalSampler(4, sampler.seed).take(3))
+        dets = np.linalg.det(OrthogonalSampler(4, sampler.seed).draw(3))
         assert (dets < 0).any()
     report = commutant_analysis(sampler, k, n_samples=3)
     assert report.dimension == oracle()
@@ -669,29 +701,12 @@ def test_commutant_u2_k4_factorises_one_step(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize(
-    "make,arg", [(UnitarySampler, 8), (OrthogonalSampler, 8), (LocalUnitarySampler, 3)]
-)
-def test_take_continues_the_sample_stream(make, arg):
-    # 1 + 70 + 1 draws cross the 64-element block of d = 8
-    plain = make(arg, 17)
-    want = [plain.sample() for _ in range(72)]
-    sampler = make(arg, 17)
-    got = [sampler.sample(), *sampler.take(70), sampler.sample()]
-    assert len(got) == len(want)
-    for x, y in zip(got, want):
-        assert x.tobytes() == y.tobytes()
-    for count in (0, -1):
-        assert sampler.take(count) == []
-    assert sampler.sample().tobytes() == plain.sample().tobytes()
-
-
 def test_unitary_take_moves_the_state_block_to_after_its_elements():
-    # sample(psi) after take(20) fills its states from the stream after 20
+    # sample(psi) after draw(20) fills its states from the stream after 20
     # elements; after 20 sample() calls, after the whole first block of 256
     psi = zero_state(2)
     taken = UnitarySampler(4, 31)
-    taken.take(20)
+    taken.draw(20)
     sampled = UnitarySampler(4, 31)
     for _ in range(20):
         sampled.sample()
@@ -706,8 +721,12 @@ def test_unitary_take_moves_the_state_block_to_after_its_elements():
 
 
 def test_commutant_needs_an_element():
-    with pytest.raises(ValueError, match="need at least one group element"):
-        commutant_analysis(UnitarySampler(2, 0), 2, n_samples=0)
+    for make, arg in SAMPLERS[:3]:
+        sampler = make(arg, 0)
+        for n_samples in (0, -1):
+            with pytest.raises(ValueError, match="need at least one group element"):
+                commutant_analysis(sampler, 1, n_samples=n_samples)
+        assert np.array_equal(sampler.draw(2), make(arg, 0).draw(2))
     with pytest.raises(ValueError, match="need at least one group element"):
         commutant_analysis([], 2)
 
