@@ -1,10 +1,12 @@
 """Labeled dataset generators and the graph encoding.
 
-Four generators: purity (pure vs fixed mixed purity), time-reversal
-states (real vs Haar random), time-reversal dynamics (orthogonal vs Haar
-unitaries), and multipartite entanglement (product vs fixed measure
-value). Graphs are encoded by evolving |+>^n under an Ising-plus-field
-Hamiltonian whose coupling topology is the graph; those states stay vectors.
+Each dataset is two group orbits, one per label. Purity (U(d) orbits of a
+pure state and of a depolarised one), time-reversal states (O(d) and U(d)
+orbits of |0>^n), time-reversal dynamics (O(d) and U(d) themselves) and
+multipartite entanglement (local-unitary orbits of a fixed-measure state
+and of |0>^n) fill one loop, ``_orbits``. A graph dataset holds S_n orbits of
+two graph states: |+>^n evolved under an Ising-plus-field Hamiltonian on the
+graph, kept as vectors.
 
 Each generator returns one Dataset; generation is deterministic per seed.
 """
@@ -61,10 +63,14 @@ def _balanced_labels(count, rng):
     return labels
 
 
-def _unfilled(count, d, rng):
-    """A dataset of ``count`` d x d inputs for the generator to fill row by
-    row, with its labels drawn first."""
-    return Dataset(np.empty((count, d, d), dtype=complex), _balanced_labels(count, rng))
+def _orbits(count, d, rng, item):
+    """The union of two group orbits: ``count`` d x d inputs, their balanced
+    labels drawn first, then each row ``item(label)``, an element of that
+    label's orbit drawn from the shared rng, in item order."""
+    data = Dataset(np.empty((count, d, d), dtype=complex), _balanced_labels(count, rng))
+    for row, label in zip(data.inputs, data.labels):
+        row[:] = item(label)
+    return data
 
 
 def mixed_fraction_for_purity(b, d):
@@ -83,31 +89,25 @@ def purity_dataset(n, count, b, rng):
     """Pure Haar states (label 1) vs depolarised states of purity b (label 0)."""
     d = 2**n
     p = mixed_fraction_for_purity(b, d)
-    data = _unfilled(count, d, rng)
-    for row, label in zip(data.inputs, data.labels):
-        psi = random_statevector(d, rng)
-        row[:] = dm(psi) if label == 1 else p * dm(psi) + (1.0 - p) * np.eye(d) / d
-    return data
+
+    def item(label):
+        rho = dm(random_statevector(d, rng))
+        return rho if label == 1 else p * rho + (1.0 - p) * np.eye(d) / d
+
+    return _orbits(count, d, rng, item)
 
 
 def time_reversal_state_dataset(n, count, rng):
     """|0>^n evolved by Haar orthogonal (label 1) vs Haar unitary (label 0)."""
-    d = 2**n
-    zero = zero_state(n)
-    data = _unfilled(count, d, rng)
-    for row, label in zip(data.inputs, data.labels):
-        v = haar_orthogonal(d, rng) if label == 1 else haar_unitary(d, rng)
-        row[:] = dm(v @ zero)
-    return data
+    d, zero = 2**n, zero_state(n)
+    return _orbits(count, d, rng,
+                   lambda label: dm((haar_orthogonal if label else haar_unitary)(d, rng) @ zero))
 
 
 def time_reversal_dynamics_dataset(n, count, rng):
     """Haar orthogonal unitaries (label 1) vs Haar unitaries (label 0)."""
     d = 2**n
-    data = _unfilled(count, d, rng)
-    for row, label in zip(data.inputs, data.labels):
-        row[:] = haar_orthogonal(d, rng) if label == 1 else haar_unitary(d, rng)
-    return data
+    return _orbits(count, d, rng, lambda label: (haar_orthogonal if label else haar_unitary)(d, rng))
 
 
 # Slack of the attainable-range check: a target this close to an end of the
@@ -155,14 +155,11 @@ def entanglement_dataset(n, count, b, measure, rng):
     """
     if measure not in ENTANGLEMENT_MEASURES:
         raise ValueError(f"unknown entanglement measure {measure!r}")
-    base = _target_state(ENTANGLEMENT_MEASURES[measure], n, b)
-    data = _unfilled(count, 2**n, rng)
-    for row, label in zip(data.inputs, data.labels):
-        # A random local unitary either scrambles the fixed-measure state
-        # (measure-preserving) or turns |0>^n into a random product state.
-        local = kron_all([haar_unitary(2, rng) for _ in range(n)])
-        row[:] = dm(local @ (base if label == 1 else zero_state(n)))
-    return data
+    bases = (zero_state(n), _target_state(ENTANGLEMENT_MEASURES[measure], n, b))
+    # A random local unitary either scrambles the fixed-measure state
+    # (measure-preserving) or turns |0>^n into a random product state.
+    return _orbits(count, 2**n, rng, lambda label: dm(
+        kron_all([haar_unitary(2, rng) for _ in range(n)]) @ bases[label]))
 
 
 def graph_terms(g):

@@ -220,6 +220,9 @@ def commutant_excess(bits, k, orbits=False):
 # orthonormal basis: for a unitary A the commutator of a unit-norm W has
 # norm at most 2, so the cutoff needs no scaling with the spectrum.
 _CUTOFF = 1e-8
+# A null singular value at or below this is an exact zero read through rounding
+# (near 1e-15 at d^k <= 64), whose digits move with the BLAS thread count.
+_ROUNDING = 1e-12
 # Largest norm of V V^H - V^H V for a normal V, and of the off-diagonal
 # part of q^H V q for q to count as V's eigenframe.
 _FRAME_TOL = 1e-9
@@ -283,11 +286,13 @@ def commutant_analysis(group, k, n_samples=20):
     then restricts that space to the nullspace of W -> A W - W A, A the
     element's tensor power in the frame q^(x k). ``gap_ratio`` is the
     smallest ratio, over these steps, of the smallest singular value above
-    the cutoff to the largest one at or below it. A step whose commutators
-    have a Frobenius norm within the cutoff keeps the basis unfactorised:
-    every singular value is at most that norm, so the step could only
-    rotate the basis, and it adds nothing to ``gap_ratio``. ``ambiguous`` and
-    a RuntimeWarning flag a straddled cutoff and O(d) draws all of det +1.
+    the cutoff to the largest one at or below it; a step whose null values
+    are all at rounding level (``_ROUNDING``) adds nothing to it. A step
+    whose commutators have a Frobenius norm within the cutoff keeps the
+    basis unfactorised: every singular value is at most that norm, so the
+    step could only rotate the basis, and it adds nothing to ``gap_ratio``.
+    ``ambiguous`` and a RuntimeWarning flag a straddled cutoff and O(d)
+    draws all of det +1.
 
     Raises ValueError, before any element is drawn or solved, for k < 1, an
     explicit element that is not a square matrix of the first one's
@@ -350,7 +355,7 @@ def commutant_analysis(group, k, n_samples=20):
         null = s <= _CUTOFF
         if null.any() and not null.all():
             above, below = s[~null].min(), s[null].max()
-            if below > 0:
+            if below > _ROUNDING:
                 gap_ratio = min(gap_ratio, float(above / below))
             if above - below < 10 * _CUTOFF:
                 straddles.append((above, below))

@@ -3,16 +3,17 @@
 Three model families share one evaluation surface:
 
   H1: Tr[U (rho^(x k)) U^dag O]            (k = O.copies copies of a state)
-  H2: Tr[U (W^(x 2)) |Psi_in><Psi_in| (...)^dag U^dag O]   (input is a unitary)
+  H2: |<Phi|(W x W)|Psi_in>|^2                (input is a unitary W)
   H3: Tr[U (|0><0| x rho x rho) U^dag (O_anc x 1 x 1)]     (one ancilla qubit)
 
 A model is its observable O and an optional fixed unitary U (the identity
 when absent); the conjugated observable U^dag O U is what determines the
-model's symmetry. ``swap_test_unitary`` is the H3 swap-test circuit in
-closed form; an H3 value is Tr[(rho x rho) B] for B the ancilla-|0> block of
-U^dag O U, scored by the two-copy kernel ``expectation_copies``. Shots
-take the parallel swap test for an H1 swap polynomial, else the two levels
-of the observable at its exact value.
+model's symmetry. An H2 model is the paper's Bell-basis measurement: its O
+is the Bell projector |Phi><Phi|, undressed. ``swap_test_unitary`` is the
+H3 swap-test circuit in closed form; an H3 value is Tr[(rho x rho) B] for B
+the ancilla-|0> block of U^dag O U, scored by the two-copy kernel
+``expectation_copies``. Shots take the parallel swap test for an H1 swap
+polynomial, else the two levels of the observable at its exact value.
 """
 
 from dataclasses import dataclass, field
@@ -49,6 +50,8 @@ class ModelSpec:
         if self.hclass == "H2":
             if self.observable.copies != 2:
                 raise ValueError("H2 models act on two copies of the register")
+            if self.observable.kind != "bell" or self.unitary is not None:
+                raise ValueError("an H2 model measures the Bell projector, undressed")
             if self.psi_in is None or len(self.psi_in) != dim:
                 raise ValueError("H2 requires a 2n-qubit input state psi_in")
 
@@ -69,21 +72,21 @@ def conjugated_observable(model):
 
 def evaluate(model, x):
     """Exact model value on a density matrix (H1, H3) or unitary (H2); an
-    H2 Bell value takes one d x d product, any other H2 value the dense one."""
+    H2 value is the Bell projector's, read from one d x d product."""
     x = np.asarray(x)
     obs = model.observable if model.unitary is None else conjugated_observable(model)
     if model.hclass == "H1":
         return obs.expectation(x)
-    if model.hclass == "H2":
-        m = _h2_input(model, x)
-        if obs.kind == "bell":
-            # <Phi|(W x W)|psi> = tr(W M W^T) / sqrt(d), and tr(W M W^T) = sum((W M) * W)
-            return float(abs((x @ m).ravel() @ x.ravel()) ** 2 / len(x))
-        # (W x W)|psi_in> is the row-major vec of W M W^T
-        phi = (x @ m @ x.T).ravel()
-        return float(np.real(phi.conj() @ obs.matrix @ phi))
-    # H3: the ancilla's |0><0| in front of rho x rho keeps the top-left block
     d = x.shape[0]
+    if model.hclass == "H2":
+        if d * d != obs.dim:
+            raise ValueError(f"H2 expects a {int(np.sqrt(obs.dim))}-dim unitary")
+        if not is_unitary(x):
+            raise ValueError("H2 input must be unitary")
+        # <Phi|(W x W)|psi> = tr(W M W^T) / sqrt(d), M = psi_in as d x d, and
+        # tr(W M W^T) = sum((W M) * W)
+        return float(abs((x @ model.psi_in.reshape(d, d)).ravel() @ x.ravel()) ** 2 / d)
+    # H3: the ancilla's |0><0| in front of rho x rho keeps the top-left block
     if 2 * d * d != obs.dim:
         raise ValueError(f"input dim {d} incompatible with H3 observable")
     return expectation_copies(x, 2, obs.matrix[: d * d, : d * d])
@@ -110,16 +113,6 @@ def ancilla_observable(o, n):
 def swap_test_model(n):
     """H3 purity model: swap-test circuit with a Z ancilla measurement."""
     return ModelSpec("H3", ancilla_observable(PAULI["Z"], n), unitary=swap_test_unitary(n))
-
-
-def _h2_input(model, w):
-    """M, the d x d reshape of psi_in, once W is checked to be a d x d unitary."""
-    d, dim = w.shape[0], model.observable.dim
-    if d * d != dim:
-        raise ValueError(f"H2 expects a {int(np.sqrt(dim))}-dim unitary")
-    if not is_unitary(w):
-        raise ValueError("H2 input must be unitary")
-    return model.psi_in.reshape(d, d)
 
 
 def _shot_distribution(model, obs, stack):

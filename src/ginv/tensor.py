@@ -129,21 +129,14 @@ def expm_hermitian(h, t=1.0):
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
-def expectation(rho, obs):
-    """Real expectation value Tr[rho obs] for Hermitian obs."""
-    rho = np.asarray(rho)
-    obs = np.asarray(obs)
-    if rho.shape != obs.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {obs.shape}")
-    return float(np.real(np.einsum("ij,ji->", rho, obs)))
-
-
 def expectation_copies(rho, k, obs):
-    """Tr[rho^(x k) obs] for one state, or per state of a (B, d, d) stack.
+    """Tr[rho^(x k) obs], k = 1 or 2, for one state or each of a (B, d, d) stack.
 
     A single state is scored as a stack of one. At k = 2 a stack is one
     matrix product against obs with its indices regrouped by copy.
     """
+    if k not in (1, 2):
+        raise ValueError(f"expectation_copies takes 1 or 2 copies, got k = {k}")
     rho = np.asarray(rho)
     obs = np.asarray(obs)
     if rho.ndim == 2:
@@ -153,13 +146,11 @@ def expectation_copies(rho, k, obs):
         raise ValueError(f"observable shape {obs.shape} does not act on {d}^{k}")
     if k == 1:
         return np.real(np.einsum("bij,ji->b", rho, obs))
-    if k == 2:
-        # sum rho_b[i,r] rho_b[j,s] obs[(r,s),(i,j)] = a_b^T m a_b with
-        # a_b = rho_b as a vector over (i,r), m[(i,r),(j,s)] = obs[(r,s),(i,j)]
-        a = rho.reshape(len(rho), d * d)
-        m = obs.reshape((d,) * 4).transpose(2, 0, 3, 1).reshape(d * d, d * d)
-        return np.real(np.einsum("bx,bx->b", a @ m, a))
-    return np.array([expectation(tensor_power(r, k), obs) for r in rho])
+    # sum rho_b[i,r] rho_b[j,s] obs[(r,s),(i,j)] = a_b^T m a_b with
+    # a_b = rho_b as a vector over (i,r), m[(i,r),(j,s)] = obs[(r,s),(i,j)]
+    a = rho.reshape(len(rho), d * d)
+    m = obs.reshape((d,) * 4).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    return np.real(np.einsum("bx,bx->b", a @ m, a))
 
 
 def purity(rho):

@@ -18,6 +18,15 @@ def random_density_matrix(dim, rng, rank=None):
     return rho / np.trace(rho)
 
 
+def expectation(rho, obs):
+    """Real expectation value Tr[rho obs] for Hermitian obs."""
+    rho = np.asarray(rho)
+    obs = np.asarray(obs)
+    if rho.shape != obs.shape:
+        raise ValueError(f"dimension mismatch: {rho.shape} vs {obs.shape}")
+    return float(np.real(np.einsum("ij,ji->", rho, obs)))
+
+
 def check_density_matrix(rho, tol=None):
     """Raise ValueError unless rho is Hermitian, unit trace, and PSD."""
     tol = ATOL if tol is None else tol
@@ -138,7 +147,7 @@ def commutant_every_step(elements, k):
         null = s <= groups._CUTOFF
         if null.any() and not null.all():
             above, below = s[~null].min(), s[null].max()
-            if below > 0:
+            if below > groups._ROUNDING:
                 gap_ratio = min(gap_ratio, float(above / below))
             ambiguous |= bool(above - below < 10 * groups._CUTOFF)
         basis = np.tensordot(vh[null].conj(), basis, axes=1)

@@ -30,13 +30,12 @@ from ginv.observables import Observable, bell_projector, pauli_string, swap_oper
 from ginv.tensor import (
     bell_state,
     dm,
-    expectation,
     purity,
     random_statevector,
     tensor_power,
     zero_state,
 )
-from helpers import random_density_matrix
+from helpers import expectation, random_density_matrix
 
 
 def odd_y_model(n):

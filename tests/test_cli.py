@@ -106,6 +106,33 @@ def test_blas_threads_default_to_one(preset):
     assert done.stdout.split() == [preset or "1"] * 2
 
 
+# The two commutant caps whose rounding-level null singular values once set
+# gap_ratio, and the run that draws the most unitaries at its defaults.
+THREAD_PROBES = [
+    {"experiment": "commutant", "group": "unitary", "d": 2, "k": 4},
+    {"experiment": "commutant", "group": "orthogonal", "d": 4, "k": 3},
+    {"experiment": "time_reversal_dynamics"},
+]
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    # one fresh interpreter per thread count, since the variables act only
+    # before numpy loads its BLAS; every result field but wall_time_s must agree
+    probe = ("import json, sys; from ginv import cli\n"
+             "for config in json.loads(sys.argv[1]):\n"
+             "    result = cli.run(config); result.pop('wall_time_s')\n"
+             "    print(json.dumps(result, sort_keys=True))")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(ginv.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", probe, json.dumps(THREAD_PROBES)],
+                              env=env, capture_output=True, text=True, check=True)
+        runs.append([json.loads(line) for line in done.stdout.splitlines()])
+    assert len(runs[0]) == len(THREAD_PROBES)
+    assert runs[0] == runs[1]
+
+
 def test_run_time_reversal_dynamics(tmp_path):
     out = tmp_path / "dyn.json"
     code = run_cli(

@@ -6,16 +6,18 @@ import pytest
 from ginv import datasets as ds
 from ginv import observables as obs
 from ginv.groups import permutation_index, permutation_operator
+from ginv.models import ModelSpec, evaluate
 from ginv.tensor import (
+    bell_state,
     dm,
-    expectation,
     kron_all,
     plus_state,
     purity,
     random_statevector,
     zero_state,
 )
-from helpers import ghz_state, relabel
+from ginv.train import graph_invariant_model
+from helpers import expectation, ghz_state, relabel
 
 
 TRIANGLE = ds.Graph(3, {(0, 1), (1, 2), (0, 2)})
@@ -320,8 +322,6 @@ def test_fiduciary_state_is_permutation_invariant():
 
 
 def test_graph_dataset_invariant_model_constant_per_class():
-    from ginv.train import graph_invariant_model
-
     data = ds.graph_dataset(TRIANGLE, PATH3, 12, 1.0, np.random.default_rng(12))
     model = graph_invariant_model(3)
     theta = np.array([0.4, 0.8, 0.3])
@@ -341,3 +341,42 @@ def test_graph_dataset_conjugation_oracle():
     p = permutation_operator((1, 2, 0), target="qubits")
     conj = p @ rho @ p.T
     assert abs(expectation(conj, a3) - expectation(rho, a3)) < 1e-10
+
+
+
+# task: a model, its task's dataset from a generator, and the labels whose
+# group leaves the model invariant; every other label is a U(d) orbit
+ORBIT_CASES = {
+    "purity": (ModelSpec("H1", obs.swap_operator(4)),
+               lambda rng: ds.purity_dataset(4, 40, 0.5, rng), (0, 1)),
+    "concentratable": (ModelSpec("H1", obs.entanglement_observable("concentratable", 5)),
+                       lambda rng: ds.entanglement_dataset(5, 40, 0.3, "concentratable", rng),
+                       (0, 1)),
+    "meyer_wallach": (ModelSpec("H1", obs.entanglement_observable("meyer_wallach", 4)),
+                      lambda rng: ds.entanglement_dataset(4, 40, 0.5, "meyer_wallach", rng),
+                      (0, 1)),
+    "states_bell": (ModelSpec("H1", obs.bell_projector(3)),
+                    lambda rng: ds.time_reversal_state_dataset(3, 40, rng), (1,)),
+    "states_odd_y": (ModelSpec("H1", obs.pauli_string("YII")),
+                     lambda rng: ds.time_reversal_state_dataset(3, 40, rng), (1,)),
+    "dynamics": (ModelSpec("H2", obs.bell_projector(3), psi_in=bell_state(3)),
+                 lambda rng: ds.time_reversal_dynamics_dataset(3, 40, rng), (1,)),
+    "graph": (graph_invariant_model(4),
+              lambda rng: ds.graph_dataset(CYCLE4, STAR4, 40, 1.0, rng), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("task", sorted(ORBIT_CASES))
+def test_invariant_model_is_constant_on_each_orbit(task):
+    # the paper's invariance theorem, exactly: a model invariant under a
+    # class's group takes one value on that class's orbit, while a U(d)
+    # orbit of the time-reversal tasks spreads
+    model, generate, invariant = ORBIT_CASES[task]
+    data = generate(np.random.default_rng(14))
+    if isinstance(model, ModelSpec):
+        values = np.array([evaluate(model, x) for x in data.inputs])
+    else:
+        values = model.value_fn(model.theta0, data.inputs)
+    for label in (0, 1):
+        spread = np.ptp(values[data.labels == label])
+        assert spread < 1e-12 if label in invariant else spread > 1e-3, (label, spread)

@@ -25,7 +25,6 @@ from ginv.tensor import (
     basis_state,
     bell_state,
     dm,
-    expectation,
     expm_hermitian,
     is_unitary,
     kron,
@@ -35,7 +34,7 @@ from ginv.tensor import (
     tensor_power,
 )
 from ginv.train import OptimizeResult, TrainableModel
-from helpers import qgcnn_unitary, random_density_matrix, relabel
+from helpers import expectation, qgcnn_unitary, random_density_matrix, relabel
 
 C4 = Graph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
 K3 = Graph(3, {(0, 1), (1, 2), (0, 2)})
@@ -148,12 +147,10 @@ def test_evaluate_h2_bell_reads_no_dense_matrix():
         assert "matrix" not in vars(model.observable)
 
 
-@pytest.mark.parametrize("obs", [bell_projector(2), swap_operator(2)])
-def test_h2_routes_check_each_input_once(obs, monkeypatch):
-    # the Bell value and the dense value share one shape and unitarity
-    # check, made once a call, with the same messages; shots read each
-    # item's value through evaluate, so they check each item once too
-    model = ModelSpec("H2", obs, psi_in=bell_state(2))
+def test_h2_routes_check_each_input_once(monkeypatch):
+    # the Bell value checks shape and unitarity once a call; shots read
+    # each item's value through evaluate, so they check each item once too
+    model = ModelSpec("H2", bell_projector(2), psi_in=bell_state(2))
     checks = []
     monkeypatch.setattr(models, "is_unitary", lambda w: checks.append(w) or is_unitary(w))
     w = haar_unitary(4, np.random.default_rng(43))
@@ -216,6 +213,14 @@ def test_model_spec_validation():
         ModelSpec("H1", swap_operator(1), unitary=np.eye(2))  # dim clash
     with pytest.raises(ValueError, match="two copies"):
         ModelSpec("H2", Observable(np.eye(4), 1, 2, "one copy"), psi_in=bell_state(1))
+
+
+def test_h2_model_is_the_undressed_bell_projector():
+    for obs in (swap_operator(1), Observable(np.eye(16), 2, 2, "dense")):
+        with pytest.raises(ValueError, match="Bell projector, undressed"):
+            ModelSpec("H2", obs, psi_in=bell_state(obs.qubits_per_copy))
+    with pytest.raises(ValueError, match="Bell projector, undressed"):
+        ModelSpec("H2", bell_projector(1), psi_in=bell_state(1), unitary=np.eye(4))
 
 
 def test_swap_test_unitary_conjugation_identity():
@@ -407,7 +412,7 @@ def test_dense_shots_diagonalise_the_observable_once(monkeypatch):
     assert len(calls) == 2 and three.observable.levels is None
 
 
-@pytest.mark.parametrize("case", ["h1_dense", "h2_dense"])
+@pytest.mark.parametrize("case", ["h1_dense"])
 def test_shots_refuse_more_than_two_levels(case):
     # a dense observable with three or more levels has no two-level law:
     # refused before any value or draw, the generator untouched
@@ -465,11 +470,8 @@ def _shot_case(case, n, rng):
         model = ModelSpec("H1", bell_projector(n))
     elif case == "h2_bell":
         model = ModelSpec("H2", bell_projector(n), psi_in=bell_state(n))
-    elif case == "h1_dense":
-        model = ModelSpec("H1", Observable(random_hermitian(d, rng), 1, n, "dense"))
     else:
-        h2 = Observable(random_hermitian(d * d, rng), 2, n, "dense")
-        model = ModelSpec("H2", h2, psi_in=random_statevector(d * d, rng))
+        model = ModelSpec("H1", Observable(random_hermitian(d, rng), 1, n, "dense"))
     if model.hclass == "H2":
         return model, np.array([haar_unitary(d, rng) for _ in range(40)])
     # mixed states and pure ones, whose Bell values reach 0 and 1/d
@@ -573,8 +575,8 @@ def test_two_level_law_equals_the_born_weights(case):
 
 @pytest.mark.parametrize("stacked", [False, True])
 def test_h2_shots_check_each_input(stacked):
-    # the dense route reads the inputs without evaluate: it checks them alike
-    model = ModelSpec("H2", swap_operator(1), psi_in=bell_state(1))
+    # shots read each item's value through evaluate, which checks it
+    model = ModelSpec("H2", bell_projector(1), psi_in=bell_state(1))
     rng = np.random.default_rng(27)
     for bad, message in ((np.diag([1.0, 2.0]), "H2 input must be unitary"),
                          (np.eye(4), "H2 expects a 2-dim unitary")):
