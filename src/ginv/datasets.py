@@ -98,10 +98,16 @@ def purity_dataset(n, count, b, rng):
 
 
 def time_reversal_state_dataset(n, count, rng):
-    """|0>^n evolved by Haar orthogonal (label 1) vs Haar unitary (label 0)."""
-    d, zero = 2**n, zero_state(n)
-    return _orbits(count, d, rng,
-                   lambda label: dm((haar_orthogonal if label else haar_unitary)(d, rng) @ zero))
+    """|0>^n evolved by Haar orthogonal (label 1) vs Haar unitary (label 0).
+    V|0> is the first column of V's Ginibre draw over its norm: no QR."""
+    d = 2**n
+
+    def item(label):  # the whole draw of haar_*, so that later items read the same normals
+        g = rng.standard_normal((d, d) if label else (2, d, d))
+        v = g[:, 0] if label else g[0, :, 0] + 1j * g[1, :, 0]
+        return dm(v / np.linalg.norm(v))
+
+    return _orbits(count, d, rng, item)
 
 
 def time_reversal_dynamics_dataset(n, count, rng):

@@ -39,9 +39,24 @@ def haar_unitary(d, rng, count=None):
     shape = () if count is None else (count,)
     g = rng.standard_normal(shape + (2, d, d))
     z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2)
+    if d == 2:  # a single draw as a stack of one, for the stacked draw's bits
+        return _haar_u2(z.reshape(-1, 2, 2)).reshape(z.shape)
     q, r = np.linalg.qr(z)
     ph = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (ph / np.abs(ph))[..., None, :]
+
+
+def _haar_u2(z):
+    """Q of the phase-fixed QR of a (count, 2, 2) stack z by Gram-Schmidt:
+    q0 = z_0 / ||z_0||, q1 = (r / |r|) w, w = (-conj q0[1], conj q0[0]), r = w^H z_1."""
+    a = z[:, :, 0]
+    q = np.empty_like(z)
+    q[:, :, 0] = a / np.sqrt((a.real**2 + a.imag**2).sum(axis=1))[:, None]
+    phase = q[:, 0, 0] * z[:, 1, 1] - q[:, 1, 0] * z[:, 0, 1]
+    phase /= np.abs(phase)
+    q[:, 0, 1] = -phase * q[:, 1, 0].conj()
+    q[:, 1, 1] = phase * q[:, 0, 0].conj()
+    return q
 
 
 def haar_orthogonal(d, rng, count=None):

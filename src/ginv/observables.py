@@ -119,14 +119,18 @@ class SwapPolynomial(Observable):
             m[(x & ~a | y & a) * d + (y & ~a | x & a), x * d + y] += self.coeffs[a]
         return m
 
-    def _values(self, stack):
+    @cached_property
+    def _values(self):
+        """The values of a (B, d, d) stack: a function on a route fixed by the masks."""
         masks = np.flatnonzero(self.coeffs)
+        c = self.coeffs[masks]
         if masks.tolist() == [len(self.coeffs) - 1]:
             # a lone whole-register term needs only Tr[rho^2]
-            return self.coeffs[-1] * np.real(np.einsum("bij,bji->b", stack, stack))
-        if all((a & (a - 1)) == 0 for a in masks):
-            return _one_qubit_purities(stack, masks) @ self.coeffs[masks]
-        return subset_purities(stack)[:, masks] @ self.coeffs[masks]
+            return lambda stack: c[0] * np.real(np.einsum("bij,bji->b", stack, stack))
+        if any(a & (a - 1) for a in masks):
+            return lambda stack: subset_purities(stack)[:, masks] @ c
+        purities = _one_qubit_purities(masks, len(self.coeffs))
+        return lambda stack: purities(stack) @ c
 
     def shot_distribution(self, rho):
         """Levels f(z) = sum_a (-1)^{z.a} c_a and probabilities
@@ -338,23 +342,23 @@ def xyz_moments(states):
     return moments if states.ndim == 2 else moments[0]
 
 
-def _one_qubit_purities(stack, masks):
-    """Tr[rho_a^2] per state of a (B, d, d) stack for masks a of at most one
-    qubit, read from the entries of each one-qubit marginal in O(d): its
-    diagonal sums p0, p1 and off-diagonal sum c give p0^2 + p1^2 + 2|c|^2.
-    The empty mask gives Tr[rho]^2."""
-    x = np.arange(stack.shape[-1])
-    diag = np.real(np.diagonal(stack, axis1=1, axis2=2))
-    columns = []
-    for a in masks:
-        if a == 0:
-            columns.append(diag.sum(axis=1) ** 2)
-            continue
-        low = x[(x & a) == 0]
-        p0, p1 = diag[:, low].sum(axis=1), diag[:, low + a].sum(axis=1)
-        c = stack[:, low, low + a].sum(axis=1)
-        columns.append(p0**2 + p1**2 + 2 * (c.real**2 + c.imag**2))
-    return np.stack(columns, axis=1)
+def _one_qubit_purities(masks, d):
+    """Tr[rho_a^2] at masks a of at most one qubit, as a function of a (B, d, d)
+    stack: p0^2 + p1^2 + 2|c|^2 from the diagonal sums p0, p1 and off-diagonal
+    sum c of each one-qubit marginal, one gather for all masks; Tr[rho]^2 at a = 0."""
+    bits = np.maximum(masks, 1)  # the empty mask's row is replaced
+    low = np.array([np.flatnonzero((np.arange(d) & a) == 0) for a in bits])
+    high, empty = low + bits[:, None], masks == 0
+
+    def purities(stack):
+        diag = np.real(np.diagonal(stack, axis1=1, axis2=2))
+        p0, p1 = diag[:, low].sum(axis=2), diag[:, high].sum(axis=2)
+        c = stack[:, low, high].sum(axis=2)
+        result = p0**2 + p1**2 + 2 * (c.real**2 + c.imag**2)
+        result[:, empty] = diag.sum(axis=1)[:, None] ** 2
+        return result
+
+    return purities
 
 
 def subset_purity(rho, subset):

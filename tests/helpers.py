@@ -1,6 +1,7 @@
 """States, models and checks that only the tests use."""
 
 from dataclasses import dataclass
+from math import factorial, prod
 
 import numpy as np
 
@@ -152,3 +153,34 @@ def commutant_every_step(elements, k):
             ambiguous |= bool(above - below < 10 * groups._CUTOFF)
         basis = np.tensordot(vh[null].conj(), basis, axes=1)
     return groups.CommutantReport(len(basis), start_dimension, gap_ratio, groups._CUTOFF, ambiguous)
+
+
+def _partitions(k, largest=None):
+    """Partitions of k as non-increasing tuples."""
+    largest = k if largest is None else largest
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, largest), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first,) + rest
+
+
+def _hook_length_dimension(shape):
+    """f^lambda = k! / prod of hook lengths (dimension of the S_k irrep)."""
+    conjugate = [sum(1 for row in shape if row > j) for j in range(shape[0])]
+    hooks = prod(
+        shape[i] - j + conjugate[j] - i - 1
+        for i in range(len(shape))
+        for j in range(shape[i])
+    )
+    return factorial(sum(shape)) // hooks
+
+
+def schur_weyl_commutant_dimension(d, k):
+    """dim Comm{V^(x k) : V in U(d)} = sum over lambda |- k, <= d rows, of (f^lambda)^2."""
+    return sum(
+        _hook_length_dimension(shape) ** 2
+        for shape in _partitions(k)
+        if len(shape) <= d
+    )

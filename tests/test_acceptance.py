@@ -67,7 +67,12 @@ from ginv.tensor import (
     random_statevector,
     zero_state,
 )
-from helpers import check_invariance, ghz_state, random_density_matrix
+from helpers import (
+    check_invariance,
+    ghz_state,
+    random_density_matrix,
+    schur_weyl_commutant_dimension,
+)
 from ginv.train import TrainConfig, graph_invariant_model, optimize
 
 MC_SAMPLES = 20000
@@ -352,37 +357,6 @@ def test_criterion_7a_commutant_dimensions():
         f"dimensions {got}, min rank gap = {min_gap:.1e}",
     )
     assert ok
-
-
-def _partitions(k, largest=None):
-    """Partitions of k as non-increasing tuples."""
-    largest = k if largest is None else largest
-    if k == 0:
-        yield ()
-        return
-    for first in range(min(k, largest), 0, -1):
-        for rest in _partitions(k - first, first):
-            yield (first,) + rest
-
-
-def _hook_length_dimension(shape):
-    """f^lambda = k! / prod of hook lengths (dimension of the S_k irrep)."""
-    conjugate = [sum(1 for row in shape if row > j) for j in range(shape[0])]
-    hooks = prod(
-        shape[i] - j + conjugate[j] - i - 1
-        for i in range(len(shape))
-        for j in range(shape[i])
-    )
-    return factorial(sum(shape)) // hooks
-
-
-def schur_weyl_commutant_dimension(d, k):
-    """dim Comm{V^(x k) : V in U(d)} = sum over lambda |- k, <= d rows, of (f^lambda)^2."""
-    return sum(
-        _hook_length_dimension(shape) ** 2
-        for shape in _partitions(k)
-        if len(shape) <= d
-    )
 
 
 def test_criterion_7b_commutant_u2_k3_as_stated():

@@ -5,7 +5,7 @@ import pytest
 
 from ginv import datasets as ds
 from ginv import observables as obs
-from ginv.groups import permutation_index, permutation_operator
+from ginv.groups import haar_orthogonal, haar_unitary, permutation_index, permutation_operator
 from ginv.models import ModelSpec, evaluate
 from ginv.tensor import (
     bell_state,
@@ -95,6 +95,21 @@ def test_time_reversal_states_haar_moments():
     stderr = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean()) < 4 * stderr
     assert abs(vals.var(ddof=1) - 1 / (d + 1)) < 0.1 / (d + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_time_reversal_states_equal_the_haar_draws_they_read(n):
+    # each item reads V|0> from the normals of one haar_orthogonal (label 1)
+    # or haar_unitary (label 0) call, with no QR, and leaves the stream where
+    # those calls would
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    data = ds.time_reversal_state_dataset(n, 30, rng)
+    assert np.array_equal(data.labels, ds._balanced_labels(30, twin))
+    d, zero = 2**n, zero_state(n)
+    for rho, label in zip(data.inputs, data.labels):
+        v = (haar_orthogonal if label else haar_unitary)(d, twin) @ zero
+        np.testing.assert_allclose(rho, dm(v), rtol=0, atol=1e-14)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_time_reversal_dynamics_labels():

@@ -587,8 +587,8 @@ def test_one_qubit_purities_equal_the_pauli_weight_transform(n):
                       random_hermitian(d, rng), np.eye(d) / d])
     masks = np.array([0] + [1 << (n - 1 - j) for j in range(n)])
     full = obs.subset_purities(stack)
-    np.testing.assert_allclose(obs._one_qubit_purities(stack, masks), full[:, masks],
-                               rtol=0, atol=1e-12)
+    one_qubit = obs._one_qubit_purities(masks, d)(stack)
+    np.testing.assert_allclose(one_qubit, full[:, masks], rtol=0, atol=1e-12)
     for observable in structured_observables(n):
         if observable.kind != "swap":
             continue
