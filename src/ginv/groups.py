@@ -7,8 +7,10 @@ permutations. Each sampler draws a stack of elements at once
 is not meant to be shared across threads.
 """
 
+import itertools
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,31 +86,32 @@ class GroupSampler:
         self.dim = int(dim)
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
-        self._blocks = {2: [(), 0], 1: [(), 0]}  # rank -> [block, handed out]
+        self._elements = self._rows(self.draw, 2)
 
     def sample(self):
-        return self._from_block(self.draw)
+        return next(self._elements)
 
-    def _from_block(self, draw, rank=2):
-        """Next element of ``draw(count)``, refilled a block at a time;
-        ``rank`` sizes the block as in ``block_count``: 2 for matrices, 1
-        for states.
-
-        The stream is the one single draws would give, since a stack
-        consumes the randomness of its elements in order. Elements and
-        states keep one [block, handed out] entry each, so they may be
-        interleaved, and a draw only moves its own entry's count.
-        """
-        entry = self._blocks[rank]
-        if entry[1] == len(entry[0]):
-            entry[:] = draw(block_count(self.dim, rank)), 0
-        entry[1] += 1
-        return entry[0][entry[1] - 1]
+    def _rows(self, draw, rank):
+        """The rows of ``draw(count)`` one at a time, a block drawn when one runs out,
+        sized by ``rank`` as in ``block_count`` (2 matrices, 1 states). A stack takes
+        its rows' randomness in order, so each stream is the one single draws give;
+        elements and states are separate generators, so they may be interleaved.
+        ``draw`` is held weakly: a strong reference would close a cycle through the
+        sampler, which keeps a dropped sampler and its blocks until a collection."""
+        draw, count = weakref.WeakMethod(draw), block_count(self.dim, rank)
+        return (row for _ in itertools.count() for row in draw()(count))
 
 
 class UnitarySampler(GroupSampler):
+    def __init__(self, dim, seed=0):
+        super().__init__(dim, seed)
+        self._states = self._rows(self._draw_states, 1)
+
     def draw(self, count):
         return haar_unitary(self.dim, self._rng, count)
+
+    def _draw_states(self, count):
+        return random_statevector(self.dim, self._rng, count)
 
     def sample(self, psi=None):
         """The next Haar-random V from a block of ``draw``; given a unit
@@ -119,14 +122,11 @@ class UnitarySampler(GroupSampler):
         ``random_statevector`` draws, sized by the 16 d bytes of a state.
         """
         if psi is None:
-            return self._from_block(self.draw)
+            return next(self._elements)
         shape = psi.shape if isinstance(psi, np.ndarray) else np.shape(psi)
         if shape != (self.dim,):
             raise ValueError(f"psi must be a vector of dimension {self.dim}, got shape {shape}")
-        return self._from_block(self._states, 1)
-
-    def _states(self, count):
-        return random_statevector(self.dim, self._rng, count)
+        return next(self._states)
 
 
 class OrthogonalSampler(GroupSampler):

@@ -3,8 +3,8 @@
 An observable acts on k copies of an n-qubit register; copy A occupies
 qubits 0..n-1 and copy B qubits n..2n-1 of the doubled register. The
 function that makes it fixes its kind: a swap polynomial, the Bell
-projector, or a dense matrix. The structured kinds are valued from the
-state itself and build their dense ``matrix`` on first access.
+projector, a Pauli string or a dense matrix. Structured kinds are valued
+from the state itself and build their dense ``matrix`` on first access.
 
 A swap polynomial reads every reduced purity Tr[rho_a^2] from one
 Pauli-weight transform of the state (``subset_purities``), or, when each
@@ -12,9 +12,8 @@ of its terms acts on at most one qubit, from the entries of the one-qubit
 marginals. The same transform, without the identity, gives the moments
 ``xyz_moments`` of state vectors that value a tensor power of a Bloch axis
 (a.sigma)^(x n) as a polynomial in a. ``Observable.pure_values`` values a
-stack of pure states from the vectors: one product for a single-copy
-observable, O(d) a state for the Bell projector, and |s><s| for the other
-kinds. Each
+stack of pure states from the vectors, O(d) a state for a Pauli string and
+the Bell projector, through |s><s| for the other kinds. Each
 entanglement observable has a companion ``*_oracle`` evaluating the same
 quantity from partial traces (``subset_purity``), an independent route;
 the runner and the tests hold the two against each other.
@@ -79,9 +78,6 @@ class Observable:
         return self._pure_values(states)
 
     def _pure_values(self, states):
-        if self.copies == 1:
-            # <s|O|s> = sum_i conj(s_i) (O s)_i, one product for the stack
-            return np.real(np.einsum("bi,bi->b", states.conj(), states @ self.matrix.T))
         return self._values(dm(states))
 
     @cached_property
@@ -171,6 +167,33 @@ class BellProjector(Observable):
         return np.abs(np.einsum("bi,bi->b", states, states)) ** 2 / states.shape[-1]
 
 
+class PauliString(Observable):
+    """A tensor product of Pauli letters, qubit 0 first: P e_i = phase[i] e_flip[i],
+    flip[i] = i ^ x, x the mask of the X and Y letters (bit n-1-j for qubit j),
+    so a state is valued in O(d) by one gather (Aaronson, Gottesman, quant-ph/0406196)."""
+
+    kind = "pauli"
+
+    def __init__(self, word):
+        self.copies, self.qubits_per_copy, self.tag = 1, len(word), word
+        x = int("".join("01"[c in "XY"] for c in word), 2)
+        # a letter's column sums are its column phases: I, X (1, 1), Y (i, -i), Z (1, -1)
+        self.flip, self.phase = np.arange(self.dim) ^ x, kron_all([PAULI[c].sum(0) for c in word])
+        self.levels = (1.0, 1.0) if set(word) == {"I"} else (1.0, -1.0)
+
+    @cached_property
+    def matrix(self):
+        return kron_all([PAULI[c] for c in self.tag])
+
+    def _values(self, stack):
+        # Tr[rho P] = sum_i phase[i] rho[i, flip[i]]
+        return np.real(stack[:, np.arange(len(self.flip)), self.flip] @ self.phase)
+
+    def _pure_values(self, states):
+        # <s|P|s> = sum_i phase[i] conj(s[flip[i]]) s[i]
+        return np.real((states[:, self.flip].conj() * states) @ self.phase)
+
+
 def _subsets(qubits):
     """Every subset of ``qubits``, the empty one first."""
     return [a for r in range(len(qubits) + 1) for a in combinations(qubits, r)]
@@ -221,12 +244,11 @@ def ntangle_observable(n):
 
 
 def pauli_string(word):
-    """Tensor product of Pauli operators, e.g. "YZX", as an Observable."""
+    """Tensor product of Pauli operators, e.g. "YZX", as a PauliString."""
     word = word.upper()
     if not word or any(c not in PAULI for c in word):
         raise ValueError(f"invalid Pauli string {word!r}")
-    m = kron_all([PAULI[c] for c in word])
-    return Observable(m, copies=1, qubits_per_copy=len(word), tag=word)
+    return PauliString(word)
 
 
 def hermitize(a, copies=1):

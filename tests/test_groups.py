@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 from itertools import permutations
 from math import comb, prod
 
@@ -224,6 +226,41 @@ def test_unitary_sampler_interleaves_elements_and_states():
         later = [sampler.sample() for _ in range(len(units) - 1)]
         assert np.array_equal(later[-2], units[-1])
         assert np.array_equal(later[-1], haar_unitary(d, rng, count=len(units))[0])
+    # at d = 2 both streams run past a full block of 256, alternating, with a
+    # draw between them: the blocks and the draw take the stream in the order
+    # they are filled, elements, states, draw, elements, states
+    sampler, psi, pairs = UnitarySampler(2, 24), zero_state(1), 300
+    units, states = [], []
+    for i in range(pairs):
+        units.append(sampler.sample())
+        states.append(sampler.sample(psi))
+        if i == 10:
+            drawn = sampler.draw(5)
+    rng = np.random.default_rng(24)
+    u1, s1 = haar_unitary(2, rng, count=256), random_statevector(2, rng, count=256)
+    taken = haar_unitary(2, rng, count=5)
+    u2, s2 = haar_unitary(2, rng, count=256), random_statevector(2, rng, count=256)
+    assert np.array_equal(drawn, taken)
+    assert np.array_equal(np.array(units), np.concatenate([u1, u2])[:pairs])
+    assert np.array_equal(np.array(states), np.concatenate([s1, s2])[:pairs])
+
+
+def test_a_dropped_sampler_is_freed_without_the_cyclic_collector():
+    # the handout generators hold their draw weakly, so no cycle runs through
+    # a sampler: it and its blocks go when the last reference does
+    gc.disable()
+    try:
+        for cls, arg in SAMPLERS:
+            sampler = cls(arg, seed=5)
+            first = sampler.sample()
+            if cls is UnitarySampler:
+                sampler.sample(zero_state(2))
+            ref = weakref.ref(sampler)
+            del sampler
+            assert ref() is None, cls.__name__
+            assert np.array_equal(first, cls(arg, seed=5).draw(1)[0])
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("psi", [np.ones(3) / np.sqrt(3), np.ones(8) / np.sqrt(8), np.eye(4),

@@ -191,6 +191,29 @@ def test_pauli_string_invalid():
         obs.pauli_string("XQ")
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_strings_equal_their_dense_matrices(n):
+    # every word of n letters over IXYZ, valued by its flip and phase, against
+    # the Kronecker product of its letters
+    rng = np.random.default_rng(60 + n)
+    d = 2**n
+    rhos = np.array([random_density_matrix(d, rng) for _ in range(5)])
+    states = np.array([random_statevector(d, rng) for _ in range(5)])
+    for letters in product("IXYZ", repeat=n):
+        word = "".join(letters)
+        dense = kron_all([obs.PAULI[c] for c in word])
+        p = obs.pauli_string(word)
+        assert p.kind == "pauli" and "matrix" not in vars(p)
+        np.testing.assert_allclose(p.expectation(rhos), expectation_copies(rhos, 1, dense),
+                                   rtol=0, atol=1e-12, err_msg=word)
+        np.testing.assert_allclose(p.pure_values(states),
+                                   np.real(np.einsum("bi,ij,bj->b", states.conj(), dense, states)),
+                                   rtol=0, atol=1e-12, err_msg=word)
+        w = np.linalg.eigvalsh(dense)
+        assert p.levels == (w[-1], w[0]), word
+        assert np.array_equal(p.matrix, dense) and p.matrix.dtype == dense.dtype, word
+
+
 def test_hermitize_hermitian_input():
     re, im = obs.hermitize(obs.PAULI["X"])
     np.testing.assert_allclose(re.matrix, obs.PAULI["X"])
