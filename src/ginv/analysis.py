@@ -3,8 +3,8 @@
 Closed forms implemented here:
 
   mean over Haar conjugations of a single-copy model:   Tr[O] / d
-  variance for a traceless O on Haar-scrambled input:
-      Tr[O^2] (Tr[rho_in^2] / (d^2-1) - 1 / (d (d^2-1)))
+  variance on Haar-scrambled input, O_0 = O - Tr[O] / d its traceless part:
+      Tr[O_0^2] (Tr[rho_in^2] / (d^2-1) - 1 / (d (d^2-1)))
   mean of the Bell-projector model over Haar inputs:    2 / (d (d+1))
   its variance over Haar pure inputs:  4 (d-1) / (d^2 (d+1)^2 (d+3))
 
@@ -58,12 +58,11 @@ def haar_mean_conventional(obs, d):
 
 
 def haar_var_time_reversal(obs, rho_in, d):
-    """Variance of a traceless single-copy model over Haar-scrambled rho_in,
-    a density matrix or the vector of a pure input (purity 1)."""
-    tr_o = np.real(np.trace(obs.matrix))
-    if abs(tr_o) > 1e-10:
-        raise ValueError(f"observable must be traceless, Tr[O] = {tr_o}")
-    tr_o2 = float(np.real(np.trace(obs.matrix @ obs.matrix)))
+    """Variance of a single-copy model over Haar-scrambled rho_in, a density
+    matrix or the vector of a pure input (purity 1). O enters by its traceless
+    part O_0, since its identity part only shifts the value."""
+    tr_o = float(np.real(np.trace(obs.matrix)))
+    tr_o2 = float(np.real(np.trace(obs.matrix @ obs.matrix))) - tr_o**2 / d
     p_in = 1.0 if np.ndim(rho_in) == 1 else purity(rho_in)
     return tr_o2 * (p_in / (d**2 - 1) - 1.0 / (d * (d**2 - 1)))
 
@@ -106,11 +105,7 @@ def _registered_moments(model, sampler, input_state):
         unitary or isinstance(sampler, LocalUnitarySampler)
     ):
         mean = haar_mean_conventional(obs, d)
-        if (
-            unitary
-            and input_state is not None
-            and abs(np.real(np.trace(obs.matrix))) < 1e-10
-        ):
+        if unitary and input_state is not None:
             var = haar_var_time_reversal(obs, input_state, d)
     elif unitary and obs.kind == "bell" and model.unitary is None:
         # twirling the Bell projector over W x W gives (1 + SWAP)/(d(d+1)),

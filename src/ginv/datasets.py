@@ -207,7 +207,7 @@ def _orbit_distance(psi0, psi1, n):
     perms = np.array(list(permutations(range(n))))
     best, idx = -1.0, None
     for block in np.array_split(perms, max(1, len(perms) * 2**n >> 20)):
-        maps = permutation_index(block, target="qubits")
+        maps = permutation_index(block)
         overlaps = np.abs(psi0[maps] @ psi1.conj())
         j = np.argmax(overlaps)
         if overlaps[j] > best:
@@ -242,5 +242,5 @@ def graph_dataset(g0, g1, count, t, rng):
     labels = _balanced_labels(count, rng)
     perms = np.array([rng.permutation(n) for _ in range(count)])
     # (P psi)[idx[a]] = psi[a], so gather by the inverse map
-    inverse = permutation_index(np.argsort(perms, axis=1), target="qubits")
+    inverse = permutation_index(np.argsort(perms, axis=1))
     return Dataset(refs[labels[:, None], inverse], labels)

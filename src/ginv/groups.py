@@ -156,37 +156,31 @@ class SymmetricSampler(GroupSampler):
 
     def draw(self, count):
         perms = [self._rng.permutation(self.n) for _ in range(count)]
-        return permutation_operator(np.reshape(perms, (count, self.n)), target="qubits")
+        return permutation_operator(np.reshape(perms, (count, self.n)))
 
 
-def permutation_index(perm, target="copies", qubits_per_copy=1):
-    """Index map of a permutation of tensor factors: P e_a = e_idx[a].
+def permutation_index(perm):
+    """Index map of a qubit permutation: P e_a = e_idx[a].
 
-    Factor i is moved to slot perm[i]. With target="qubits" each factor is
-    one qubit; with target="copies" each factor is a register of
-    ``qubits_per_copy`` qubits, so the digits of a are in base
-    q = 2^qubits_per_copy. ``perm`` may also be a stack (..., m) of
-    permutations, giving a stack (..., q^m) of index maps.
+    Qubit i is moved to slot perm[i]. ``perm`` may also be a stack (..., m)
+    of permutations, giving a stack (..., 2^m) of index maps.
     """
     perm = np.asarray(perm, dtype=np.int64)
     m = perm.shape[-1]
     if (np.sort(perm, axis=-1) != np.arange(m)).any():
         raise ValueError(f"{perm.tolist()} is not a permutation of 0..{m - 1}")
-    if target not in ("copies", "qubits"):
-        raise ValueError(f"unknown target {target!r}")
-    q = 2**qubits_per_copy if target == "copies" else 2
-    digits = np.arange(q**m)[:, None] // q ** np.arange(m - 1, -1, -1) % q
-    return q ** (m - 1 - perm) @ digits.T
+    bits = np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1) & 1
+    return 2 ** (m - 1 - perm) @ bits.T
 
 
-def permutation_operator(perm, target="copies", qubits_per_copy=1):
-    """Dense operator permuting tensor factors, or a (..., q^m, q^m) stack
-    of them for a stack of permutations.
+def permutation_operator(perm):
+    """Dense operator permuting qubits, or a (..., 2^m, 2^m) stack of them
+    for a stack of permutations.
 
-    Factor i is moved to slot perm[i], so P (psi_0 x ... x psi_{m-1})
+    Qubit i is moved to slot perm[i], so P (psi_0 x ... x psi_{m-1})
     places psi_{perm^-1(j)} at slot j; see ``permutation_index``.
     """
-    idx = permutation_index(perm, target, qubits_per_copy)
+    idx = permutation_index(perm)
     matrix = np.zeros(idx.shape + idx.shape[-1:], dtype=complex)
     np.put_along_axis(matrix, idx[..., None, :], 1.0, axis=-2)
     return matrix
@@ -400,8 +394,7 @@ def _orbit_count(n, k):
     if excess := commutant_excess(n, k, orbits=True):
         raise ValueError(f"system too large: {excess}")
     d = 2**n
-    gathers = [np.ix_(*[permutation_index(p, target="qubits")] * (2 * k))
-               for p in _adjacent_transpositions(n)]
+    gathers = [np.ix_(*[permutation_index(p)] * (2 * k)) for p in _adjacent_transpositions(n)]
     shape = (d,) * (2 * k)
     labels = np.arange(d ** (2 * k))
     while True:

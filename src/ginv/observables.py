@@ -51,7 +51,7 @@ class Observable:
         self.matrix = np.asarray(self.matrix)
         if self.matrix.shape != (self.dim, self.dim):
             raise ValueError(f"{self.tag}: dimension {self.matrix.shape} != {self.dim}")
-        if not tensor.is_hermitian(self.matrix, ATOL):
+        if not tensor.is_hermitian(self.matrix):
             raise ValueError(f"{self.tag}: matrix is not Hermitian")
 
     @property

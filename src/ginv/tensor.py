@@ -13,13 +13,6 @@ import numpy as np
 # Global Hermiticity tolerance. Single knob by design.
 ATOL = 1e-10
 
-# tensor_power refuses allocations beyond this many bytes.
-MEMORY_CAP_BYTES = 2 * 1024**3
-
-
-class MemoryCapError(ValueError):
-    """Requested tensor power would exceed MEMORY_CAP_BYTES."""
-
 
 def kron(a, b):
     """Tensor product of two operators, or of two state vectors.
@@ -54,20 +47,9 @@ def num_qubits(dim):
 
 
 def tensor_power(rho, k):
-    """k-fold tensor product rho x rho x ... x rho.
-
-    Raises MemoryCapError when the (d^k, d^k) result would exceed the
-    configured memory cap.
-    """
+    """k-fold tensor product rho x rho x ... x rho."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    d = rho.shape[0]
-    nbytes = (d**k) ** 2 * 16
-    if nbytes > MEMORY_CAP_BYTES:
-        raise MemoryCapError(
-            f"tensor power of dimension {d}^{k} needs {nbytes} bytes, "
-            f"cap is {MEMORY_CAP_BYTES}"
-        )
     return kron_all([rho] * k)
 
 
@@ -100,24 +82,23 @@ def _trace_indices(m, keep):
     return row + col, keep + tuple(m + q for q in keep)
 
 
-def is_hermitian(a, tol=None):
+def is_hermitian(a):
     a = np.asarray(a)
-    tol = ATOL if tol is None else tol
-    return a.shape[0] == a.shape[1] and np.abs(a - a.conj().T).max() <= tol
+    return a.shape[0] == a.shape[1] and np.abs(a - a.conj().T).max() <= ATOL
 
 
-def is_unitary(a, tol=1e-9):
-    """Whether a is a square matrix with ||a a^dag - 1||_F <= tol. A real a
+def is_unitary(a):
+    """Whether a is a square matrix with ||a a^dag - 1||_F <= 1e-9. A real a
     takes a real product, cast to complex (an integer a must not raise); 1
     comes off its diagonal through a flat view. The norm is summed from that
-    residual: expanded as ||a a^dag||^2 - 2 Re tr + d it cancels past tol^2."""
+    residual: expanded as ||a a^dag||^2 - 2 Re tr + d it cancels past 1e-18."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
     r = np.asarray(np.dot(a, a.conj().T), dtype=complex)
     diagonal = r.ravel()[:: len(r) + 1]  # a view, not a copy written back
     diagonal -= 1.0
-    return bool(np.vdot(r, r).real <= tol * tol)
+    return bool(np.vdot(r, r).real <= 1e-18)
 
 
 def expm_hermitian(h, t=1.0):

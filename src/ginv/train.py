@@ -22,8 +22,8 @@ FD_STEP = 1e-4  # central-difference step of the gradient
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.2
-    iterations: int = 100
+    learning_rate: float
+    iterations: int
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.iterations < 1:
@@ -139,7 +139,7 @@ def rotated_z(theta):
     return a
 
 
-def graph_invariant_model(n, theta0=(0.3, 0.2, 0.1)):
+def graph_invariant_model(n):
     """Permutation-invariant single-copy model A(theta)^(x n), A = a.sigma.
 
     The observable is a tensor power of one single-qubit operator for every
@@ -148,11 +148,11 @@ def graph_invariant_model(n, theta0=(0.3, 0.2, 0.1)):
     <psi|A^(x n)|psi> = sum_k a_x^kx a_y^ky a_z^kz S_k(psi). The moments S_k
     (``observables.xyz_moments``) of the state vectors are the features, so a
     stack of N states is valued by one (N, T) @ (T,) product,
-    T = (n+1)(n+2)/2.
+    T = (n+1)(n+2)/2. Training starts at theta0 = (0.3, 0.2, 0.1).
     """
     counts = xyz_counts(n)
 
     def read(theta, moments):
         return moments @ np.prod(rotated_z(theta) ** counts, axis=1)
 
-    return TrainableModel(read=read, theta0=np.asarray(theta0, float), features=xyz_moments)
+    return TrainableModel(read=read, theta0=np.array([0.3, 0.2, 0.1]), features=xyz_moments)

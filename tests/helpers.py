@@ -1,6 +1,7 @@
 """States, models and checks that only the tests use."""
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
 from math import factorial, prod
 
 import numpy as np
@@ -8,7 +9,7 @@ import numpy as np
 from ginv import groups
 from ginv.datasets import Graph, graph_terms
 from ginv.groups import _adjacent_transpositions, permutation_operator
-from ginv.tensor import ATOL, expm_hermitian, is_hermitian, tensor_power
+from ginv.tensor import ATOL, expm_hermitian, tensor_power
 
 
 def random_density_matrix(dim, rng, rank=None):
@@ -28,16 +29,34 @@ def expectation(rho, obs):
     return float(np.real(np.einsum("ij,ji->", rho, obs)))
 
 
-def check_density_matrix(rho, tol=None):
-    """Raise ValueError unless rho is Hermitian, unit trace, and PSD."""
-    tol = ATOL if tol is None else tol
+def check_density_matrix(rho):
+    """Raise ValueError unless rho is Hermitian, unit trace, and PSD, each to ATOL."""
     rho = np.asarray(rho)
-    if not is_hermitian(rho, tol):
+    if np.abs(rho - rho.conj().T).max() > ATOL:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > tol:
+    if abs(np.trace(rho) - 1.0) > ATOL:
         raise ValueError(f"density matrix trace {np.trace(rho)} != 1")
-    if np.linalg.eigvalsh(rho).min() < -tol:
+    if np.linalg.eigvalsh(rho).min() < -ATOL:
         raise ValueError("density matrix has a negative eigenvalue")
+
+
+def graph_classes(n):
+    """One graph per isomorphism class on n nodes, each the edge set whose
+    mask (bit i for the i-th node pair) is the smallest over all n!
+    relabellings. Masks are taken in increasing order, so the first one not
+    yet reached is its class's smallest; its images then mark the class."""
+    pairs = list(combinations(range(n), 2))
+    slot = {pair: i for i, pair in enumerate(pairs)}
+    moves = np.array([[slot[tuple(sorted((p[j], p[k])))] for j, k in pairs]
+                      for p in permutations(range(n))], dtype=np.int64)
+    seen = np.zeros(2 ** len(pairs), dtype=bool)
+    classes = []
+    for mask in range(len(seen)):
+        if not seen[mask]:
+            bits = mask >> np.arange(len(pairs)) & 1
+            seen[(bits << moves).sum(axis=1)] = True
+            classes.append(Graph(n, {pair for pair, bit in zip(pairs, bits) if bit}))
+    return classes
 
 
 def ghz_state(n):
@@ -123,7 +142,7 @@ def adjacent_transposition_generators(n):
     """
     if n == 1:
         return [np.eye(2, dtype=complex)]
-    return [permutation_operator(p, target="qubits") for p in _adjacent_transpositions(n)]
+    return [permutation_operator(p) for p in _adjacent_transpositions(n)]
 
 
 def commutant_every_step(elements, k):

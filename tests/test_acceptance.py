@@ -17,12 +17,14 @@ in this module, never against the program's own output:
   n = 1..4 is -3.02; the stated O(1/d^2) decay holds as a bound.
 """
 
+import json
 import time
 from itertools import permutations
 from math import comb, factorial, prod
 
 import numpy as np
 
+from ginv import cli
 from ginv import observables as obs
 from ginv.analysis import (
     MidpointRule,
@@ -70,6 +72,7 @@ from ginv.tensor import (
 from helpers import (
     check_invariance,
     ghz_state,
+    graph_classes,
     random_density_matrix,
     schur_weyl_commutant_dimension,
 )
@@ -369,7 +372,7 @@ def test_criterion_7b_commutant_u2_k3_as_stated():
     schur_weyl = schur_weyl_commutant_dimension(d, k)
     # sum over all lambda |- m of (f^lambda)^2 = m! checks the helper itself
     helper_ok = all(schur_weyl_commutant_dimension(m, m) == factorial(m) for m in range(1, 7))
-    perms = [permutation_operator(p, target="copies") for p in permutations(range(k))]
+    perms = [permutation_operator(p) for p in permutations(range(k))]
     span_rank = int(np.linalg.matrix_rank(np.array([p.ravel() for p in perms])))
     worst_commutator = 0.0
     for v in UnitarySampler(d, seed).draw(20):
@@ -423,7 +426,7 @@ def test_criterion_9_graph():
     probe = graph_state(TRIANGLE, 1.0)
     base = model.value_fn(theta, probe)
     inv_worst = max(
-        abs(model.value_fn(theta, permutation_operator(p, target="qubits") @ probe) - base)
+        abs(model.value_fn(theta, permutation_operator(p) @ probe) - base)
         for p in permutations(range(3))
     )
     inv_ok = inv_worst < 1e-9
@@ -449,6 +452,41 @@ def test_criterion_9_graph():
         inv_ok and accuracy == 1.0,
         f"S_3 invariance dev = {inv_worst:.1e}, trained gap = {abs(h1 - h0):.3f}, "
         f"test accuracy = {accuracy}",
+    )
+    assert ok
+
+
+def _graph_json(g):
+    return json.dumps({"n": g.n, "edges": sorted(list(e) for e in g.edges)})
+
+
+def test_criterion_9b_graph_every_pair_up_to_6_nodes():
+    # The model's value at the axis a is sum_k a^k S_k(psi) over the moments
+    # xyz_moments, so some axis tells two graphs apart exactly when their
+    # moment vectors differ: an exact check of every pair, with no training.
+    counts = [len(graph_classes(n)) for n in range(1, 7)]
+    counts_ok = counts == [1, 2, 4, 11, 34, 156]  # OEIS A000088
+    smallest, equal = {}, []
+    for n in range(2, 7):
+        classes = graph_classes(n)
+        moments = obs.xyz_moments(np.array([graph_state(g, 1.0) for g in classes]))
+        i, j = np.triu_indices(len(classes), 1)
+        gaps = np.linalg.norm(moments[i] - moments[j], axis=1)
+        smallest[n] = float(gaps.min())
+        equal += [(classes[a], classes[b]) for a, b in zip(i[gaps < 1e-9], j[gaps < 1e-9])]
+    # the closest 6-node pairs, trained and tested by the CLI at its defaults
+    # (60 iterations at rate 0.5, a 100-item graph_dataset, t = 1)
+    closest = [(classes[i[p]], classes[j[p]]) for p in np.argsort(gaps)[:20]]
+    accuracies = [
+        cli.run({"experiment": "graph", "g0": _graph_json(g0), "g1": _graph_json(g1)})
+        ["test_accuracy"] for g0, g1 in closest
+    ]
+    ok = _line(
+        "9b graph, every pair on 2-6 nodes",
+        counts_ok and not equal and min(accuracies) == 1.0,
+        f"classes {counts}, equal-moment pairs {equal}, smallest moment distance "
+        + ", ".join(f"{d:.3f} (n={n})" for n, d in smallest.items())
+        + f", 20 closest 6-node pairs: lowest test accuracy {min(accuracies)}",
     )
     assert ok
 

@@ -97,10 +97,26 @@ def test_haar_var_maximally_mixed_input():
     assert report.empirical_var < 1e-18
 
 
-def test_haar_var_requires_traceless():
-    eye = Observable(np.eye(2), 1, 1, "identity")
-    with pytest.raises(ValueError):
-        haar_var_time_reversal(eye, dm(zero_state(1)), 2)
+def test_haar_var_of_an_observable_with_a_trace_matches_monte_carlo():
+    # O = H + 0.7 1 on a mixed input, with Tr[H^2] near d: the identity part
+    # shifts every value, so the variance is that of O's traceless part, some
+    # 40 standard errors from Tr[O^2] in the formula. The same seeded sampler
+    # redraws the run's elements, to take the standard error of the variance.
+    samples = 20000
+    for n in (1, 2, 3):
+        d = 2**n
+        rng = np.random.default_rng(40 + n)
+        h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        obs = Observable((h + h.conj().T) / (2 * np.sqrt(d)) + 0.7 * np.eye(d), 1, n, "shifted")
+        rho = random_density_matrix(d, rng)
+        report = empirical_moments(ModelSpec("H1", obs), UnitarySampler(d, n), rho, samples)
+        v = UnitarySampler(d, n).draw(samples)
+        values = obs.expectation(v @ rho @ v.conj().swapaxes(-1, -2))
+        assert abs(values.var(ddof=1) - report.empirical_var) < 1e-12 * report.empirical_var
+        centred = values - values.mean()
+        se_var = np.sqrt(((centred**4).mean() - centred.var() ** 2) / samples)
+        assert report.analytic_var is not None
+        assert abs(report.empirical_var - report.analytic_var) < 4 * se_var
 
 
 def test_haar_mean_enhanced_bell_values():

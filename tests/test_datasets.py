@@ -182,7 +182,7 @@ def test_entanglement_dataset_unattainable_target():
 def test_graph_terms_relabeling_conjugation():
     # oracle: H(P g) = P H(g) P^T for the permutation matrix P
     perm = (2, 0, 1)
-    p = permutation_operator(perm, target="qubits")
+    p = permutation_operator(perm)
     h = sum(ds.graph_terms(PATH3))
     h_relabeled = sum(ds.graph_terms(relabel(PATH3, perm)))
     np.testing.assert_allclose(h_relabeled, p @ h @ p.T, atol=1e-12)
@@ -208,7 +208,7 @@ def test_orbit_distance_equals_dense_conjugation():
     rng = np.random.default_rng(14)
     graphs = {3: (TRIANGLE, PATH3), 4: (CYCLE4, STAR4)}
     for n in (3, 4):
-        perms = [permutation_operator(p, target="qubits") for p in permutations(range(n))]
+        perms = [permutation_operator(p) for p in permutations(range(n))]
         states = [random_statevector(2**n, rng) for _ in range(7)]
         # random pairs, a pair 1e-7 apart after a relabelling, whose distance
         # the overlap form would lose to cancellation, and two graph states
@@ -233,7 +233,7 @@ def test_orbit_distance_finds_the_nearest_permutation_past_the_first_block():
     rng = np.random.default_rng(18)
     n = 8
     psi = random_statevector(2**n, rng)
-    moved = psi[permutation_index(np.arange(n)[::-1], target="qubits")]
+    moved = psi[permutation_index(np.arange(n)[::-1])]
     near = moved + 1e-7 * random_statevector(2**n, rng)
     near /= np.linalg.norm(near)
     assert ds._orbit_distance(psi, moved, n) == 0.0
@@ -332,7 +332,7 @@ def test_graph_dataset_refuses_exactly_the_isomorphic_pairs():
 def test_fiduciary_state_is_permutation_invariant():
     plus = plus_state(3)
     for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
-        p = permutation_operator(perm, target="qubits")
+        p = permutation_operator(perm)
         np.testing.assert_array_equal(p @ plus, plus)
 
 
@@ -353,7 +353,7 @@ def test_graph_dataset_conjugation_oracle():
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     a = a + a.conj().T
     a3 = kron_all([a] * 3)
-    p = permutation_operator((1, 2, 0), target="qubits")
+    p = permutation_operator((1, 2, 0))
     conj = p @ rho @ p.T
     assert abs(expectation(conj, a3) - expectation(rho, a3)) < 1e-10
 

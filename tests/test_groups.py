@@ -158,7 +158,7 @@ def local_unitary(d, rng):
 
 def qubit_permutation(d, rng):
     """One single rng.permutation draw of log2 d qubits, as a matrix."""
-    return permutation_operator(rng.permutation(int(np.log2(d))), target="qubits")
+    return permutation_operator(rng.permutation(int(np.log2(d))))
 
 
 @pytest.mark.parametrize("d", [2, 8, 32])
@@ -320,25 +320,29 @@ def _per_digit_index(perm, q):
     return index
 
 
+def _register_permutation(perm, q):
+    """The qubit permutation that moves register i of q qubits to slot perm[i]."""
+    return [perm[i // q] * q + i % q for i in range(len(perm) * q)]
+
+
 def test_permutation_index_equals_per_digit_loop():
     for n in range(1, 6):
         for perm in permutations(range(n)):
-            assert permutation_index(perm, target="qubits").tolist() == _per_digit_index(perm, 2)
-    for qubits_per_copy, m in ((1, 5), (2, 4)):
-        q = 2**qubits_per_copy
+            assert permutation_index(perm).tolist() == _per_digit_index(perm, 2)
+    for q, m in ((1, 5), (2, 4)):
         for perm in permutations(range(m)):
-            got = permutation_index(perm, "copies", qubits_per_copy)
-            assert got.tolist() == _per_digit_index(perm, q)
+            got = permutation_index(_register_permutation(perm, q))
+            assert got.tolist() == _per_digit_index(perm, 2**q)
 
 
 def test_permutation_index_of_a_stack():
     perms = list(permutations(range(4)))
-    stacked = permutation_index(perms, target="qubits")
+    stacked = permutation_index(perms)
     assert stacked.shape == (24, 16)
     for perm, row in zip(perms, stacked):
         assert row.tolist() == _per_digit_index(perm, 2)
     with pytest.raises(ValueError, match="not a permutation"):
-        permutation_index([(0, 1, 2), (0, 0, 1)], target="qubits")
+        permutation_index([(0, 1, 2), (0, 0, 1)])
 
 
 def _per_digit_matrix(perm, q=2):
@@ -351,9 +355,9 @@ def _per_digit_matrix(perm, q=2):
 
 def test_permutation_operator_from_index_map():
     for perm in permutations(range(4)):
-        np.testing.assert_array_equal(permutation_operator(perm, target="qubits"),
+        np.testing.assert_array_equal(permutation_operator(perm),
                                       _per_digit_matrix(perm))
-    np.testing.assert_array_equal(permutation_operator((2, 0, 1), "copies", 2),
+    np.testing.assert_array_equal(permutation_operator(_register_permutation((2, 0, 1), 2)),
                                   _per_digit_matrix((2, 0, 1), 4))
 
 
@@ -366,22 +370,23 @@ def test_symmetric_sampler_stream():
 
 def test_permutation_operator_of_a_stack():
     perms = np.array(list(permutations(range(3))))
-    for target, qubits_per_copy in (("qubits", 1), ("copies", 2)):
-        stacked = permutation_operator(perms, target, qubits_per_copy)
-        singles = [permutation_operator(p, target, qubits_per_copy) for p in perms]
+    for q in (1, 2):
+        registers = [_register_permutation(p, q) for p in perms]
+        stacked = permutation_operator(registers)
+        singles = [permutation_operator(p) for p in registers]
         assert stacked.shape == (6,) + singles[0].shape
         np.testing.assert_array_equal(stacked, singles)
-    grid = permutation_operator(perms.reshape(2, 3, 3), target="qubits")
-    np.testing.assert_array_equal(grid.reshape(6, 8, 8), permutation_operator(perms, "qubits"))
+    grid = permutation_operator(perms.reshape(2, 3, 3))
+    np.testing.assert_array_equal(grid.reshape(6, 8, 8), permutation_operator(perms))
 
 
 def test_permutation_operator_identity():
-    p = permutation_operator((0, 1, 2), target="qubits")
+    p = permutation_operator((0, 1, 2))
     np.testing.assert_array_equal(p, np.eye(8))
 
 
 def test_permutation_operator_swap_copies():
-    p = permutation_operator((1, 0), target="copies", qubits_per_copy=1)
+    p = permutation_operator((1, 0))
     psi01 = np.kron([1, 0], [0, 1]).astype(complex)
     psi10 = np.kron([0, 1], [1, 0]).astype(complex)
     np.testing.assert_allclose(p @ psi01, psi10)
@@ -389,39 +394,39 @@ def test_permutation_operator_swap_copies():
 
 def test_permutation_operator_three_cycle_power():
     # oracle: a 3-cycle cubes to the identity
-    p = permutation_operator((1, 2, 0), target="copies", qubits_per_copy=1)
+    p = permutation_operator((1, 2, 0))
     cubed = p @ p @ p
     np.testing.assert_array_equal(cubed, np.eye(8))
     assert not np.array_equal(p, np.eye(8))
 
 
 def test_permutation_operator_orthogonality_exact():
-    p = permutation_operator((2, 0, 1, 3), target="qubits")
+    p = permutation_operator((2, 0, 1, 3))
     np.testing.assert_array_equal(p.T @ p, np.eye(16))
 
 
 def test_permutation_operator_composition():
-    pa = permutation_operator((1, 0, 2), target="qubits")
-    pb = permutation_operator((0, 2, 1), target="qubits")
+    pa = permutation_operator((1, 0, 2))
+    pb = permutation_operator((0, 2, 1))
     # composed permutation: apply (1,0,2) then (0,2,1)
     composed = [0] * 3
     first, second = (1, 0, 2), (0, 2, 1)
     for i in range(3):
         composed[i] = second[first[i]]
-    pc = permutation_operator(composed, target="qubits")
+    pc = permutation_operator(composed)
     np.testing.assert_array_equal(pb @ pa, pc)
 
 
 def test_permutation_operator_invalid():
     with pytest.raises(ValueError):
-        permutation_operator((0, 0, 1), target="qubits")
+        permutation_operator((0, 0, 1))
 
 
 def test_permutation_tensor_relabeling():
     rng = np.random.default_rng(8)
     states = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
     perm = (2, 0, 1)
-    p = permutation_operator(perm, target="copies", qubits_per_copy=1)
+    p = permutation_operator(perm)
     inverse = [perm.index(i) for i in range(3)]
     lhs = p @ np.kron(np.kron(states[0], states[1]), states[2])
     reordered = [states[inverse[i]] for i in range(3)]
@@ -517,7 +522,7 @@ def test_check_invariance_dimension_mismatch():
 
 
 def test_check_equivariance_swap():
-    swap = permutation_operator((1, 0), target="copies", qubits_per_copy=1)
+    swap = permutation_operator((1, 0))
     report = check_equivariance(swap, UnitarySampler(2, 4), k=2, trials=50)
     assert report.passed
 
@@ -531,7 +536,7 @@ def test_check_equivariance_qgcnn_cycle():
     u = qgcnn_unitary(c4, np.array([0.7, 0.9, 0.4]), 1, 1)
     for shift in range(4):
         perm = tuple((i + shift) % 4 for i in range(4))
-        p = permutation_operator(perm, target="qubits")
+        p = permutation_operator(perm)
         assert np.linalg.norm(u @ p - p @ u) < 1e-9
 
 

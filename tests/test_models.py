@@ -302,7 +302,7 @@ def test_qgcnn_permutation_equivariance():
         for perm in autos:
             relabeled = relabel(graph, perm)
             assert relabeled.edges == graph.edges  # sanity: really an automorphism
-            p = permutation_operator(perm, target="qubits")
+            p = permutation_operator(perm)
             assert np.linalg.norm(u @ p - p @ u) < 1e-9
 
 

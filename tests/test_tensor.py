@@ -116,12 +116,6 @@ def test_tensor_power_pure_rank():
     assert np.abs(evals[:-1]).max() < 1e-10
 
 
-def test_tensor_power_memory_cap(monkeypatch):
-    monkeypatch.setattr(tensor, "MEMORY_CAP_BYTES", 1024)
-    with pytest.raises(tensor.MemoryCapError):
-        tensor.tensor_power(np.eye(4) / 4, 3)
-
-
 def test_partial_trace_bell_marginal():
     rho = tensor.dm(tensor.bell_state(1))
     np.testing.assert_allclose(tensor.partial_trace(rho, [0]), np.eye(2) / 2, atol=1e-12)

@@ -112,7 +112,7 @@ def test_optimize_graph_classifier_gap():
 
 def test_optimize_already_optimal_start_flat():
     model = TrainableModel(read=lambda th, x: 0.0, theta0=np.zeros(2))
-    result = optimize(model, MIXED, TrainConfig(iterations=5))
+    result = optimize(model, MIXED, TrainConfig(learning_rate=0.2, iterations=5))
     assert all(abs(v - result.loss_trace[0]) < 1e-12 for v in result.loss_trace)
 
 
@@ -128,7 +128,7 @@ def test_optimize_seed_determinism():
 def test_optimize_aborts_on_non_finite_loss():
     model = TrainableModel(read=lambda th, x: float("nan"), theta0=np.zeros(1))
     with pytest.raises(RuntimeError):
-        optimize(model, MIXED, TrainConfig(iterations=2))
+        optimize(model, MIXED, TrainConfig(learning_rate=0.2, iterations=2))
 
 
 def test_invariance_preserved_at_every_iterate():
@@ -138,7 +138,7 @@ def test_invariance_preserved_at_every_iterate():
     perms = [(1, 0, 2), (2, 0, 1), (1, 2, 0)]
     for theta in result.thetas[:: max(1, len(result.thetas) // 5)]:
         for perm in perms:
-            moved = permutation_operator(perm, target="qubits") @ reps.inputs[0]
+            moved = permutation_operator(perm) @ reps.inputs[0]
             assert abs(
                 model.value_fn(theta, moved) - model.value_fn(theta, reps.inputs[0])
             ) < 1e-9
@@ -172,9 +172,9 @@ def test_dataset_loss_kinds():
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
+        TrainConfig(learning_rate=0.0, iterations=100)
     with pytest.raises(ValueError):
-        TrainConfig(iterations=0)
+        TrainConfig(learning_rate=0.2, iterations=0)
 
 
 def _sigma(a):
