@@ -22,10 +22,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .groups import LocalUnitarySampler, UnitarySampler, block_count
-from .models import ModelSpec, conjugated_observable, estimate_with_shots, evaluate
+# conjugated_observable and expectation_copies stay bound for bench/tracer.py
+from .models import ModelSpec, conjugated_observable, estimate_with_shots, evaluate  # noqa: F401
 from .observables import bell_projector, pauli_string
-
-# expectation_copies stays bound here for bench/tracer.py, which wraps it by name
 from .tensor import dm, expectation_copies, purity, zero_state  # noqa: F401
 
 
@@ -94,8 +93,8 @@ def cantelli_bound(variance, delta):
 def _registered_moments(model, sampler, input_state):
     """Closed-form moments for recognised (model, sampler) pairs, else Nones.
 
-    Conjugation keeps Tr[O] and Tr[O^2], so the single-copy forms read the
-    undressed observable; the Bell forms need a model without a unitary.
+    The single-copy forms read Tr[O] and Tr[O^2]; the Bell forms need the
+    Bell projector itself.
     """
     mean = var = None
     d = sampler.dim
@@ -107,7 +106,7 @@ def _registered_moments(model, sampler, input_state):
         mean = haar_mean_conventional(obs, d)
         if unitary and input_state is not None:
             var = haar_var_time_reversal(obs, input_state, d)
-    elif unitary and obs.kind == "bell" and model.unitary is None:
+    elif unitary and obs.kind == "bell":
         # twirling the Bell projector over W x W gives (1 + SWAP)/(d(d+1)),
         # so the closed-form mean needs a symmetric-subspace input: a
         # swap-symmetric psi_in for H2, or any pure input for H1 (psi x
@@ -175,8 +174,7 @@ def empirical_moments(model, sampler, input_state, samples):
     if np.ndim(input_state) == 1 and abs((norm := np.linalg.norm(input_state)) - 1.0) > 1e-9:
         raise ValueError(f"a pure input must be a unit vector, got norm {norm:.12g}")
     if model.hclass == "H1":
-        obs = conjugated_observable(model)
-        values = _h1_values(obs, sampler, input_state, samples)
+        values = _h1_values(model.observable, sampler, input_state, samples)
     else:
         h2, values = model.hclass == "H2", np.empty(samples)
         rho = dm(input_state) if np.ndim(input_state) == 1 else input_state

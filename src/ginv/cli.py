@@ -35,8 +35,8 @@ from .groups import (
     commutant_analysis,
     commutant_excess,
 )
-from .models import ModelSpec, evaluate, swap_test_model
-from .tensor import bell_state, dm, kron, random_statevector, zero_state
+from .models import ModelSpec, evaluate, swap_test_circuit, swap_test_model
+from .tensor import bell_state, dm, random_statevector, zero_state
 from .train import TrainConfig, graph_invariant_model, optimize
 
 
@@ -360,15 +360,15 @@ def run_concentration(config, rng):
 def run_ancilla(config, rng):
     n = config["n"]
     model = swap_test_model(n)
-    # the paper's claim on the dense circuit, once: U^dag (Z x 1) U = Z x SWAP
-    u = model.unitary
-    z_swap = kron(observables.PAULI["Z"], observables.swap_operator(n).matrix)
-    conj_dev = float(np.abs(u.conj().T @ model.observable.matrix @ u - z_swap).max())
     purity_dev = 0.0
     for _ in range(config["samples"]):
         psi = random_statevector(2**n, rng)
-        rho = dm(psi)
-        purity_dev = max(purity_dev, abs(evaluate(model, rho) - 1.0))
+        purity_dev = max(purity_dev, abs(evaluate(model, dm(psi)) - 1.0))
+    # the paper's identity U^dag (Z x 1) U = Z x SWAP on four random probes
+    # (Freivalds): small complex integers, on which the circuit is exact
+    v = rng.integers(-8, 8, (4, 2, 2**n, 2**n, 2)) @ np.array([1, 1j])
+    z, s = np.array([1.0, -1.0])[:, None, None], v.swapaxes(-1, -2)
+    conj_dev = float(np.abs(swap_test_circuit(z * swap_test_circuit(v)) - z * s).max())
     return {"conjugation_deviation": conj_dev, "max_purity_deviation": purity_dev}
 
 

@@ -2,9 +2,9 @@
 
 An observable acts on k copies of an n-qubit register; copy A occupies
 qubits 0..n-1 and copy B qubits n..2n-1 of the doubled register. The
-function that makes it fixes its kind: a swap polynomial, the Bell
-projector, a Pauli string or a dense matrix. Structured kinds are valued
-from the state itself and build their dense ``matrix`` on first access.
+function that makes it fixes its kind: a swap polynomial, the Bell projector,
+a Pauli string, an H3 ancilla measurement or a dense matrix. Structured kinds
+are valued from the state and build their dense ``matrix`` on first access.
 
 A swap polynomial reads every reduced purity Tr[rho_a^2] from one
 Pauli-weight transform of the state (``subset_purities``), or, when each
@@ -123,7 +123,7 @@ class SwapPolynomial(Observable):
         if masks.tolist() == [len(self.coeffs) - 1]:
             # a lone whole-register term needs only Tr[rho^2]
             return lambda stack: c[0] * np.real(np.einsum("bij,bji->b", stack, stack))
-        if any(a & (a - 1) for a in masks):
+        if any(a & (a - 1) for a in masks) or not len(masks):
             return lambda stack: subset_purities(stack)[:, masks] @ c
         purities = _one_qubit_purities(masks, len(self.coeffs))
         return lambda stack: purities(stack) @ c
@@ -192,6 +192,24 @@ class PauliString(Observable):
     def _pure_values(self, states):
         # <s|P|s> = sum_i phase[i] conj(s[flip[i]]) s[i]
         return np.real((states[:, self.flip].conj() * states) @ self.phase)
+
+
+class AncillaObservable(Observable):
+    """O x 1 x 1 on the 2n + 1 qubits of an H3 register: a Hermitian 2 x 2 O
+    on the ancilla qubit, the identity on the two n-qubit copies after it."""
+
+    kind = "ancilla"
+
+    def __init__(self, o, n):
+        self.o, self.n = np.asarray(o), n
+        if self.o.shape != (2, 2) or not tensor.is_hermitian(self.o):
+            raise ValueError("an ancilla observable is a Hermitian 2 x 2 matrix")
+        self.copies, self.qubits_per_copy, self.tag = 1, 2 * n + 1, "ancilla"
+        self.levels = tuple(float(w) for w in np.linalg.eigvalsh(self.o)[::-1])
+
+    @cached_property
+    def matrix(self):
+        return tensor.kron(self.o, np.eye(4**self.n))
 
 
 def _subsets(qubits):

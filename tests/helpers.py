@@ -9,6 +9,7 @@ import numpy as np
 from ginv import groups
 from ginv.datasets import Graph, graph_terms
 from ginv.groups import _adjacent_transpositions, permutation_operator
+from ginv.observables import Observable, swap_operator
 from ginv.tensor import ATOL, expm_hermitian, tensor_power
 
 
@@ -27,6 +28,24 @@ def expectation(rho, obs):
     if rho.shape != obs.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {obs.shape}")
     return float(np.real(np.einsum("ij,ji->", rho, obs)))
+
+
+def dressed(observable, u):
+    """The dense observable U^dag O U that O measures after a fixed unitary U."""
+    return Observable(u.conj().T @ observable.matrix @ u, observable.copies,
+                      observable.qubits_per_copy, f"{observable.tag}~")
+
+
+def swap_test_unitary(n):
+    """The swap test (H x 1) CSWAP (H x 1) on 2n+1 qubits as a dense matrix,
+    the real [[1 + S, 1 - S], [1 - S, 1 + S]] / 2, S the register SWAP.
+
+    Conjugating Z on the ancilla by this circuit gives Z x SWAP, so an
+    H3 model measuring the ancilla returns Tr[rho^2].
+    """
+    s = swap_operator(n).matrix.real
+    one = np.eye(4**n)
+    return np.block([[one + s, one - s], [one - s, one + s]]) / 2
 
 
 def check_density_matrix(rho):

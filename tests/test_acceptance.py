@@ -58,8 +58,8 @@ from ginv.groups import (
 from ginv.models import (
     ModelSpec,
     evaluate,
+    swap_test_circuit,
     swap_test_model,
-    swap_test_unitary,
 )
 from ginv.tensor import (
     bell_state,
@@ -71,10 +71,12 @@ from ginv.tensor import (
 )
 from helpers import (
     check_invariance,
+    dressed,
     ghz_state,
     graph_classes,
     random_density_matrix,
     schur_weyl_commutant_dimension,
+    swap_test_unitary,
 )
 from ginv.train import TrainConfig, graph_invariant_model, optimize
 
@@ -145,7 +147,7 @@ def test_criterion_2_no_go_average():
         h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         observable = obs.Observable((h + h.conj().T) / 2, 1, n, "random")
         for sampler in (UnitarySampler(d, 202 + n), LocalUnitarySampler(n, 203 + n)):
-            model = ModelSpec("H1", observable, unitary=haar_unitary(d, rng))
+            model = ModelSpec("H1", dressed(observable, haar_unitary(d, rng)))
             template = random_density_matrix(d, rng)
             report = empirical_moments(model, sampler, template, MC_SAMPLES)
             target = float(np.real(np.trace(observable.matrix))) / d
@@ -395,12 +397,18 @@ def test_criterion_7b_commutant_u2_k3_as_stated():
 
 
 def test_criterion_8_ancilla():
+    # the dense circuit's identity U^dag (Z x 1) U = Z x SWAP, and the
+    # structured circuit the runs apply equal to it on random vectors
+    probes = np.random.default_rng(802)
     worst_conj = 0.0
     for n in (1, 2):
         u = swap_test_unitary(n)
         z_anc = kron(obs.PAULI["Z"], np.eye(4**n))
         z_swap = kron(obs.PAULI["Z"], obs.swap_operator(n).matrix)
         worst_conj = max(worst_conj, float(np.abs(u.conj().T @ z_anc @ u - z_swap).max()))
+        v = probes.standard_normal((3, 2 * 4**n)) + 1j * probes.standard_normal((3, 2 * 4**n))
+        applied = swap_test_circuit(v.reshape(3, 2, 2**n, 2**n)).reshape(3, -1)
+        worst_conj = max(worst_conj, float(np.abs(applied - v @ u.T).max()))
     conj_ok = worst_conj < 1e-10
 
     rng = np.random.default_rng(801)
@@ -414,7 +422,7 @@ def test_criterion_8_ancilla():
     ok = _line(
         "8 ancilla",
         conj_ok and purity_ok,
-        f"conjugation identity dev = {worst_conj:.1e} (n=1,2), H3 purity dev = "
+        f"conjugation identity and circuit dev = {worst_conj:.1e} (n=1,2), H3 purity dev = "
         f"{worst_purity:.1e}",
     )
     assert ok

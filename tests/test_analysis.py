@@ -35,7 +35,7 @@ from ginv.tensor import (
     tensor_power,
     zero_state,
 )
-from helpers import expectation, random_density_matrix
+from helpers import dressed, expectation, random_density_matrix
 
 
 def odd_y_model(n):
@@ -192,7 +192,7 @@ def _chunked_case(case):
         # a dressed random two-copy observable, not swap-symmetric
         m = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
         obs = Observable(m + m.conj().T, copies=2, qubits_per_copy=3, tag="random")
-        model = ModelSpec("H1", obs, unitary=haar_unitary(64, rng))
+        model = ModelSpec("H1", dressed(obs, haar_unitary(64, rng)))
         return model, 8, random_density_matrix(8, rng)
     return dynamics_model(1), 2, None
 

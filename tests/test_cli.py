@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ginv
-from ginv import cli, observables
+from ginv import cli, models, observables
 
 
 def run_cli(argv):
@@ -159,6 +159,77 @@ def test_run_ancilla(tmp_path):
     result = read_result(out)
     assert result["conjugation_deviation"] < 1e-10
     assert result["max_purity_deviation"] < 1e-10
+
+
+def test_ancilla_at_north_star_size():
+    # the swap test at n = 6 is a structured conjugate and a probe check:
+    # no 8192 x 8192 circuit; small-integer probes make the check exact
+    result = cli.run({"experiment": "ancilla", "n": 6, "samples": 4})
+    assert result["conjugation_deviation"] == 0.0
+    assert result["max_purity_deviation"] < 1e-12
+
+
+def _identity_circuit(v):
+    """The swap test with S replaced by the identity: the identity."""
+    return v.copy()
+
+
+def _flipped_circuit(v):
+    """The swap test with the sign of its upper right block 1 - S flipped. (A
+    flip in a diagonal block keeps U (Z x 1) U = Z x SWAP, so it passes.)"""
+    a, b = v[..., 0, :, :], v[..., 1, :, :]
+    sa, sb = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
+    return np.stack([a + sa - b + sb, a - sa + b + sb], axis=-3) / 2
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("planted", [_identity_circuit, _flipped_circuit])
+def test_ancilla_probe_check_flags_a_wrong_circuit(monkeypatch, n, planted):
+    # the run's own probes tell a planted wrong circuit from the swap test,
+    # and the purity draws come first, so they keep their stream
+    right = cli.run({"experiment": "ancilla", "n": n, "samples": 3})
+    monkeypatch.setattr(cli, "swap_test_circuit", planted)
+    wrong = cli.run({"experiment": "ancilla", "n": n, "samples": 3})
+    assert right["conjugation_deviation"] == 0.0
+    assert wrong["conjugation_deviation"] >= 0.5
+    assert wrong["max_purity_deviation"] == right["max_purity_deviation"]
+
+
+# The shot configs whose draws must not move with rounding noise.
+SHOT_CONFIGS = [
+    {"experiment": "entanglement", "measure": "meyer_wallach", "n": 4, "samples": 40,
+     "shots": 100},
+    {"experiment": "purity", "n": 4, "samples": 40, "shots": 100},
+    {"experiment": "time_reversal_states", "n": 4, "mc_samples": 200, "shots": 200},
+    {"experiment": "time_reversal_states", "n": 3, "observable": "bell", "mc_samples": 200,
+     "shots": 200},
+    {"experiment": "time_reversal_dynamics", "n": 3, "mc_samples": 200, "shots": 200},
+]
+
+
+@pytest.mark.parametrize("config", SHOT_CONFIGS, ids=lambda c: c.get("measure") or
+                         c.get("observable") or c["experiment"])
+def test_shot_estimates_keep_their_bits_under_one_ulp_of_noise(monkeypatch, config):
+    # every shot probability moved by one ulp, up or down at random, draws
+    # the same counts: the dyadic values of the parallel swap test stay on
+    # the grid that estimate_with_shots snaps them to
+    exact = [cli.run(dict(config, seed=seed)) for seed in range(3)]
+    noise = np.random.default_rng(0)
+    distribution = models._shot_distribution
+
+    def perturbed(*args):
+        levels, probs = distribution(*args)
+        up = noise.random(probs.shape) < 0.5
+        moved = np.nextafter(probs, np.where(up, np.inf, -np.inf))
+        assert (moved != probs).all()
+        return levels, np.clip(moved, 0.0, 1.0)
+
+    monkeypatch.setattr(models, "_shot_distribution", perturbed)
+    for seed, want in enumerate(exact):
+        got = cli.run(dict(config, seed=seed))
+        for result in (got, want):
+            result.pop("wall_time_s")
+        assert got == want
 
 
 def test_run_graph_experiment(tmp_path):

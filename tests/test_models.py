@@ -6,15 +6,14 @@ from ginv.datasets import Dataset, Graph
 from ginv.groups import haar_orthogonal, haar_unitary, permutation_operator
 from ginv.models import (
     ModelSpec,
-    ancilla_observable,
     conjugated_observable,
     estimate_with_shots,
     evaluate,
     swap_test_model,
-    swap_test_unitary,
 )
 from ginv.observables import (
     PAULI,
+    AncillaObservable,
     Observable,
     bell_projector,
     meyer_wallach_observable,
@@ -34,7 +33,14 @@ from ginv.tensor import (
     tensor_power,
 )
 from ginv.train import OptimizeResult, TrainableModel
-from helpers import expectation, qgcnn_unitary, random_density_matrix, relabel
+from helpers import (
+    dressed,
+    expectation,
+    qgcnn_unitary,
+    random_density_matrix,
+    relabel,
+    swap_test_unitary,
+)
 
 C4 = Graph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
 K3 = Graph(3, {(0, 1), (1, 2), (0, 2)})
@@ -81,16 +87,6 @@ def test_ansatz_param_count_mismatch():
     for count in (0, 7, 9):
         with pytest.raises(ValueError, match="expects 8 parameters"):
             qgcnn_unitary(K3, np.zeros(count), 2, 2)
-
-
-def test_fixed_unitary_validation():
-    with pytest.raises(ValueError, match="not unitary"):
-        ModelSpec("H1", swap_operator(1), unitary=np.ones((4, 4)))
-    for wrong in (np.eye(2), np.eye(4)[:, :2], np.ones(4), np.eye(16)):
-        with pytest.raises(ValueError, match="!= observable dim 4"):
-            ModelSpec("H1", swap_operator(1), unitary=wrong)
-    u = random_unitary(4, np.random.default_rng(2))
-    assert ModelSpec("H1", swap_operator(1), unitary=u).unitary is not None
 
 
 def test_evaluate_h1_swap_mixed():
@@ -182,17 +178,50 @@ def test_evaluate_h3_swap_test_purity_conjugation_oracle():
 
 
 def test_evaluate_h3_matches_dense_ancilla_oracle():
-    # oracle: Tr[(|0><0| x rho x rho) U^dag (O x 1) U] on the whole register
+    # oracle: Tr[(|0><0| x rho x rho) U^dag (O x 1) U] on the whole register,
+    # U the dense swap test, for O with a trace and X and Y parts, and for
+    # the pure X and Y parts alone, which have no diagonal block and read 0
     rng = np.random.default_rng(29)
-    for n in (1, 2):
+    for n in (1, 2, 3):
         u = swap_test_unitary(n)
-        for _ in range(5):
-            o = random_hermitian(2, rng)
-            model = ModelSpec("H3", ancilla_observable(o, n), unitary=u)
+        randoms = [random_hermitian(2, rng) for _ in range(5)]
+        assert all(abs(np.trace(o)) > 0 and o[0, 1].real and o[0, 1].imag for o in randoms)
+        for o in randoms + [PAULI["X"], 2 * PAULI["Y"]]:
+            model = ModelSpec("H3", AncillaObservable(o, n))
             rho = random_density_matrix(2**n, rng)
-            dressed = u.conj().T @ kron(o, np.eye(4**n)) @ u
-            oracle = expectation(kron_all([dm(basis_state(2, 0)), rho, rho]), dressed)
-            assert abs(evaluate(model, rho) - oracle) < 1e-12
+            value = evaluate(model, rho)
+            assert "matrix" not in vars(model.observable)
+            oracle = expectation(kron_all([dm(basis_state(2, 0)), rho, rho]),
+                                 dressed(model.observable, u).matrix)
+            assert abs(value - oracle) < 1e-12
+
+
+def test_h3_conjugate_of_z_is_the_lone_whole_register_swap():
+    # O = Z leaves the one term SWAP, valued Tr[rho^2]
+    for n in (1, 3, 6):
+        measured = conjugated_observable(swap_test_model(n))
+        assert measured.kind == "swap"
+        assert np.flatnonzero(measured.coeffs).tolist() == [2**n - 1]
+        assert measured.coeffs[-1] == 1.0
+        rho = random_density_matrix(2**n, np.random.default_rng(n))
+        assert abs(evaluate(swap_test_model(n), rho) - purity(rho)) < 1e-15
+
+
+def test_ancilla_observable_levels_come_from_its_2x2():
+    # levels from the 2 x 2 O, no eigvalsh on the 2 * 4^n register; the
+    # dense O x 1 x 1 is built only on request, as an oracle
+    rng = np.random.default_rng(32)
+    o = random_hermitian(2, rng)
+    anc = AncillaObservable(o, 6)
+    np.testing.assert_allclose(anc.levels, np.linalg.eigvalsh(o)[::-1], rtol=0, atol=1e-15)
+    assert "matrix" not in vars(anc) and anc.dim == 2 * 4**6
+    small = AncillaObservable(o, 1)
+    np.testing.assert_array_equal(small.matrix, kron(o, np.eye(4)))
+    dense = Observable(small.matrix, 1, 3, "dense")
+    np.testing.assert_allclose(small.levels, dense.levels, rtol=0, atol=1e-12)
+    for bad in (np.array([[0, 1], [0, 0]]), np.eye(4), np.eye(2)[0]):
+        with pytest.raises(ValueError, match="Hermitian 2 x 2"):
+            AncillaObservable(bad, 1)
 
 
 def test_evaluate_input_kind_errors():
@@ -209,18 +238,23 @@ def test_model_spec_validation():
         ModelSpec("H4", swap_operator(1))
     with pytest.raises(ValueError):
         ModelSpec("H2", bell_projector(1))  # no psi_in
-    with pytest.raises(ValueError):
-        ModelSpec("H1", swap_operator(1), unitary=np.eye(2))  # dim clash
-    with pytest.raises(ValueError, match="two copies"):
+    with pytest.raises(ValueError, match="measures the Bell projector"):
         ModelSpec("H2", Observable(np.eye(4), 1, 2, "one copy"), psi_in=bell_state(1))
 
 
 def test_h2_model_is_the_undressed_bell_projector():
     for obs in (swap_operator(1), Observable(np.eye(16), 2, 2, "dense")):
-        with pytest.raises(ValueError, match="Bell projector, undressed"):
+        with pytest.raises(ValueError, match="measures the Bell projector"):
             ModelSpec("H2", obs, psi_in=bell_state(obs.qubits_per_copy))
-    with pytest.raises(ValueError, match="Bell projector, undressed"):
-        ModelSpec("H2", bell_projector(1), psi_in=bell_state(1), unitary=np.eye(4))
+
+
+def test_h3_models_and_only_they_measure_an_ancilla_observable():
+    anc = AncillaObservable(PAULI["Z"], 1)
+    for hclass, obs, kwargs in (("H3", swap_operator(1), {}), ("H1", anc, {}),
+                                ("H2", anc, {"psi_in": bell_state(1)})):
+        with pytest.raises(ValueError, match="only an H3 model, measures an ancilla"):
+            ModelSpec(hclass, obs, **kwargs)
+    assert ModelSpec("H3", anc).observable is anc
 
 
 def test_swap_test_unitary_conjugation_identity():
@@ -241,7 +275,7 @@ def test_swap_test_unitary_is_the_hadamard_cswap_product():
         h_anc = kron(h, np.eye(d2))
         u = swap_test_unitary(n)
         assert np.abs(u - h_anc @ cswap @ h_anc).max() <= 1e-15
-        # real, with entries 0, +-1/2 and 1, so ModelSpec checks it by a real product
+        # real, with entries 0, +-1/2 and 1
         assert u.dtype == np.float64
         assert set(np.unique(u)) <= {0.0, 0.5, -0.5, 1.0}
 
@@ -252,27 +286,35 @@ def test_ancilla_measurement_eigenvector_condition():
 
 
 def test_conjugated_observable_identity_ansatz():
-    # a model without a unitary measures its observable undressed
-    model = ModelSpec("H1", swap_operator(1))
-    assert conjugated_observable(model) is model.observable
+    # H1 and H2 models measure their observable on the input copies
+    for model in (ModelSpec("H1", swap_operator(1)),
+                  ModelSpec("H2", bell_projector(1), psi_in=bell_state(1))):
+        assert conjugated_observable(model) is model.observable
 
 
 def test_evaluate_dresses_only_a_model_with_a_unitary(monkeypatch):
+    # the swap test is the one circuit a model runs: evaluate forms a new
+    # observable for an H3 model, one a call, and passes an H1 model's through
     calls = []
     dress = models.conjugated_observable
-    monkeypatch.setattr(models, "conjugated_observable", lambda m: calls.append(m) or dress(m))
+    monkeypatch.setattr(models, "conjugated_observable",
+                        lambda m: calls.append((m, r := dress(m))) or r)
     rho = random_density_matrix(2, np.random.default_rng(3))
-    assert evaluate(ModelSpec("H1", swap_operator(1)), rho) == pytest.approx(purity(rho))
-    assert calls == []
-    h3 = swap_test_model(1)
-    assert evaluate(h3, rho) == pytest.approx(purity(rho))
-    assert calls == [h3]
+    h1, h3 = ModelSpec("H1", swap_operator(1)), swap_test_model(1)
+    assert evaluate(h1, rho) == pytest.approx(purity(rho))
+    for _ in range(2):
+        assert evaluate(h3, rho) == pytest.approx(purity(rho))
+    assert [m for m, r in calls] == [h1, h3, h3]
+    assert calls[0][1] is h1.observable and calls[1][1] is not calls[2][1]
 
 
 def test_conjugated_observable_swap_test():
-    model = swap_test_model(1)
-    expected = kron(PAULI["Z"], swap_operator(1).matrix)
-    np.testing.assert_allclose(conjugated_observable(model).matrix, expected, atol=1e-12)
+    # the ancilla-|0> block of the dense U^dag (Z x 1) U is the register SWAP
+    for n in (1, 2):
+        u, model = swap_test_unitary(n), swap_test_model(n)
+        block = dressed(model.observable, u).matrix[: 4**n, : 4**n]
+        np.testing.assert_allclose(block, swap_operator(n).matrix, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(conjugated_observable(model).matrix, swap_operator(n).matrix)
 
 
 def test_dual_path_consistency():
@@ -284,11 +326,10 @@ def test_dual_path_consistency():
         d = 2**n
         obs = Observable(random_hermitian(d**k, rng), k, n, "random")
         u = random_unitary(d**k, rng)
-        model = ModelSpec("H1", obs, unitary=u)
+        model = ModelSpec("H1", dressed(obs, u))
         rho = random_density_matrix(d, rng)
         direct = evaluate(model, rho)
-        dressed = u.conj().T @ obs.matrix @ u
-        oracle = float(np.real(np.trace(tensor_power(rho, k) @ dressed)))
+        oracle = float(np.real(np.trace(tensor_power(rho, k) @ u.conj().T @ obs.matrix @ u)))
         assert abs(direct - oracle) < 1e-10
 
 
@@ -372,12 +413,13 @@ class RecordingRng:
 def test_shots_dressed_spectral_branch(case):
     rng = np.random.default_rng(16)
     if case == "layered_swap":
-        model = ModelSpec("H1", swap_operator(1), unitary=random_unitary(4, rng))
+        model = ModelSpec("H1", dressed(swap_operator(1), random_unitary(4, rng)))
     else:
         model = swap_test_model(1)
     rho = random_density_matrix(2, rng)
-    # a dressed observable is dense, and keeps the spectrum of O: two levels
-    assert conjugated_observable(model).kind == "dense"
+    # a dressed observable is dense and the swap test measures a swap
+    # polynomial; each keeps the spectrum of its O: two levels
+    assert conjugated_observable(model).kind == ("dense" if case == "layered_swap" else "swap")
     eigenvalues = np.linalg.eigvalsh(model.observable.matrix)
     assert set(np.round(eigenvalues, 12)) == {-1.0, 1.0}
     shots = 20000
@@ -461,7 +503,7 @@ def _shot_case(case, n, rng):
     if case == "pauli":
         model = ModelSpec("H1", pauli_string("Y" + "Z" * (n - 1)))
     elif case == "dressed":
-        model = ModelSpec("H1", pauli_string("X" * n), unitary=random_unitary(d, rng))
+        model = ModelSpec("H1", dressed(pauli_string("X" * n), random_unitary(d, rng)))
     elif case == "swap":
         model = ModelSpec("H1", swap_operator(n))
     elif case == "meyer_wallach":
@@ -555,14 +597,14 @@ def test_two_level_law_equals_the_born_weights(case):
     # dressed matrix U^dag O U on the undressed state sigma, summed per level
     rng = np.random.default_rng(31)
     if case in ("layered_swap", "swap_test"):
-        model = (ModelSpec("H1", swap_operator(2), unitary=random_unitary(16, rng))
+        model = (ModelSpec("H1", dressed(swap_operator(2), random_unitary(16, rng)))
                  if case == "layered_swap" else swap_test_model(2))
         inputs = np.array([random_density_matrix(4, rng) for _ in range(10)]
                           + [dm(random_statevector(4, rng)) for _ in range(5)])
     else:
         model, inputs = _shot_case(case, 2, rng)
     levels, probs = models._shot_distribution(model, conjugated_observable(model), inputs)
-    u = np.eye(model.observable.dim) if model.unitary is None else model.unitary
+    u = swap_test_unitary(2) if model.hclass == "H3" else np.eye(model.observable.dim)
     w, vecs = np.linalg.eigh(u.conj().T @ model.observable.matrix @ u)
     level_of = np.abs(w[:, None] - levels[None, :]).argmin(axis=1)
     np.testing.assert_allclose(levels[level_of], w, atol=1e-10)
@@ -585,6 +627,28 @@ def test_h2_shots_check_each_input(stacked):
         x = np.array([np.eye(bad.shape[0]), bad]) if stacked else bad[None]
         with pytest.raises(ValueError, match=message):
             estimate_with_shots(model, x, 10, rng)
+
+
+def test_shots_draw_a_row_whose_entries_all_round_up(monkeypatch):
+    # 256 levels, as meyer_wallach at n = 8 has: 255 entries at 0.6 of a
+    # 2^-40 step past the grid and a last one that fills the row to 1.
+    # Rounded entry by entry, the first 255 would sum past rng.multinomial's
+    # 1 + 1e-12; rounded through the cumulative sums, they sum to at most 1
+    grid = 2.0**-40
+    steps = np.full(255, (2**40 - 154) // 255)
+    steps[: 2**40 - 154 - steps.sum()] += 1
+    row = (steps + 0.6) * grid
+    row = np.append(row, 1.0 - row.sum())
+    assert (row > 0).all() and abs(row.sum() - 1.0) < 1e-15
+    with pytest.raises(ValueError, match="sum"):
+        np.random.default_rng(0).multinomial(10, np.round(row / grid) * grid)
+    levels = np.arange(256.0)
+    monkeypatch.setattr(models, "_shot_distribution", lambda *args: (levels, row[None]))
+    draws = RecordingRng(0)
+    model = ModelSpec("H1", meyer_wallach_observable(8))
+    est = estimate_with_shots(model, np.zeros((1, 256, 256)), 1000, draws)
+    (counts,) = draws.counts
+    assert counts.sum() == 1000 and est[0] == counts[0] @ levels / 1000
 
 
 def test_shots_requires_positive():

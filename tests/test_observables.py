@@ -11,7 +11,6 @@ from ginv.groups import (
     UnitarySampler,
     haar_unitary,
 )
-from ginv.models import ModelSpec, conjugated_observable
 from ginv.tensor import (
     dm,
     expectation_copies,
@@ -22,7 +21,7 @@ from ginv.tensor import (
     random_statevector,
     zero_state,
 )
-from helpers import check_invariance, ghz_state, random_density_matrix
+from helpers import check_invariance, dressed, ghz_state, random_density_matrix
 
 
 def product_state(n, rng):
@@ -564,11 +563,10 @@ def test_stacked_oracles_equal_per_state_oracles(n):
 def _pure_value_cases(n, rng):
     """(name, observable) of every kind that pure_values dispatches on."""
     d = 2**n
-    dressed = ModelSpec("H1", obs.pauli_string("YX" + "Z" * (n - 2)),
-                        unitary=haar_unitary(d, rng))
+    u = haar_unitary(d, rng)
     cases = [("pauli_odd_y", obs.pauli_string("Y" + "I" * (n - 1))),
              ("dense_k1", obs.Observable(random_hermitian(d, rng), 1, n, "k1")),
-             ("dressed", conjugated_observable(dressed)),
+             ("dressed", dressed(obs.pauli_string("YX" + "Z" * (n - 2)), u)),
              ("dense_k2", obs.Observable(random_hermitian(d * d, rng), 2, n, "k2")),
              ("bell", obs.bell_projector(n))]
     return cases + [(o.tag, o) for o in structured_observables(n) if o.kind == "swap"]
